@@ -11,6 +11,7 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -23,6 +24,10 @@ VERSION = 1
 _DIM_FIELDS = ("vocab_size", "n_users", "n_items", "word_dim", "id_dim",
                "num_filters", "attn_dim", "window", "fm_dim", "review_len",
                "num_reviews")
+
+
+# magic, version, the dims, metadata length
+_HEADER = struct.Struct("<4sI11II")
 
 
 class CheckpointError(ValueError):
@@ -59,39 +64,59 @@ def save_params(params: ModelParams, path, metadata: dict | None = None) -> None
     meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<11I", *(getattr(params.dims, f) for f in _DIM_FIELDS)))
-        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(_HEADER.pack(MAGIC, VERSION, *(getattr(params.dims, f) for f in _DIM_FIELDS),
+                              len(meta_bytes)))
         fh.write(meta_bytes)
         for _, arr in params.tensors():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_params(path):
-    """Returns (ModelParams, metadata dict)."""
+    """Returns (ModelParams, metadata dict).
+
+    The file length implied by the header is checked before any tensor is
+    read, so a truncated, padded or corrupted file raises CheckpointError
+    naming it instead of allocating from bogus dims.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    if len(blob) < _HEADER.size:
+        raise CheckpointError(f"{path}: truncated header, {len(blob)} of "
+                              f"{_HEADER.size} bytes")
+    _, version, *dim_values, meta_len = _HEADER.unpack_from(blob)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    dims = Dims(*struct.unpack_from("<11I", blob, 8))
-    offset = 8 + 44
-    (meta_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    meta = json.loads(blob[offset:offset + meta_len].decode("utf-8"))
-    offset += meta_len
+    dims = Dims(*dim_values)
+    try:
+        dims.validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad header dims: {exc}") from exc
+    shapes = _tensor_shapes(dims)
+    offset = _HEADER.size + meta_len
+    expected = offset + 8 * sum(math.prod(shape) for _, shape in shapes)
+    if len(blob) < expected:
+        raise CheckpointError(f"{path}: truncated, header implies {expected} bytes, "
+                              f"file has {len(blob)}")
+    if len(blob) > expected:
+        raise CheckpointError(f"{path}: {len(blob) - expected} trailing bytes")
+    try:
+        meta = json.loads(blob[_HEADER.size:offset].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
+    activation = meta.get("conv_activation", "relu")
+    if activation not in ("relu", "tanh"):
+        raise CheckpointError(f"{path}: unknown conv_activation {activation!r}")
 
     tensors = {}
-    for name, shape in _tensor_shapes(dims):
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes:
+        count = math.prod(shape)
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).copy()
         offset += count * 8
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
 
     def side(tag):
         return SideParams(**{n: tensors[f"{tag}.{n}"] for n in (
@@ -106,6 +131,6 @@ def load_params(path):
         user=side("user"),
         item=side("item"),
         fm=FMParams(tensors["fm.bias"], tensors["fm.linear"], tensors["fm.factors"]),
-        conv_activation=meta.get("conv_activation", "relu"),
+        conv_activation=activation,
     )
     return params, meta

@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
             sink = open(args.trace, "w", encoding="utf-8")
         score = evaluation.evaluate(params, split, stores, ablation,
                                     exclude_target=exclude, clip=args.clip,
-                                    threads=args.threads, trace_sink=sink)
+                                    trace_sink=sink)
     finally:
         if sink:
             sink.close()
@@ -289,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--split", required=True, choices=["val", "test"])
     sp.add_argument("--ablation", default=None)
     sp.add_argument("--clip", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.add_argument("--trace", default=None)
     sp.set_defaults(func=cmd_eval)

@@ -61,7 +61,8 @@ def parse_reviews(stream, format: str):
 
     amazon-json: one JSON object per line with reviewerID/asin/overall/reviewText.
     csv: headerless rows user,item,rating,text (quoting per the csv module).
-    Malformed lines and ratings outside [1, 5] are skipped and counted.
+    Malformed lines, non-string review text (e.g. JSON null) and ratings
+    outside [1, 5] are skipped and counted.
     """
     if format not in ("amazon-json", "csv"):
         raise ValueError(f"unknown format {format!r}")
@@ -77,12 +78,12 @@ def parse_reviews(stream, format: str):
             try:
                 obj = json.loads(line)
                 rating = float(obj["overall"])
-                rec = RawRecord(str(obj["reviewerID"]), str(obj["asin"]), rating,
-                                str(obj["reviewText"]))
+                text = obj["reviewText"]
+                rec = RawRecord(str(obj["reviewerID"]), str(obj["asin"]), rating, text)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 skipped += 1
                 continue
-            if not 1.0 <= rating <= 5.0:
+            if not isinstance(text, str) or not 1.0 <= rating <= 5.0:
                 skipped += 1
                 continue
             records.append(rec)

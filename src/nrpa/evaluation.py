@@ -1,12 +1,11 @@
 """Scoring, ablation variants and the id-dimension sweep.
 
-Predictions always go through the single-pair forward path in fixed index
-order, so scores are bit-reproducible and independent of evaluation batching
-or thread count.
+Predictions go through the batched forward path (model.predict_batch) in
+fixed-size chunks taken in index order, so scores are bit-reproducible and
+depend on no setting of the caller.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,51 +38,34 @@ def mse(predictions, truths) -> float:
 
 def predict_split(params: M.ModelParams, interactions, stores,
                   ablation: M.AblationSpec = M.FULL_ATTENTION,
-                  exclude_target: bool = True, threads: int = 1,
-                  want_traces: bool = False):
-    """Predictions (and optionally attention traces) for a list of interactions."""
+                  exclude_target: bool = True):
+    """Score interactions in consecutive _EVAL_CHUNK-sized chunks, in index
+    order; yields (chunk, predictions, user cache, item cache) per chunk."""
     user_store, item_store = stores
-    preds = np.zeros(len(interactions))
-    traces = [None] * len(interactions) if want_traces else None
-
-    def run_chunk(lo):
-        hi = min(lo + _EVAL_CHUNK, len(interactions))
-        out = []
-        for idx in range(lo, hi):
-            inter = interactions[idx]
-            rating, trace = M.forward(inter.user, inter.item, user_store, item_store,
-                                      params, exclude_target, ablation)
-            out.append((idx, rating, trace))
-        return out
-
-    starts = range(0, len(interactions), _EVAL_CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(run_chunk, starts)
-    else:
-        chunks = map(run_chunk, starts)
-    for chunk in chunks:
-        for idx, rating, trace in chunk:
-            preds[idx] = rating
-            if want_traces:
-                traces[idx] = trace
-    return preds, traces
+    for lo in range(0, len(interactions), _EVAL_CHUNK):
+        chunk = interactions[lo:lo + _EVAL_CHUNK]
+        preds, u_cache, i_cache = M.predict_batch(
+            params, user_store, item_store, [i.user for i in chunk],
+            [i.item for i in chunk], exclude_target, ablation)
+        yield chunk, preds, u_cache, i_cache
 
 
 def evaluate(params: M.ModelParams, interactions, stores,
              ablation: M.AblationSpec = M.FULL_ATTENTION,
              exclude_target: bool = True, clip: bool = False,
-             threads: int = 1, trace_sink=None) -> float:
+             trace_sink=None) -> float:
     """MSE of the model over a split, summed in fixed index order."""
     if len(interactions) == 0:
         raise ValueError("cannot evaluate an empty split")
-    want_traces = trace_sink is not None
-    preds, traces = predict_split(params, interactions, stores, ablation,
-                                  exclude_target, threads, want_traces)
-    if clip:
-        preds = np.clip(preds, 1.0, 5.0)
-    if want_traces:
-        for inter, pred, trace in zip(interactions, preds, traces):
+    scored = []
+    for chunk, preds, u_cache, i_cache in predict_split(params, interactions, stores,
+                                                        ablation, exclude_target):
+        if clip:
+            preds = np.clip(preds, 1.0, 5.0)
+        scored.append(preds)
+        if trace_sink is None:
+            continue
+        for inter, pred, trace in zip(chunk, preds, M.attention_traces(u_cache, i_cache)):
             trace_sink.write(json.dumps({
                 "user": int(inter.user),
                 "item": int(inter.item),
@@ -93,7 +75,7 @@ def evaluate(params: M.ModelParams, interactions, stores,
                 "item_alpha": trace.item_alpha.tolist(),
                 "item_beta": trace.item_beta.tolist(),
             }, sort_keys=True) + "\n")
-    return mse(preds, [i.rating for i in interactions])
+    return mse(np.concatenate(scored), [i.rating for i in interactions])
 
 
 def _write_csv(path, header, rows):
@@ -103,7 +85,7 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(x) for x in row) + "\n")
 
 
-def run_ablation_suite(config, dataset, csv_path=None, threads: int = 1):
+def run_ablation_suite(config, dataset, csv_path=None):
     """Train and score every attention variant under identical seeds/config.
 
     Returns [(variant, test_mse)] in the fixed variant order; optionally
@@ -117,7 +99,7 @@ def run_ablation_suite(config, dataset, csv_path=None, threads: int = 1):
     for name, ablation in ABLATION_VARIANTS:
         params, _ = train(config, dataset, stores, ablation)
         score = evaluate(params, dataset.split.test, stores, ablation,
-                         exclude_target=config.exclude_target, threads=threads)
+                         exclude_target=config.exclude_target)
         rows.append((name, score))
     if csv_path:
         _write_csv(csv_path, "variant,mse", rows)

@@ -4,10 +4,11 @@ word- and review-level attention pooling, and the factorization-machine head.
 Two towers share one word-embedding table: the user side encodes the user's
 review profile with queries derived from the user id embedding, the item side
 does the same with item queries. Each side yields a pooled text feature; the
-concatenation goes through the FM to produce the rating.
+concatenation goes through the FM to produce the rating. Every rating is
+computed by predict_batch; forward() is a batch of one.
 
 Conventions:
-  review matrix M is (word_dim, review_len), column k = embedding of token k;
+  reviews are embedded time-major, (review_len, word_dim) per review;
   conv filters are stored flattened as (num_filters, window*word_dim) where
   column block c holds the taps for relative offset c - (window-1)//2;
   the PAD embedding row (row 0) is pinned to zero.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .rng import SplitMix64
-from .tensor import ShapeError, masked_softmax, relu
+from .tensor import masked_softmax
 
 PAD_ID = 0
 
@@ -125,10 +126,11 @@ class ModelParams:
             arr[...] = 0.0
         return out
 
-    def assert_finite(self):
+    def assert_finite(self, kind: str = "tensor"):
+        """Raises FloatingPointError naming the first non-finite tensor."""
         for name, arr in self.tensors():
             if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"non-finite values in tensor {name}")
+                raise FloatingPointError(f"non-finite values in {kind} {name}")
 
 
 @dataclass
@@ -158,18 +160,6 @@ class AblationSpec:
 
 
 FULL_ATTENTION = AblationSpec()
-
-
-@dataclass
-class EncodedReview:
-    vector: np.ndarray        # (K,) attention-pooled word features
-    word_weights: np.ndarray  # (T,) weights; masked positions exactly 0
-
-
-@dataclass
-class SideRepresentation:
-    vector: np.ndarray          # (K,) pooled side feature
-    review_weights: np.ndarray  # (N,) weights; padding reviews exactly 0
 
 
 @dataclass
@@ -225,18 +215,8 @@ def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelPa
 
 
 # ---------------------------------------------------------------------------
-# single-review / single-pair operations
+# batched forward: the one way a rating is computed
 # ---------------------------------------------------------------------------
-
-def embed_review(tokens: np.ndarray, word_emb: np.ndarray) -> np.ndarray:
-    """(word_dim, T) matrix whose column k embeds token k; PAD columns are zero."""
-    tokens = np.asarray(tokens)
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= word_emb.shape[0]):
-        raise IndexError(
-            f"token id out of range [0, {word_emb.shape[0]}): "
-            f"min={tokens.min()} max={tokens.max()}")
-    return word_emb[tokens].T.copy()
-
 
 def _activate(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
@@ -244,60 +224,6 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(x)
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def conv_encode(m: np.ndarray, filters: np.ndarray, biases: np.ndarray,
-                activation: str = "relu") -> np.ndarray:
-    """Same-length 1-d convolution over columns of m with zero padding.
-
-    Output (K, T): entry (j, k) applies filter j to the window of m centered
-    at column k, plus bias, through the activation.
-    """
-    word_dim, t = m.shape
-    k_filters, taps = filters.shape
-    if taps % word_dim != 0:
-        raise ShapeError(f"filter width {taps} not a multiple of word_dim {word_dim}")
-    window = taps // word_dim
-    if window % 2 == 0:
-        raise ShapeError(f"window must be odd, got {window}")
-    if biases.shape != (k_filters,):
-        raise ShapeError(f"biases {biases.shape} vs filters {filters.shape}")
-    half = (window - 1) // 2
-    padded = np.zeros((word_dim, t + 2 * half))
-    padded[:, half:half + t] = m
-    windows = np.concatenate([padded[:, c:c + t] for c in range(window)], axis=0)
-    return _activate(filters @ windows + biases[:, None], activation)
-
-
-def query_vector(id_emb: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Personalized attention query: ReLU(w @ id_emb + b)."""
-    if w.shape[1] != id_emb.shape[0] or w.shape[0] != b.shape[0]:
-        raise ShapeError(f"query shapes: w {w.shape}, id {id_emb.shape}, b {b.shape}")
-    return relu(w @ id_emb + b)
-
-
-def word_attention_pool(c: np.ndarray, q: np.ndarray, pairing: np.ndarray,
-                        token_mask: np.ndarray) -> EncodedReview:
-    """Pool word features (K, T) with bilinear logits q' pairing c_k.
-
-    Masked positions carry weight exactly 0; an all-masked review comes back
-    as the zero vector so empty/padding reviews stay representable.
-    """
-    if pairing.shape != (q.shape[0], c.shape[0]):
-        raise ShapeError(f"pairing {pairing.shape} vs query {q.shape} and features {c.shape}")
-    logits = (pairing.T @ q) @ c  # (T,)
-    weights = masked_softmax(logits, token_mask)
-    return EncodedReview(vector=c @ weights, word_weights=weights)
-
-
-def review_attention_pool(d: np.ndarray, q: np.ndarray, pairing: np.ndarray,
-                          review_mask: np.ndarray) -> SideRepresentation:
-    """Pool review vectors (N, K) into one side representation."""
-    if pairing.shape != (q.shape[0], d.shape[1]):
-        raise ShapeError(f"pairing {pairing.shape} vs query {q.shape} and reviews {d.shape}")
-    logits = d @ (pairing.T @ q)  # (N,)
-    weights = masked_softmax(logits, review_mask)
-    return SideRepresentation(vector=d.T @ weights, review_weights=weights)
 
 
 def uniform_weights(mask: np.ndarray) -> np.ndarray:
@@ -308,79 +234,27 @@ def uniform_weights(mask: np.ndarray) -> np.ndarray:
                      out=np.zeros(mask.shape), where=counts > 0)
 
 
-def fm_predict(p_user: np.ndarray, p_item: np.ndarray, fm: FMParams) -> float:
-    """FM rating: bias + linear + pairwise terms via the O(n*fm_dim) identity."""
-    o = np.concatenate([p_user, p_item])
-    if o.shape[0] != fm.linear.shape[0]:
-        raise ShapeError(f"features {o.shape} vs fm linear {fm.linear.shape}")
-    s = fm.factors.T @ o                    # (fm_dim,)
-    sq = (fm.factors ** 2).T @ (o ** 2)     # (fm_dim,)
-    return float(fm.bias + fm.linear @ o + 0.5 * np.sum(s * s - sq))
+def attention_pool(features: np.ndarray, query, mask: np.ndarray):
+    """Masked attention pooling of (R, L, K) features; returns (weights, pooled).
 
-
-def encode_profile(tokens: np.ndarray, token_mask: np.ndarray, review_mask: np.ndarray,
-                   owner_id: int, side: SideParams, id_emb: np.ndarray,
-                   word_emb: np.ndarray, activation: str,
-                   word_uniform: bool = False, review_uniform: bool = False):
-    """One owner's (N, T) profile -> (SideRepresentation, (N, T) word weights).
-
-    Composes embed_review -> conv_encode -> word_attention_pool per review,
-    then review_attention_pool across reviews.
+    query is the (R, K) pairing-transformed query, so the logit of position l
+    is features[r, l] . query[r]; None pools uniformly. Masked positions carry
+    weight exactly 0 and a row with nothing unmasked pools to the zero vector,
+    so empty reviews and profiles stay representable.
     """
-    n, t = tokens.shape
-    q_w = query_vector(id_emb[owner_id], side.word_query_w, side.word_query_b)
-    q_r = query_vector(id_emb[owner_id], side.review_query_w, side.review_query_b)
-
-    review_vecs = np.zeros((n, side.conv_w.shape[0]))
-    word_weights = np.zeros((n, t))
-    for j in range(n):
-        c = conv_encode(embed_review(tokens[j], word_emb), side.conv_w, side.conv_b,
-                        activation)
-        if word_uniform:
-            weights = uniform_weights(token_mask[j])
-            enc = EncodedReview(vector=c @ weights, word_weights=weights)
-        else:
-            enc = word_attention_pool(c, q_w, side.word_attn, token_mask[j])
-        review_vecs[j] = enc.vector
-        word_weights[j] = enc.word_weights
-
-    if review_uniform:
-        weights = uniform_weights(review_mask)
-        rep = SideRepresentation(vector=review_vecs.T @ weights, review_weights=weights)
+    if query is None:
+        weights = uniform_weights(mask)
     else:
-        rep = review_attention_pool(review_vecs, q_r, side.review_attn, review_mask)
-    return rep, word_weights
+        logits = np.matmul(features, query[:, :, None])[:, :, 0]  # (R, L)
+        weights = masked_softmax(logits, mask)
+    return weights, np.matmul(weights[:, None, :], features)[:, 0, :]
 
-
-def forward(user: int, item: int, user_store, item_store, params: ModelParams,
-            exclude_target: bool = False, ablation: AblationSpec = FULL_ATTENTION):
-    """Score one (user, item) pair; returns (rating, AttentionTrace)."""
-    excl_u = np.array([item]) if exclude_target else None
-    excl_i = np.array([user]) if exclude_target else None
-    u_tok, u_tmask, u_rmask = user_store.gather(np.array([user]), excl_u)
-    i_tok, i_tmask, i_rmask = item_store.gather(np.array([item]), excl_i)
-
-    u_rep, u_alpha = encode_profile(
-        u_tok[0], u_tmask[0], u_rmask[0], user, params.user, params.user_id_emb,
-        params.word_emb, params.conv_activation,
-        ablation.word_uniform("user"), ablation.review_uniform("user"))
-    i_rep, i_alpha = encode_profile(
-        i_tok[0], i_tmask[0], i_rmask[0], item, params.item, params.item_id_emb,
-        params.word_emb, params.conv_activation,
-        ablation.word_uniform("item"), ablation.review_uniform("item"))
-
-    rating = fm_predict(u_rep.vector, i_rep.vector, params.fm)
-    trace = AttentionTrace(u_alpha, u_rep.review_weights, i_alpha, i_rep.review_weights)
-    return rating, trace
-
-
-# ---------------------------------------------------------------------------
-# batched forward used by the training loop
-# ---------------------------------------------------------------------------
 
 @dataclass
 class SideCache:
-    """Everything backward() needs for one side of one batch.
+    """Everything backward() needs for one side of one batch; alpha and beta
+    are also the attention traces, row j aligned with the owner's j-th
+    profile slot.
 
     The conv feature maps are deliberately not kept: backward recomputes them
     chunk by chunk from the tokens, which bounds peak memory at the cost of
@@ -457,29 +331,22 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
     d_vecs = np.zeros((b, n, k))
     tokens_flat = tokens.reshape(b * n, t)
     tmask_flat = token_mask.reshape(b * n, t)
+    a_q_rep = None if word_uniform else np.repeat(a_q, n, axis=0)  # (B*N, K)
     chunk = _conv_chunk_rows(side, params.word_emb.shape[1], t)
     for lo in range(0, b * n, chunk):
         hi = min(lo + chunk, b * n)
         c, _, _, _ = _conv_chunk_forward(tokens_flat[lo:hi], side, params.word_emb,
                                          params.conv_activation)  # (r, T, K)
-        if word_uniform:
-            w = uniform_weights(tmask_flat[lo:hi])
-        else:
-            a_q_rep = np.repeat(a_q, n, axis=0)[lo:hi]            # (r, K)
-            logits = np.matmul(c, a_q_rep[:, :, None])[:, :, 0]   # (r, T)
-            w = masked_softmax(logits, tmask_flat[lo:hi])
+        w, pooled_words = attention_pool(c, None if word_uniform else a_q_rep[lo:hi],
+                                         tmask_flat[lo:hi])
         alpha.reshape(b * n, t)[lo:hi] = w
-        d_vecs.reshape(b * n, k)[lo:hi] = np.matmul(w[:, None, :], c)[:, 0, :]
+        d_vecs.reshape(b * n, k)[lo:hi] = pooled_words
 
     pre_qr = a_r = None
-    if review_uniform:
-        beta = uniform_weights(review_mask)
-    else:
+    if not review_uniform:
         pre_qr = uid @ side.review_query_w.T + side.review_query_b
         a_r = np.maximum(pre_qr, 0.0) @ side.review_attn          # (B, K)
-        logits = np.matmul(d_vecs, a_r[:, :, None])[:, :, 0]      # (B, N)
-        beta = masked_softmax(logits, review_mask)
-    pooled = np.matmul(beta[:, None, :], d_vecs)[:, 0, :]         # (B, K)
+    beta, pooled = attention_pool(d_vecs, a_r, review_mask)       # (B, N), (B, K)
 
     return SideCache(owners, tokens, token_mask, review_mask, uid, pre_qw, a_q,
                      alpha, d_vecs, pre_qr, a_r, beta, pooled, word_uniform,
@@ -505,3 +372,17 @@ def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray
                                 users if exclude_target else None, ablation)
     features = np.concatenate([u_cache.pooled, i_cache.pooled], axis=1)
     return fm_predict_batch(params.fm, features), u_cache, i_cache
+
+
+def attention_traces(u_cache: SideCache, i_cache: SideCache) -> list:
+    """One AttentionTrace per scored pair of a predict_batch call."""
+    return [AttentionTrace(u_cache.alpha[b], u_cache.beta[b], i_cache.alpha[b],
+                           i_cache.beta[b]) for b in range(len(u_cache.owners))]
+
+
+def forward(user: int, item: int, user_store, item_store, params: ModelParams,
+            exclude_target: bool = False, ablation: AblationSpec = FULL_ATTENTION):
+    """Score one (user, item) pair as a batch of one; returns (rating, AttentionTrace)."""
+    preds, u_cache, i_cache = predict_batch(params, user_store, item_store, [user], [item],
+                                            exclude_target, ablation)
+    return float(preds[0]), attention_traces(u_cache, i_cache)[0]

@@ -203,6 +203,7 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
     preds, u_cache, i_cache = M.predict_batch(params, user_store, item_store,
                                               users, items, exclude_target, ablation)
     if not np.all(np.isfinite(preds)):
+        params.assert_finite("parameter")
         raise FloatingPointError("non-finite predictions in forward pass")
     res = preds - ratings
     nb = len(batch)
@@ -233,7 +234,11 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
             g_t += 2.0 * l2_weight * p_t
 
     grads.word_emb[PAD_ID] = 0.0
-    grads.assert_finite()
+    try:
+        grads.assert_finite("gradient")
+    except FloatingPointError:
+        params.assert_finite("parameter")  # a non-finite parameter is the cause
+        raise
     return value, grads
 
 
@@ -310,11 +315,15 @@ def train(config: TrainConfig, dataset, stores,
     for epoch in range(1, config.max_epochs + 1):
         shuffle_rng.shuffle(train_set)
         total = 0.0
-        for lo in range(0, len(train_set), config.batch_size):
+        for batch_idx, lo in enumerate(range(0, len(train_set), config.batch_size)):
             batch = train_set[lo:lo + config.batch_size]
-            value, grads = backward(batch, params, stores, config.l2_weight, ablation)
+            where = f"epoch {epoch}, batch {batch_idx}"
+            try:
+                value, grads = backward(batch, params, stores, config.l2_weight, ablation)
+            except FloatingPointError as exc:
+                raise TrainingDiverged(f"training diverged at {where}: {exc}") from exc
             if not np.isfinite(value):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                raise TrainingDiverged(f"training diverged at {where}: non-finite loss")
             adam_step(params, grads, state, config.learning_rate)
             total += value * len(batch)
         train_loss = total / len(train_set)

@@ -99,7 +99,7 @@ def test_criterion_3_fm_identity():
         fm = M.FMParams(np.array(rng.normal()), rng.normal(size=n),
                         rng.normal(size=(n, k_fm)) * 0.3)
         o = rng.normal(size=n)
-        fast = M.fm_predict(o[:80], o[80:], fm)
+        fast = M.fm_predict_batch(fm, o[None])[0]
         gram = fm.factors @ fm.factors.T
         slow = float(fm.bias) + float(fm.linear @ o)
         for i in range(n):
@@ -140,10 +140,10 @@ def test_criterion_4b_convex_hull_containment():
         mask = rng.random(t) < 0.7
         if not mask.any():
             mask[int(rng.integers(t))] = True
-        enc = M.word_attention_pool(c, q, pairing, mask)
+        _, pooled = M.attention_pool(c.T[None], (pairing.T @ q)[None], mask[None])
         atoms = c[:, mask]
-        assert np.all(enc.vector >= atoms.min(axis=1) - 1e-12)
-        assert np.all(enc.vector <= atoms.max(axis=1) + 1e-12)
+        assert np.all(pooled[0] >= atoms.min(axis=1) - 1e-12)
+        assert np.all(pooled[0] <= atoms.max(axis=1) + 1e-12)
     report("4b", "pooled vectors stay in the convex hull of unmasked atoms "
                  "(120 random cases)")
 
@@ -156,12 +156,12 @@ def test_criterion_4c_review_permutation_invariance():
         q = rng.normal(size=4)
         pairing = rng.normal(size=(4, k))
         mask = rng.random(n) < 0.8
-        rep = M.review_attention_pool(d, q, pairing, mask)
+        query = (pairing.T @ q)[None]
+        weights, pooled = M.attention_pool(d[None], query, mask[None])
         perm = rng.permutation(n)
-        rep_p = M.review_attention_pool(d[perm], q, pairing, mask[perm])
-        assert np.allclose(rep_p.review_weights, rep.review_weights[perm],
-                           atol=1e-12)
-        assert np.allclose(rep_p.vector, rep.vector, atol=1e-12)
+        weights_p, pooled_p = M.attention_pool(d[perm][None], query, mask[perm][None])
+        assert np.allclose(weights_p[0], weights[0][perm], atol=1e-12)
+        assert np.allclose(pooled_p, pooled, atol=1e-12)
     report("4c", "review-order permutation equivariance/invariance "
                  "(120 random cases)")
 
@@ -176,20 +176,11 @@ def test_criterion_4d_uniform_ablation_user_independence():
     count = 0
     for _ in range(34):  # x3 user pairs = 102 comparisons
         users = rng.choice(12, size=4, replace=False)
-        base_tokens = store.gather(np.array([users[0]]))
-        ref = None
-        for owner in users:
-            tokens, tmask, rmask = store.gather(np.array([owner]))
-            rep, alpha = M.encode_profile(
-                tokens[0], tmask[0], rmask[0], int(owner), params.user,
-                params.user_id_emb, params.word_emb, "relu",
-                word_uniform=True, review_uniform=True)
-            if ref is None:
-                ref = (alpha, rep.review_weights)
-            else:
-                assert np.array_equal(alpha, ref[0])
-                assert np.array_equal(rep.review_weights, ref[1])
-                count += 1
+        cache = M.encode_side_batch(params, "user", store, users, ablation=NO_ATTENTION)
+        for b in range(1, len(users)):
+            assert np.array_equal(cache.alpha[b], cache.alpha[0])
+            assert np.array_equal(cache.beta[b], cache.beta[0])
+            count += 1
     assert count >= 100
     report("4d", f"uniform ablation gives user-independent weights "
                  f"({count} comparisons)")

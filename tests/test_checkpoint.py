@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrpa import model as M
 from nrpa.checkpoint import MAGIC, CheckpointError, load_params, save_params
@@ -91,3 +93,40 @@ def test_magic_bytes_spell_format_name(tmp_path, toy_params):
     path = tmp_path / "m.nrpa"
     save_params(toy_params, path)
     assert path.read_bytes()[:4] == MAGIC == b"NRPA"
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corrupt") / "good.nrpa"
+    save_params(M.init_params(TOY_DIMS, seed=7), path, {"config": {"seed": 7}})
+    return path
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_any_truncation_raises_checkpoint_error(saved_checkpoint, data):
+    blob = saved_checkpoint.read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="kept bytes")
+    path = saved_checkpoint.with_name("cut.nrpa")
+    path.write_bytes(blob[:cut])
+    with pytest.raises(CheckpointError, match="cut.nrpa"):
+        load_params(path)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_byte_flip_loads_or_raises_checkpoint_error(saved_checkpoint, data):
+    blob = bytearray(saved_checkpoint.read_bytes())
+    # bias half the flips into the header and metadata, where parsing happens
+    limit = data.draw(st.sampled_from([120, len(blob)]), label="region")
+    pos = data.draw(st.integers(0, limit - 1), label="position")
+    blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    path = saved_checkpoint.with_name("flipped.nrpa")
+    path.write_bytes(bytes(blob))
+    try:
+        params, meta = load_params(path)
+    except CheckpointError as exc:
+        assert "flipped.nrpa" in str(exc)
+    else:
+        params.dims.validate()
+        assert isinstance(meta, dict)

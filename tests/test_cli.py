@@ -161,6 +161,38 @@ def test_train_divergence_exits_3(workspace, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_train_nan_names_epoch_batch_and_tensor(workspace, tmp_path, capsys,
+                                                 monkeypatch):
+    from nrpa import training
+    real_step = training.adam_step
+    steps = []
+
+    def poisoned_step(params, grads, state, lr):
+        real_step(params, grads, state, lr)
+        steps.append(lr)
+        if len(steps) == 2:  # batches 0 and 1 done; batch 2 reads the NaN
+            params.item.review_attn[0, 0] = np.nan
+
+    monkeypatch.setattr(training, "adam_step", poisoned_step)
+    code = main(["train", "--data", str(workspace["data"]), "--config",
+                 str(workspace["config"]), "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 1, batch 2" in err
+    assert "parameter item.review_attn" in err
+
+
+def test_eval_truncated_checkpoint_exits_2_naming_it(workspace, tmp_path, capsys):
+    blob = (workspace["run"] / "checkpoint.nrpa").read_bytes()
+    bad = tmp_path / "cut.nrpa"
+    bad.write_bytes(blob[:len(blob) // 2])
+    code = main(["eval", "--checkpoint", str(bad), "--data", str(workspace["data"]),
+                 "--split", "val"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "truncated" in err
+
+
 def test_eval_prints_finite_mse_and_writes_csv(workspace, capsys):
     ckpt = workspace["run"] / "checkpoint.nrpa"
     assert main(["eval", "--checkpoint", str(ckpt), "--data",
@@ -220,17 +252,6 @@ def test_eval_dim_mismatch_exits_2(workspace, tmp_path, capsys):
     assert "do not match" in err
 
 
-def test_eval_threads_match_single(workspace, capsys):
-    ckpt = workspace["run"] / "checkpoint.nrpa"
-    main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
-          "--split", "test"])
-    single = capsys.readouterr().out
-    main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
-          "--split", "test", "--threads", "3"])
-    threaded = capsys.readouterr().out
-    assert single == threaded
-
-
 def test_inspect_matches_trace_dump(workspace, tmp_path, capsys):
     ckpt = workspace["run"] / "checkpoint.nrpa"
     trace_path = tmp_path / "traces.jsonl"
@@ -253,6 +274,25 @@ def test_inspect_matches_trace_dump(workspace, tmp_path, capsys):
         beta = float(m.group(1))
         pool = [round(b, 4) for b in first["user_beta"] + first["item_beta"]]
         assert round(beta, 4) in pool
+
+
+def test_trace_dump_and_inspect_rerun_byte_identical(workspace, tmp_path, capsys):
+    ckpt = str(workspace["run"] / "checkpoint.nrpa")
+    ds = load_prepared(workspace["data"])
+    inter = ds.split.test[0]
+    dumps, shown = [], []
+    for tag in ("a", "b"):
+        trace_path = tmp_path / f"{tag}.jsonl"
+        assert main(["eval", "--checkpoint", ckpt, "--data", str(workspace["data"]),
+                     "--split", "test", "--trace", str(trace_path)]) == 0
+        dumps.append(trace_path.read_bytes())
+        capsys.readouterr()
+        assert main(["inspect", "--checkpoint", ckpt, "--data", str(workspace["data"]),
+                     "--user", ds.user_keys[inter.user],
+                     "--item", ds.item_keys[inter.item]]) == 0
+        shown.append(capsys.readouterr().out)
+    assert dumps[0] == dumps[1]
+    assert shown[0] == shown[1]
 
 
 def test_inspect_alpha_rows_sum_to_one(workspace, capsys):

@@ -53,6 +53,15 @@ def test_parse_skips_records_missing_fields():
     assert len(records) == 1 and skipped == 1
 
 
+def test_parse_skips_non_string_review_text():
+    stream = io.StringIO("\n".join([
+        amazon_line(text=None), amazon_line(text=17), amazon_line(text=["a"]),
+        amazon_line(text="kept")]))
+    records, skipped = parse_reviews(stream, "amazon-json")
+    assert skipped == 3
+    assert records == [RawRecord("A1", "B1", 5.0, "kept")]
+
+
 def test_parse_csv_with_quoted_commas():
     stream = io.StringIO('u1,i1,4.0,"good, cheap"\nu2,i2,bad,text\nu3,i3,2.0,meh\n')
     records, skipped = parse_reviews(stream, "csv")

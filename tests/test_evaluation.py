@@ -6,8 +6,9 @@ import pytest
 
 from nrpa import model as M
 from nrpa.data import prepare_dataset
-from nrpa.evaluation import (ABLATION_VARIANTS, evaluate, make_synthetic_corpus,
-                             mse, run_ablation_suite, sweep_id_dim)
+from nrpa.evaluation import (_EVAL_CHUNK, ABLATION_VARIANTS, evaluate,
+                             make_synthetic_corpus, mse, run_ablation_suite,
+                             sweep_id_dim)
 from nrpa.training import TrainConfig
 
 
@@ -45,20 +46,25 @@ def trained_toy(tiny_dataset, tiny_stores):
     return params
 
 
-def test_evaluate_identity_ablation_equals_forward_pipeline(tiny_dataset, tiny_stores):
+def test_evaluate_equals_predict_batch_on_same_chunks(tiny_dataset, tiny_stores):
     params = trained_toy(tiny_dataset, tiny_stores)
-    split = tiny_dataset.split.test
+    split = tiny_dataset.split.train * 3  # 144 pairs: two full chunks and a partial one
+    assert len(split) > 2 * _EVAL_CHUNK
     score = evaluate(params, split, tiny_stores, M.AblationSpec(), exclude_target=True)
-    preds = [M.forward(i.user, i.item, tiny_stores[0], tiny_stores[1], params,
-                       exclude_target=True)[0] for i in split]
+    preds = []
+    for lo in range(0, len(split), _EVAL_CHUNK):
+        chunk = split[lo:lo + _EVAL_CHUNK]
+        preds.extend(M.predict_batch(params, tiny_stores[0], tiny_stores[1],
+                                     [i.user for i in chunk], [i.item for i in chunk],
+                                     exclude_target=True)[0])
     assert score == mse(preds, [i.rating for i in split])  # exact, same path
 
 
-def test_evaluate_thread_count_does_not_change_result(tiny_dataset, tiny_stores):
+def test_evaluate_twice_is_bit_identical(tiny_dataset, tiny_stores):
     params = trained_toy(tiny_dataset, tiny_stores)
     split = tiny_dataset.split.train[:40]
-    a = evaluate(params, split, tiny_stores, threads=1)
-    b = evaluate(params, split, tiny_stores, threads=4)
+    a = evaluate(params, split, tiny_stores)
+    b = evaluate(params, split, tiny_stores)
     assert a == b
 
 
@@ -100,13 +106,7 @@ def test_personalized_weights_do_depend_on_user(tiny_dataset, tiny_stores):
     toks = np.array([2, 3, 4, 5, 6, 7], dtype=np.int32)
     for owner in (1, 2):
         shared.add_review(owner, 1, toks)
-    alphas = []
-    for owner in (1, 2):
-        tokens, tmask, rmask = shared.gather(np.array([owner]))
-        _, alpha = M.encode_profile(tokens[0], tmask[0], rmask[0], owner,
-                                    params.user, params.user_id_emb,
-                                    params.word_emb, params.conv_activation)
-        alphas.append(alpha)
+    alphas = M.encode_side_batch(params, "user", shared, np.array([1, 2])).alpha
     assert not np.array_equal(alphas[0], alphas[1])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nrpa import model as M
-from nrpa.tensor import ShapeError
+from nrpa.data import ProfileStore
 from conftest import TOY_DIMS, toy_batch, toy_stores
 
 
@@ -57,42 +57,66 @@ def test_init_pins_pad_row():
 
 
 # ---------------------------------------------------------------------------
-# embed / conv / query
+# embed / conv / query, through the batched encoder's pieces
 # ---------------------------------------------------------------------------
 
+HALF = (TOY_DIMS.window - 1) // 2
+
+
+def conv_side(filters, biases):
+    """A side whose only tensors in use are the convolution taps."""
+    return M.SideParams(filters, biases, *([None] * 6))
+
+
+def conv_columns(m, filters, biases):
+    """Convolution of the columns of m (word_dim, T) as (T, K) features:
+    position k reads embedding row k, so each column is its own token."""
+    tokens = np.arange(m.shape[1], dtype=np.int32)[None]
+    c, _, _, _ = M._conv_chunk_forward(tokens, conv_side(filters, biases), m.T.copy(),
+                                       "relu")
+    return c[0]
+
+
+def embedded(tokens, word_emb):
+    """The zero-padded time-major embeddings the convolution reads."""
+    _, _, emb_pad, _ = M._conv_chunk_forward(np.asarray([tokens], dtype=np.int32),
+                                             M.init_params(TOY_DIMS, seed=0).user,
+                                             word_emb, "relu")
+    return emb_pad[0, HALF:HALF + len(tokens)]
+
+
 def test_embed_all_pad_review_is_zero_matrix(toy_params):
-    m = M.embed_review(np.zeros(5, dtype=np.int32), toy_params.word_emb)
-    assert not m.any()
+    assert not embedded(np.zeros(5), toy_params.word_emb).any()
 
 
 def test_embed_single_token_column(toy_params):
-    m = M.embed_review(np.array([4], dtype=np.int32), toy_params.word_emb)
-    assert np.array_equal(m[:, 0], toy_params.word_emb[4])
+    m = embedded([4], toy_params.word_emb)
+    assert np.array_equal(m[0], toy_params.word_emb[4])
 
 
 def test_embed_equals_one_hot_matvec_oracle(toy_params):
     from nrpa.tensor import matvec
     tokens = np.array([3, 7, 0, 11], dtype=np.int32)
-    m = M.embed_review(tokens, toy_params.word_emb)
+    m = embedded(tokens, toy_params.word_emb)
     vocab = toy_params.word_emb.shape[0]
     for k, tok in enumerate(tokens):
         one_hot = np.zeros(vocab)
         one_hot[tok] = 1.0
-        assert np.array_equal(m[:, k], matvec(toy_params.word_emb.T, one_hot))
+        assert np.array_equal(m[k], matvec(toy_params.word_emb.T, one_hot))
 
 
 def test_embed_rejects_out_of_range(toy_params):
     with pytest.raises(IndexError):
-        M.embed_review(np.array([99], dtype=np.int32), toy_params.word_emb)
+        embedded([99], toy_params.word_emb)
 
 
 def test_conv_zero_filters_gives_constant_bias_rows():
     m = np.random.default_rng(0).normal(size=(4, 6))
     filters = np.zeros((3, 12))
     biases = np.array([-1.0, 0.5, 2.0])
-    out = M.conv_encode(m, filters, biases)
+    out = conv_columns(m, filters, biases)
     for j, b in enumerate(biases):
-        assert np.allclose(out[j], max(b, 0.0))
+        assert np.allclose(out[:, j], max(b, 0.0))
 
 
 def test_conv_window_one_is_per_column_affine():
@@ -100,9 +124,9 @@ def test_conv_window_one_is_per_column_affine():
     m = rng.normal(size=(4, 5))
     filters = rng.normal(size=(3, 4))  # window = 1
     biases = rng.normal(size=3)
-    out = M.conv_encode(m, filters, biases)
+    out = conv_columns(m, filters, biases)
     expect = np.maximum(filters @ m + biases[:, None], 0.0)
-    assert np.allclose(out, expect, atol=1e-15)
+    assert np.allclose(out.T, expect, atol=1e-15)
 
 
 def test_conv_window3_locality():
@@ -110,103 +134,121 @@ def test_conv_window3_locality():
     m = rng.normal(size=(3, 8))
     filters = rng.normal(size=(2, 9))
     biases = np.full(2, 10.0)  # keep every unit active so locality is visible
-    base = M.conv_encode(m, filters, biases)
+    base = conv_columns(m, filters, biases)
     bumped = m.copy()
     bumped[:, 4] += 1.0
-    out = M.conv_encode(bumped, filters, biases)
-    changed = np.where(np.any(out != base, axis=0))[0]
+    out = conv_columns(bumped, filters, biases)
+    changed = np.where(np.any(out != base, axis=1))[0]
     assert set(changed) <= {3, 4, 5}
     assert 4 in changed
 
 
 def test_conv_rejects_even_window():
-    with pytest.raises(ShapeError):
-        M.conv_encode(np.zeros((3, 5)), np.zeros((2, 6)), np.zeros(2))
+    with pytest.raises(ValueError, match="window"):
+        M.init_params(M.Dims(20, 3, 3, 5, 4, 6, 6, 2, 2, 7, 3), seed=0)
 
 
-def test_query_vector_zero_params():
-    out = M.query_vector(np.array([1.0, 2.0]), np.zeros((3, 2)), np.zeros(3))
-    assert np.array_equal(out, np.zeros(3))
+def user_cache(params, owners, store=None, ablation=M.FULL_ATTENTION):
+    store = toy_stores()[0] if store is None else store
+    return M.encode_side_batch(params, "user", store, np.asarray(owners),
+                               ablation=ablation)
 
 
-def test_query_vector_deterministic_in_id():
-    w = np.array([[1.0, -1.0], [0.5, 2.0]])
-    b = np.array([0.1, -0.2])
-    v = np.array([0.3, 0.4])
-    assert np.array_equal(M.query_vector(v, w, b), M.query_vector(v.copy(), w, b))
+def test_query_vector_zero_params(toy_params):
+    toy_params.user.word_query_w[...] = 0.0
+    toy_params.user.word_query_b[...] = 0.0
+    cache = user_cache(toy_params, [1, 2])
+    assert not np.maximum(cache.pre_qw, 0.0).any()
+    assert not cache.a_q.any()
+
+
+def test_query_vector_deterministic_in_id(toy_params):
+    toy_params.user_id_emb[2] = toy_params.user_id_emb[1]
+    cache = user_cache(toy_params, [1, 2])  # same id row, different profiles
+    assert np.array_equal(cache.pre_qw[0], cache.pre_qw[1])
+    assert np.array_equal(cache.a_q[0], cache.a_q[1])
+    assert np.array_equal(user_cache(toy_params, [1, 2]).pre_qw, cache.pre_qw)
 
 
 def test_query_vector_hand_case():
-    w = np.array([[1.0, 2.0], [-3.0, 1.0]])
-    b = np.array([1.0, -1.0])
-    v = np.array([2.0, 1.0])
+    dims = M.Dims(20, 3, 3, 5, 2, 6, 2, 3, 2, 7, 3)  # id_dim = attn_dim = 2
+    params = M.init_params(dims, seed=0)
+    params.user.word_query_w[...] = [[1.0, 2.0], [-3.0, 1.0]]
+    params.user.word_query_b[...] = [1.0, -1.0]
+    params.user_id_emb[1] = [2.0, 1.0]
     # w@v+b = [2+2+1, -6+1-1] = [5, -6] -> relu -> [5, 0]
-    assert np.array_equal(M.query_vector(v, w, b), [5.0, 0.0])
+    assert np.array_equal(np.maximum(user_cache(params, [1]).pre_qw[0], 0.0), [5.0, 0.0])
 
 
-def test_query_vector_shape_mismatch():
-    with pytest.raises(ShapeError):
-        M.query_vector(np.zeros(3), np.zeros((2, 2)), np.zeros(2))
+def test_query_vector_shape_mismatch(toy_params):
+    toy_params.user.word_query_w = np.zeros((2, 2))  # id_dim is 4
+    with pytest.raises(ValueError):
+        user_cache(toy_params, [1])
 
 
 # ---------------------------------------------------------------------------
-# attention pooling
+# attention pooling: one (R, L, K) helper serves both levels
 # ---------------------------------------------------------------------------
+
+def pool_one(features, q, pairing, mask):
+    """attention_pool on a single (L, K) row with query pairing' q."""
+    weights, pooled = M.attention_pool(features[None], (pairing.T @ q)[None],
+                                       np.asarray(mask, bool)[None])
+    return weights[0], pooled[0]
+
 
 def test_word_pool_identical_atoms_returns_the_atom():
     z = np.array([0.7, -0.3, 1.1])
-    c = np.tile(z[:, None], (1, 5))
-    enc = M.word_attention_pool(c, np.ones(2), np.ones((2, 3)), np.ones(5, bool))
-    assert np.allclose(enc.vector, z, atol=1e-12)
+    c = np.tile(z, (5, 1))
+    _, pooled = pool_one(c, np.ones(2), np.ones((2, 3)), np.ones(5, bool))
+    assert np.allclose(pooled, z, atol=1e-12)
 
 
 def test_word_pool_single_unmasked_token():
     rng = np.random.default_rng(3)
-    c = rng.normal(size=(4, 1))
-    enc = M.word_attention_pool(c, rng.normal(size=2), rng.normal(size=(2, 4)),
-                                np.array([True]))
-    assert np.array_equal(enc.word_weights, [1.0])
-    assert np.allclose(enc.vector, c[:, 0])
+    c = rng.normal(size=(1, 4))
+    weights, pooled = pool_one(c, rng.normal(size=2), rng.normal(size=(2, 4)), [True])
+    assert np.array_equal(weights, [1.0])
+    assert np.allclose(pooled, c[0])
 
 
 def test_word_pool_two_word_hand_logits():
-    # q^T A z_k with q=[1,0], A=[[1,0],[0,1]] -> logits = first row of C
-    c = np.array([[0.0, math.log(3.0)], [5.0, -2.0]])
-    enc = M.word_attention_pool(c, np.array([1.0, 0.0]), np.eye(2),
-                                np.ones(2, bool))
+    # q^T A z_k with q=[1,0], A=I -> logits = first feature of each word
+    c = np.array([[0.0, 5.0], [math.log(3.0), -2.0]])
+    weights, pooled = pool_one(c, np.array([1.0, 0.0]), np.eye(2), np.ones(2, bool))
     # scalar softmax oracle: e^0=1, e^{ln3}=3 -> [0.25, 0.75]
-    assert np.allclose(enc.word_weights, [0.25, 0.75], atol=1e-15)
-    assert np.allclose(enc.vector, c @ np.array([0.25, 0.75]), atol=1e-15)
+    assert np.allclose(weights, [0.25, 0.75], atol=1e-15)
+    assert np.allclose(pooled, np.array([0.25, 0.75]) @ c, atol=1e-15)
 
 
 def test_word_pool_all_masked_returns_zero():
-    enc = M.word_attention_pool(np.ones((3, 4)), np.ones(2), np.ones((2, 3)),
-                                np.zeros(4, bool))
-    assert not enc.vector.any() and not enc.word_weights.any()
+    weights, pooled = pool_one(np.ones((4, 3)), np.ones(2), np.ones((2, 3)),
+                               np.zeros(4, bool))
+    assert not pooled.any() and not weights.any()
 
 
 def test_word_pool_weight_normalization_and_mask(toy_params):
     rng = np.random.default_rng(4)
-    c = rng.normal(size=(6, 7))
+    c = rng.normal(size=(7, 6))
     mask = np.array([True, True, False, True, False, False, True])
-    enc = M.word_attention_pool(c, rng.normal(size=6), toy_params.user.word_attn, mask)
-    assert abs(enc.word_weights[mask].sum() - 1.0) <= 1e-9
-    assert not enc.word_weights[~mask].any()
+    weights, _ = pool_one(c, rng.normal(size=6), toy_params.user.word_attn, mask)
+    assert abs(weights[mask].sum() - 1.0) <= 1e-9
+    assert not weights[~mask].any()
 
 
 def test_review_pool_single_real_review():
     rng = np.random.default_rng(5)
     d = rng.normal(size=(3, 4))
     mask = np.array([False, True, False])
-    rep = M.review_attention_pool(d, rng.normal(size=2), rng.normal(size=(2, 4)), mask)
-    assert np.allclose(rep.vector, d[1])
-    assert np.array_equal(rep.review_weights, [0.0, 1.0, 0.0])
+    weights, pooled = pool_one(d, rng.normal(size=2), rng.normal(size=(2, 4)), mask)
+    assert np.allclose(pooled, d[1])
+    assert np.array_equal(weights, [0.0, 1.0, 0.0])
 
 
 def test_review_pool_uniform_logits_symmetry():
     d = np.tile(np.array([1.0, 2.0]), (4, 1))  # identical reviews -> equal logits
-    rep = M.review_attention_pool(d, np.ones(2), np.ones((2, 2)), np.ones(4, bool))
-    assert np.allclose(rep.review_weights, 0.25)
+    weights, _ = pool_one(d, np.ones(2), np.ones((2, 2)), np.ones(4, bool))
+    assert np.allclose(weights, 0.25)
 
 
 def test_review_pool_permutation_equivariance():
@@ -215,11 +257,11 @@ def test_review_pool_permutation_equivariance():
     q = rng.normal(size=2)
     pairing = rng.normal(size=(2, 3))
     mask = np.array([True, True, True, False, True])
-    rep = M.review_attention_pool(d, q, pairing, mask)
+    weights, pooled = pool_one(d, q, pairing, mask)
     perm = np.array([2, 0, 4, 1, 3])
-    rep_p = M.review_attention_pool(d[perm], q, pairing, mask[perm])
-    assert np.allclose(rep_p.review_weights, rep.review_weights[perm], atol=1e-12)
-    assert np.allclose(rep_p.vector, rep.vector, atol=1e-12)
+    weights_p, pooled_p = pool_one(d[perm], q, pairing, mask[perm])
+    assert np.allclose(weights_p, weights[perm], atol=1e-12)
+    assert np.allclose(pooled_p, pooled, atol=1e-12)
 
 
 def test_uniform_weights_counts():
@@ -246,25 +288,24 @@ def fm_brute_force(o, fm):
 
 def test_fm_bias_only():
     fm = M.FMParams(np.array(3.7), np.zeros(4), np.zeros((4, 2)))
-    assert M.fm_predict(np.zeros(2), np.zeros(2), fm) == 3.7
+    assert M.fm_predict_batch(fm, np.zeros((1, 4)))[0] == 3.7
 
 
 def test_fm_linear_when_factors_zero():
     rng = np.random.default_rng(7)
     fm = M.FMParams(np.array(0.5), rng.normal(size=6), np.zeros((6, 3)))
-    p_u, p_i = rng.normal(size=3), rng.normal(size=3)
-    o = np.concatenate([p_u, p_i])
-    assert M.fm_predict(p_u, p_i, fm) == pytest.approx(0.5 + fm.linear @ o, abs=1e-12)
+    o = rng.normal(size=6)
+    assert M.fm_predict_batch(fm, o[None])[0] == pytest.approx(0.5 + fm.linear @ o,
+                                                               abs=1e-12)
 
 
 def test_fm_fast_identity_matches_brute_force_small():
     rng = np.random.default_rng(8)
     fm = M.FMParams(np.array(rng.normal()), rng.normal(size=4),
                     rng.normal(size=(4, 2)))
-    p_u, p_i = rng.normal(size=2), rng.normal(size=2)
-    fast = M.fm_predict(p_u, p_i, fm)
-    assert fast == pytest.approx(fm_brute_force(np.concatenate([p_u, p_i]), fm),
-                                 abs=1e-12)
+    o = rng.normal(size=4)
+    fast = M.fm_predict_batch(fm, o[None])[0]
+    assert fast == pytest.approx(fm_brute_force(o, fm), abs=1e-12)
 
 
 def test_fm_batch_matches_single():
@@ -273,7 +314,7 @@ def test_fm_batch_matches_single():
     feats = rng.normal(size=(5, 8))
     batch = M.fm_predict_batch(fm, feats)
     for b in range(5):
-        assert batch[b] == pytest.approx(M.fm_predict(feats[b, :4], feats[b, 4:], fm),
+        assert batch[b] == pytest.approx(M.fm_predict_batch(fm, feats[b:b + 1])[0],
                                          abs=1e-12)
 
 
@@ -295,10 +336,11 @@ def test_forward_all_pad_profile_still_finite(toy_params):
     assert math.isfinite(rating)
     assert not trace.user_beta.any()
     # the empty side contributes a zero text feature
-    tokens, tmask, rmask = items.gather(np.array([1]))
-    item_rep, _ = M.encode_profile(tokens[0], tmask[0], rmask[0], 1, toy_params.item,
-                                   toy_params.item_id_emb, toy_params.word_emb, "relu")
-    expect = M.fm_predict(np.zeros(6), item_rep.vector, toy_params.fm)
+    empty = user_cache(toy_params, [0], users)
+    assert not empty.pooled.any()
+    item_rep = M.encode_side_batch(toy_params, "item", items, np.array([1])).pooled
+    expect = M.fm_predict_batch(toy_params.fm, np.concatenate([np.zeros((1, 6)), item_rep],
+                                                              axis=1))[0]
     assert rating == pytest.approx(expect, abs=1e-12)
 
 
@@ -339,22 +381,11 @@ def test_forward_trace_weights_normalized(toy_params):
 
 
 def test_pooled_vectors_inside_convex_hull(toy_params):
-    users, items = toy_stores()
-    tokens, tmask, rmask = users.gather(np.array([2]))
-    rep, _ = M.encode_profile(tokens[0], tmask[0], rmask[0], 2, toy_params.user,
-                              toy_params.user_id_emb, toy_params.word_emb, "relu")
-    # recompute the per-review encodings to get the atoms
-    atoms = []
-    for j in np.where(rmask[0])[0]:
-        c = M.conv_encode(M.embed_review(tokens[0, j], toy_params.word_emb),
-                          toy_params.user.conv_w, toy_params.user.conv_b)
-        q = M.query_vector(toy_params.user_id_emb[2], toy_params.user.word_query_w,
-                           toy_params.user.word_query_b)
-        atoms.append(M.word_attention_pool(c, q, toy_params.user.word_attn,
-                                           tmask[0, j]).vector)
-    atoms = np.array(atoms)
-    assert np.all(rep.vector >= atoms.min(axis=0) - 1e-12)
-    assert np.all(rep.vector <= atoms.max(axis=0) + 1e-12)
+    cache = user_cache(toy_params, [2])
+    atoms = cache.d_vecs[0][cache.review_mask[0]]  # the per-review encodings
+    assert len(atoms) == 3
+    assert np.all(cache.pooled[0] >= atoms.min(axis=0) - 1e-12)
+    assert np.all(cache.pooled[0] <= atoms.max(axis=0) + 1e-12)
 
 
 def test_personalization_is_expressible():
@@ -368,17 +399,11 @@ def test_personalization_is_expressible():
     params.user.word_query_b[:] = 0.0
     params.user.word_attn = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
 
-    tokens = np.array([2, 3, 4, 5, 6], dtype=np.int32)
-    mask = np.ones(5, bool)
-    c = M.conv_encode(M.embed_review(tokens, params.word_emb), params.user.conv_w,
-                      params.user.conv_b)
-    q1 = M.query_vector(params.user_id_emb[1], params.user.word_query_w,
-                        params.user.word_query_b)
-    q2 = M.query_vector(params.user_id_emb[2], params.user.word_query_w,
-                        params.user.word_query_b)
-    w1 = M.word_attention_pool(c, q1, params.user.word_attn, mask).word_weights
-    w2 = M.word_attention_pool(c, q2, params.user.word_attn, mask).word_weights
-    assert not np.allclose(w1, w2)
+    store = ProfileStore(3, 2, 5)
+    for owner in (1, 2):  # the same review text for both users
+        store.add_review(owner, 1, np.array([2, 3, 4, 5, 6], dtype=np.int32))
+    alpha = user_cache(params, [1, 2], store).alpha
+    assert not np.allclose(alpha[0, 0], alpha[1, 0])
 
 
 @pytest.mark.parametrize("seed", range(8))
