@@ -85,6 +85,17 @@ def _load_dataset(data_dir):
         raise UsageError(f"cannot load prepared dataset at {data_dir}: {exc}") from exc
 
 
+def _load_config_and_dataset(args):
+    """Config and prepared dataset for train, ablate and sweep. Profiles are
+    cut from the stored reviews, so the config may not ask for longer ones."""
+    cfg = load_config(args.config)
+    ds = _load_dataset(args.data)
+    if cfg.review_len > ds.review_len:
+        raise UsageError(f"{args.config}: review_len {cfg.review_len} exceeds the "
+                         f"prepared review_len {ds.review_len} of {args.data}")
+    return cfg, ds
+
+
 def parse_ablation(spec: str) -> AblationSpec:
     """Comma list of user|item|word|review=uniform (or =personalized)."""
     sites = {"user": "user_attention", "item": "item_attention",
@@ -131,8 +142,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    ds = _load_dataset(args.data)
+    cfg, ds = _load_config_and_dataset(args)
     stores = build_profiles(ds.split.train, cfg.review_len, cfg.num_reviews,
                             ds.n_users, ds.n_items)
     out = Path(args.out)
@@ -204,8 +214,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_config(args.config)
-    ds = _load_dataset(args.data)
+    cfg, ds = _load_config_and_dataset(args)
     rows = evaluation.run_ablation_suite(cfg, ds, csv_path=args.out)
     for name, score in rows:
         print(f"{name}: mse={score!r}")
@@ -213,8 +222,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    ds = _load_dataset(args.data)
+    cfg, ds = _load_config_and_dataset(args)
     try:
         dims = [int(x) for x in args.dims.split(",") if x.strip()]
     except ValueError as exc:

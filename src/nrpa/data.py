@@ -28,6 +28,10 @@ UNK_OWNER = 0
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+# users.tsv/items.tsv store one `key<TAB>index` line per owner, so a key
+# holding a tab or a line break could not be read back
+_KEY_BREAKERS = re.compile(r"[\t\n\r]")
+
 
 @dataclass
 class RawRecord:
@@ -61,8 +65,9 @@ def parse_reviews(stream, format: str):
 
     amazon-json: one JSON object per line with reviewerID/asin/overall/reviewText.
     csv: headerless rows user,item,rating,text (quoting per the csv module).
-    Malformed lines, non-string review text (e.g. JSON null) and ratings
-    outside [1, 5] are skipped and counted.
+    Malformed lines, non-string review text (e.g. JSON null), ratings
+    outside [1, 5] and user or item keys holding a tab, newline or carriage
+    return are skipped and counted.
     """
     if format not in ("amazon-json", "csv"):
         raise ValueError(f"unknown format {format!r}")
@@ -83,7 +88,8 @@ def parse_reviews(stream, format: str):
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 skipped += 1
                 continue
-            if not isinstance(text, str) or not 1.0 <= rating <= 5.0:
+            if not isinstance(text, str) or not 1.0 <= rating <= 5.0 \
+                    or _KEY_BREAKERS.search(rec.user_key + rec.item_key):
                 skipped += 1
                 continue
             records.append(rec)
@@ -99,7 +105,7 @@ def parse_reviews(stream, format: str):
             except ValueError:
                 skipped += 1
                 continue
-            if not 1.0 <= rating <= 5.0:
+            if not 1.0 <= rating <= 5.0 or _KEY_BREAKERS.search(row[0] + row[1]):
                 skipped += 1
                 continue
             records.append(RawRecord(row[0], row[1], rating, row[3]))

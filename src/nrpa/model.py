@@ -14,7 +14,8 @@ Conventions:
   the PAD embedding row (row 0) is pinned to zero.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,78 +59,108 @@ class Dims:
             raise ValueError(f"window must be odd, got {self.window}")
 
 
+def param_layout(dims: Dims):
+    """(name, shape) of every parameter tensor, in checkpoint order.
+
+    The one place that names and shapes a parameter: ModelParams lays its
+    flat buffer out by it, init_params draws in its order and the checkpoint
+    format writes it.
+    """
+    d = dims
+    yield "word_emb", (d.vocab_size, d.word_dim)  # row 0 (PAD) pinned to zero
+    yield "user_id_emb", (d.n_users, d.id_dim)
+    yield "item_id_emb", (d.n_items, d.id_dim)
+    for tag in ("user", "item"):
+        yield f"{tag}.conv_w", (d.num_filters, d.window * d.word_dim)
+        yield f"{tag}.conv_b", (d.num_filters,)
+        yield f"{tag}.word_query_w", (d.attn_dim, d.id_dim)
+        yield f"{tag}.word_query_b", (d.attn_dim,)
+        yield f"{tag}.word_attn", (d.attn_dim, d.num_filters)  # bilinear pairing
+        yield f"{tag}.review_query_w", (d.attn_dim, d.id_dim)
+        yield f"{tag}.review_query_b", (d.attn_dim,)
+        yield f"{tag}.review_attn", (d.attn_dim, d.num_filters)
+    yield "fm.bias", ()
+    yield "fm.linear", (2 * d.num_filters,)
+    yield "fm.factors", (2 * d.num_filters, d.fm_dim)
+
+
+def param_count(dims: Dims) -> int:
+    """Total scalars in the layout, as a Python int (no overflow on bogus dims)."""
+    return sum(math.prod(shape) for _, shape in param_layout(dims))
+
+
 @dataclass
 class SideParams:
-    conv_w: np.ndarray        # (K, window*word_dim)
-    conv_b: np.ndarray        # (K,)
-    word_query_w: np.ndarray  # (attn_dim, id_dim)
-    word_query_b: np.ndarray  # (attn_dim,)
-    word_attn: np.ndarray     # (attn_dim, K) bilinear pairing, word level
+    conv_w: np.ndarray
+    conv_b: np.ndarray
+    word_query_w: np.ndarray
+    word_query_b: np.ndarray
+    word_attn: np.ndarray
     review_query_w: np.ndarray
     review_query_b: np.ndarray
-    review_attn: np.ndarray   # (attn_dim, K) bilinear pairing, review level
+    review_attn: np.ndarray
 
 
 @dataclass
 class FMParams:
-    bias: np.ndarray     # shape ()
-    linear: np.ndarray   # (2K,)
-    factors: np.ndarray  # (2K, fm_dim)
+    bias: np.ndarray
+    linear: np.ndarray
+    factors: np.ndarray
 
 
-@dataclass
 class ModelParams:
-    dims: Dims
-    word_emb: np.ndarray      # (vocab_size, word_dim), row 0 pinned to zero
-    user_id_emb: np.ndarray   # (n_users, id_dim)
-    item_id_emb: np.ndarray   # (n_items, id_dim)
-    user: SideParams
-    item: SideParams
-    fm: FMParams
-    conv_activation: str = "relu"
+    """All parameters in one contiguous float64 buffer, `flat`, laid out by
+    param_layout(dims). word_emb, user_id_emb, item_id_emb, user, item and fm
+    hold views into it, so a write through any of them changes `flat` and
+    whole-model operations (copy, zeroing, Adam, checkpoint I/O) are one
+    operation on `flat`.
+    """
+
+    def __init__(self, dims: Dims, flat: np.ndarray, conv_activation: str = "relu"):
+        size = param_count(dims)
+        if not (flat.dtype == np.float64 and flat.shape == (size,)
+                and flat.flags.c_contiguous):
+            raise ValueError(f"parameter buffer must be a contiguous float64 vector of "
+                             f"{size} values, got {flat.dtype} of shape {flat.shape}")
+        self.dims = dims
+        self.flat = flat
+        self.conv_activation = conv_activation
+        self._views = {}
+        groups = {}
+        offset = 0
+        for name, shape in param_layout(dims):
+            n = math.prod(shape)
+            view = flat[offset:offset + n].reshape(shape)
+            offset += n
+            self._views[name] = view
+            group, _, field = name.rpartition(".")
+            if group:
+                groups.setdefault(group, {})[field] = view
+            else:
+                setattr(self, field, view)
+        self.user = SideParams(**groups["user"])
+        self.item = SideParams(**groups["item"])
+        self.fm = FMParams(**groups["fm"])
 
     def side(self, which: str) -> SideParams:
         return self.user if which == "user" else self.item
 
     def tensors(self):
-        """(name, array) pairs in the canonical checkpoint order."""
-        yield "word_emb", self.word_emb
-        yield "user_id_emb", self.user_id_emb
-        yield "item_id_emb", self.item_id_emb
-        for tag, side in (("user", self.user), ("item", self.item)):
-            yield f"{tag}.conv_w", side.conv_w
-            yield f"{tag}.conv_b", side.conv_b
-            yield f"{tag}.word_query_w", side.word_query_w
-            yield f"{tag}.word_query_b", side.word_query_b
-            yield f"{tag}.word_attn", side.word_attn
-            yield f"{tag}.review_query_w", side.review_query_w
-            yield f"{tag}.review_query_b", side.review_query_b
-            yield f"{tag}.review_attn", side.review_attn
-        yield "fm.bias", self.fm.bias
-        yield "fm.linear", self.fm.linear
-        yield "fm.factors", self.fm.factors
+        """(name, view) pairs in layout order."""
+        return iter(self._views.items())
 
     def copy(self) -> "ModelParams":
-        return replace(
-            self,
-            word_emb=self.word_emb.copy(),
-            user_id_emb=self.user_id_emb.copy(),
-            item_id_emb=self.item_id_emb.copy(),
-            user=SideParams(**{k: v.copy() for k, v in self.user.__dict__.items()}),
-            item=SideParams(**{k: v.copy() for k, v in self.item.__dict__.items()}),
-            fm=FMParams(self.fm.bias.copy(), self.fm.linear.copy(), self.fm.factors.copy()),
-        )
+        return ModelParams(self.dims, self.flat.copy(), self.conv_activation)
 
     def zeros_like(self) -> "ModelParams":
-        out = self.copy()
-        for _, arr in out.tensors():
-            arr[...] = 0.0
-        return out
+        return ModelParams(self.dims, np.zeros(self.flat.size), self.conv_activation)
 
     def assert_finite(self, kind: str = "tensor"):
         """Raises FloatingPointError naming the first non-finite tensor."""
+        if np.isfinite(self.flat).all():
+            return
         for name, arr in self.tensors():
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise FloatingPointError(f"non-finite values in {kind} {name}")
 
 
@@ -170,48 +201,28 @@ class AttentionTrace:
     item_beta: np.ndarray
 
 
-def _glorot(rng: SplitMix64, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def _glorot(rng: SplitMix64, shape) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)); a vector counts as one column."""
+    fans = shape[0] + (shape[1] if len(shape) == 2 else 1)
+    limit = np.sqrt(6.0 / fans)
     return rng.uniform(-limit, limit, shape)
 
 
 def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelParams:
-    """Seed-deterministic init: fan-scaled uniform weights, zero biases,
-    [-0.1, 0.1) embeddings, PAD embedding row zeroed."""
+    """Seed-deterministic init, drawn in layout order: [-0.1, 0.1) embeddings
+    with the PAD row zeroed, zero biases, fan-scaled uniform weights."""
     dims.validate()
     if conv_activation not in ("relu", "tanh"):
         raise ValueError(f"conv_activation must be relu|tanh, got {conv_activation!r}")
     rng = SplitMix64(seed)
-    d = dims
-
-    word_emb = rng.uniform(-0.1, 0.1, (d.vocab_size, d.word_dim))
-    word_emb[PAD_ID] = 0.0
-    user_id_emb = rng.uniform(-0.1, 0.1, (d.n_users, d.id_dim))
-    item_id_emb = rng.uniform(-0.1, 0.1, (d.n_items, d.id_dim))
-
-    def make_side():
-        taps = d.window * d.word_dim
-        return SideParams(
-            conv_w=_glorot(rng, taps, d.num_filters, (d.num_filters, taps)),
-            conv_b=np.zeros(d.num_filters),
-            word_query_w=_glorot(rng, d.id_dim, d.attn_dim, (d.attn_dim, d.id_dim)),
-            word_query_b=np.zeros(d.attn_dim),
-            word_attn=_glorot(rng, d.num_filters, d.attn_dim, (d.attn_dim, d.num_filters)),
-            review_query_w=_glorot(rng, d.id_dim, d.attn_dim, (d.attn_dim, d.id_dim)),
-            review_query_b=np.zeros(d.attn_dim),
-            review_attn=_glorot(rng, d.num_filters, d.attn_dim, (d.attn_dim, d.num_filters)),
-        )
-
-    user_side = make_side()
-    item_side = make_side()
-    two_k = 2 * d.num_filters
-    fm = FMParams(
-        bias=np.zeros(()),
-        linear=_glorot(rng, two_k, 1, (two_k,)),
-        factors=_glorot(rng, two_k, d.fm_dim, (two_k, d.fm_dim)),
-    )
-    return ModelParams(dims, word_emb, user_id_emb, item_id_emb, user_side, item_side,
-                       fm, conv_activation)
+    params = ModelParams(dims, np.zeros(param_count(dims)), conv_activation)
+    for name, arr in params.tensors():
+        if name.endswith("_emb"):
+            arr[...] = rng.uniform(-0.1, 0.1, arr.shape)
+        elif not name.endswith(("_b", ".bias")):
+            arr[...] = _glorot(rng, arr.shape)
+    params.word_emb[PAD_ID] = 0.0
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -13,43 +13,14 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def as_matrix(rows: int, cols: int, data) -> np.ndarray:
-    """Row-major float64 matrix from flat data; validates the element count."""
-    arr = np.asarray(data, dtype=np.float64).reshape(-1)
-    if arr.size != rows * cols:
-        raise ShapeError(f"need {rows * cols} entries for {rows}x{cols}, got {arr.size}")
-    return np.ascontiguousarray(arr.reshape(rows, cols))
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if m.ndim != 2 or v.ndim != 1:
-        raise ShapeError(f"matvec needs matrix and vector, got shapes {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec shape mismatch: matrix {m.shape} vs vector {v.shape}")
-    return m @ v
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax with max-subtraction so large logits cannot overflow.
-
-    After the shift every exponent is <= 0; the only overflow left is the
-    shift itself at the float64 extremes, which saturates to -inf and gives
-    the correct weight of exactly 0.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0:
-        raise ValueError("softmax of empty vector")
-    with np.errstate(over="ignore"):
-        shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
-
-
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax over the last axis restricted to mask==True positions.
 
-    Masked positions get weight exactly 0. Rows with no unmasked position
-    come back all-zero rather than raising, so empty reviews/profiles stay
-    scorable.
+    The max is subtracted first, so large logits cannot overflow. Masked
+    positions get weight exactly 0. Rows with no unmasked position come back
+    all-zero rather than raising, so empty reviews/profiles stay scorable; a
+    row with a NaN logit at an unmasked position comes back all-NaN, so a
+    corrupt parameter shows in the output instead of pooling to zero.
     """
     logits = np.asarray(logits, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -57,15 +28,14 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ShapeError(f"logits {logits.shape} vs mask {mask.shape}")
     neg = np.where(mask, logits, -np.inf)
     mx = neg.max(axis=-1, keepdims=True)
-    # rows with no unmasked entry have mx = -inf; exp(nan) guarded below
+    # rows with no unmasked entry have mx = -inf; their total is 0
     safe_mx = np.where(np.isfinite(mx), mx, 0.0)
+    # after the shift every exponent is <= 0; the shift itself can only
+    # overflow at the float64 extremes, to -inf (numpy warns), which gives
+    # weight exactly 0
     e = np.where(mask, np.exp(neg - safe_mx), 0.0)
     total = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, total, out=np.zeros_like(e), where=total > 0)
-
-
-def relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(v, 0.0)
+    return np.divide(e, total, out=np.zeros_like(e), where=total != 0)
 
 
 def grad_check(

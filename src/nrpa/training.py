@@ -1,12 +1,13 @@
 """Squared-error objective, exact reverse-mode gradients through the whole
 forward graph, Adam, and the early-stopping training loop.
 
-Gradients are accumulated into a ModelParams-shaped container, derived by hand
-for every stage: FM fast form, masked softmax at both attention levels, the
-query MLPs (ReLU subgradient 0 at 0), the convolution (through the offset-
-stacked filter layout) and the embedding lookups (scatter-add). The word-level
-stage recomputes conv features chunk by chunk instead of caching them,
-mirroring the forward pass.
+Gradients are accumulated into a second ModelParams, one flat buffer laid out
+like the parameters, and derived by hand for every stage: FM fast form, masked
+softmax at both attention levels, the query MLPs (ReLU subgradient 0 at 0),
+the convolution (through the offset-stacked filter layout) and the embedding
+lookups (scatter-add). The word-level stage recomputes conv features chunk by
+chunk instead of caching them, mirroring the forward pass. Adam keeps its
+moments as flat buffers and updates every parameter in one in-place pass.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,6 @@ import numpy as np
 from . import model as M
 from .data import PAD_ID
 from .rng import SplitMix64
-
-Gradients = M.ModelParams  # same tensor structure, gradient values
 
 
 class TrainingDiverged(RuntimeError):
@@ -251,31 +250,60 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# the Adam pass walks the flat buffers in blocks of this many elements: each
+# block's slices stay in cache, and two block-sized scratch rows are all the
+# step allocates, where whole-model temporaries would raise peak memory
+_ADAM_BLOCK = 1 << 16
+
+
 @dataclass
 class AdamState:
+    """Step count and flat moment buffers laid out like ModelParams.flat."""
     step: int
-    m: M.ModelParams
-    v: M.ModelParams
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def for_params(cls, params: M.ModelParams) -> "AdamState":
-        return cls(0, params.zeros_like(), params.zeros_like())
+        return cls(0, np.zeros(params.flat.size), np.zeros(params.flat.size))
 
 
-def adam_step(params: M.ModelParams, grads: Gradients, state: AdamState,
+def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState,
               lr: float) -> None:
-    """One in-place Adam update with bias correction; re-pins the PAD row."""
+    """One in-place Adam update with bias correction; re-pins the PAD row.
+
+    One pass over the flat buffers, in place: the operations are those of
+    m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
+    p -= lr (m / c1) / (sqrt(v / c2) + eps), in the same order, so the result
+    is bit-identical to those expressions.
+    """
+    if grads.flat.shape != params.flat.shape:
+        raise ValueError(f"gradient shape mismatch: {params.flat.shape} "
+                         f"vs {grads.flat.shape}")
     state.step += 1
     t = state.step
     correct1 = 1.0 - ADAM_BETA1 ** t
     correct2 = 1.0 - ADAM_BETA2 ** t
-    for (name, p), (gname, g), (_, m), (_, v) in zip(
-            params.tensors(), grads.tensors(), state.m.tensors(), state.v.tensors()):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape mismatch for {name}: {p.shape} vs {g.shape}")
-        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
+    size = params.flat.size
+    scratch = np.empty((2, min(size, _ADAM_BLOCK)))
+    for lo in range(0, size, _ADAM_BLOCK):
+        blk = slice(lo, lo + _ADAM_BLOCK)
+        p, g, m, v = params.flat[blk], grads.flat[blk], state.m[blk], state.v[blk]
+        num, den = scratch[:, :p.size]
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+        m += num
+        v *= ADAM_BETA2
+        np.multiply(g, g, out=num)
+        num *= 1.0 - ADAM_BETA2
+        v += num
+        np.divide(m, correct1, out=num)
+        num *= lr
+        np.divide(v, correct2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        num /= den
+        p -= num
     params.word_emb[PAD_ID] = 0.0
 
 

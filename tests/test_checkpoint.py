@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,28 @@ def test_checkpoint_reproduces_validation_mse_exactly(tmp_path, tiny_dataset,
     after = evaluate(loaded, tiny_dataset.split.validation, tiny_stores,
                      exclude_target=cfg.exclude_target)
     assert after == before  # bit-exact reproduction
+
+
+# golden sha256 of two checkpoints: the file format, the init draws and the
+# training arithmetic must all stay bit for bit
+INIT_SEED7_SHA256 = "d0b861fb60c7abb28793a87f0d35a309083f6428d0920ca1c75066f402d6a595"
+TRAIN_SEED5_SHA256 = "a9c9ac7854d07ce08b8f07296e767dfc43aaf7ce12ad2cdabc711652817c0338"
+
+
+def test_init_checkpoint_bytes_are_golden(tmp_path):
+    path = tmp_path / "init.nrpa"
+    save_params(M.init_params(TOY_DIMS, seed=7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_SEED7_SHA256
+
+
+def test_trained_checkpoint_bytes_are_golden(tmp_path, tiny_dataset, tiny_stores):
+    cfg = TrainConfig(word_dim=8, id_dim=4, num_filters=8, attn_dim=8, window=3,
+                      fm_dim=4, review_len=12, num_reviews=4, learning_rate=5e-3,
+                      batch_size=16, max_epochs=3, patience=3, l2_weight=1e-6, seed=5)
+    params, _ = train(cfg, tiny_dataset, tiny_stores)
+    path = tmp_path / "trained.nrpa"
+    save_params(params, path, {"config": {"seed": 5}})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAIN_SEED5_SHA256
 
 
 def test_magic_bytes_spell_format_name(tmp_path, toy_params):

@@ -140,6 +140,19 @@ def test_train_unknown_config_key_exits_2_naming_it(workspace, tmp_path, capsys)
     assert "learningrate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_review_len_above_prepared_exits_2_naming_both(workspace, tmp_path, capsys,
+                                                        command):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(TINY_CONFIG.replace("review_len = 12", "review_len = 101"))
+    code = main([command, "--data", str(workspace["data"]), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "review_len 101" in err and "review_len 100" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_rerun_byte_identical(workspace, tmp_path):
     run2 = tmp_path / "run2"
     assert main(["train", "--data", str(workspace["data"]), "--config",

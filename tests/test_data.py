@@ -1,5 +1,7 @@
+import csv
 import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -68,6 +70,50 @@ def test_parse_csv_with_quoted_commas():
     assert skipped == 1
     assert records[0].text == "good, cheap"
     assert records[1] == RawRecord("u3", "i3", 2.0, "meh")
+
+
+def test_parse_skips_keys_with_tab_or_line_break():
+    lines = [amazon_line(user="a\tb"), amazon_line(item="b\nc"),
+             amazon_line(user="c\rd"), amazon_line(user="kept")]
+    records, skipped = parse_reviews(io.StringIO("\n".join(lines)), "amazon-json")
+    assert skipped == 3 and [r.user_key for r in records] == ["kept"]
+    stream = io.StringIO('"a\tb",i1,4.0,x\nu1,"i\n1",4.0,x\nu2,i2,4.0,x\n')
+    records, skipped = parse_reviews(stream, "csv")
+    assert skipped == 2 and records == [RawRecord("u2", "i2", 4.0, "x")]
+
+
+def _serialize(records, fmt) -> bytes:
+    if fmt == "amazon-json":
+        return "\n".join(amazon_line(r.user_key, r.item_key, r.rating, r.text)
+                         for r in records).encode("utf-8")
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([r.user_key, r.item_key, repr(r.rating), r.text]
+                              for r in records)
+    return buf.getvalue().encode("utf-8")
+
+
+@given(key=st.text(max_size=12), fmt=st.sampled_from(["amazon-json", "csv"]),
+       side=st.sampled_from(["user", "item"]))
+@settings(max_examples=200, deadline=None)
+def test_any_key_survives_prepare_save_load_or_is_skipped(key, fmt, side):
+    records = [RawRecord(f"u{i}", f"i{i % 4}", 3.0, "fine text") for i in range(12)]
+    if side == "user":
+        records[0].user_key = key
+    else:
+        records[0].item_key = key
+    parsed, skipped = parse_reviews(io.BytesIO(_serialize(records, fmt)), fmt)
+    if any(c in key for c in "\t\n\r"):
+        assert skipped == 1 and parsed == records[1:]
+    else:
+        assert skipped == 0 and parsed == records
+    ds = prepare_dataset(parsed, seed=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_prepared(ds, tmp)
+        back = load_prepared(tmp)
+    assert back.user_keys == ds.user_keys and back.item_keys == ds.item_keys
+    if not skipped:
+        keys = back.user_keys if side == "user" else back.item_keys
+        assert key in keys[1:]
 
 
 def test_parse_accepts_byte_streams():

@@ -56,6 +56,51 @@ def test_init_pins_pad_row():
     assert not p.word_emb[0].any()
 
 
+def test_views_write_through_to_flat(toy_params):
+    before = toy_params.flat.copy()
+    toy_params.user.conv_w[1, 2] += 1.0
+    changed = np.flatnonzero(toy_params.flat != before)
+    assert changed.size == 1
+    assert toy_params.flat[changed[0]] == toy_params.user.conv_w[1, 2]
+
+
+def test_views_tile_flat_in_layout_order(toy_params):
+    layout = list(M.param_layout(TOY_DIMS))
+    tensors = list(toy_params.tensors())
+    assert [n for n, _ in tensors] == [n for n, _ in layout]
+    assert sum(t.size for _, t in tensors) == toy_params.flat.size == M.param_count(TOY_DIMS)
+    offset = 0
+    for (name, t), (_, shape) in zip(tensors, layout):
+        assert t.shape == shape and np.shares_memory(t, toy_params.flat), name
+        assert np.array_equal(t.reshape(-1), toy_params.flat[offset:offset + t.size]), name
+        offset += t.size
+
+
+def test_copy_and_zeros_like_share_no_memory(toy_params):
+    for other in (toy_params.copy(), toy_params.zeros_like()):
+        assert not np.shares_memory(other.flat, toy_params.flat)
+        for (name, a), (_, b) in zip(other.tensors(), toy_params.tensors()):
+            assert not np.shares_memory(a, b), name
+            assert not np.shares_memory(a, toy_params.flat), name
+    assert np.array_equal(toy_params.copy().flat, toy_params.flat)
+    assert not toy_params.zeros_like().flat.any()
+
+
+def test_params_reject_wrong_buffer():
+    n = M.param_count(TOY_DIMS)
+    for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n)),
+                np.zeros(n, dtype=np.float32), np.zeros(2 * n)[::2]):
+        with pytest.raises(ValueError, match=str(n)):
+            M.ModelParams(TOY_DIMS, bad)
+
+
+def test_nan_attention_parameter_gives_non_finite_ratings(toy_params):
+    users, items = toy_stores()
+    toy_params.item.review_attn[0, 0] = np.nan
+    preds, _, _ = M.predict_batch(toy_params, users, items, [1, 2], [1, 2])
+    assert not np.isfinite(preds).any()
+
+
 # ---------------------------------------------------------------------------
 # embed / conv / query, through the batched encoder's pieces
 # ---------------------------------------------------------------------------
@@ -95,14 +140,13 @@ def test_embed_single_token_column(toy_params):
 
 
 def test_embed_equals_one_hot_matvec_oracle(toy_params):
-    from nrpa.tensor import matvec
     tokens = np.array([3, 7, 0, 11], dtype=np.int32)
     m = embedded(tokens, toy_params.word_emb)
     vocab = toy_params.word_emb.shape[0]
     for k, tok in enumerate(tokens):
         one_hot = np.zeros(vocab)
         one_hot[tok] = 1.0
-        assert np.array_equal(m[k], matvec(toy_params.word_emb.T, one_hot))
+        assert np.array_equal(m[k], toy_params.word_emb.T @ one_hot)
 
 
 def test_embed_rejects_out_of_range(toy_params):

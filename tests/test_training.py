@@ -190,6 +190,30 @@ def test_adam_matches_scalar_reference_for_five_steps(toy_params):
     assert np.allclose(seen, scalar_adam(g_seq, lr=0.01), atol=1e-15)
 
 
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_adam_pass_is_bit_identical_to_the_expressions(toy_params, monkeypatch, block):
+    """Blocks that split tensors, and one block over the whole buffer, give
+    exactly the textbook Adam expressions evaluated on whole arrays."""
+    monkeypatch.setattr(T, "_ADAM_BLOCK", block)
+    rng = np.random.default_rng(3)
+    params, ref_p = toy_params, toy_params.flat.copy()
+    ref_m, ref_v = np.zeros_like(ref_p), np.zeros_like(ref_p)
+    state = T.AdamState.for_params(params)
+    b1, b2 = T.ADAM_BETA1, T.ADAM_BETA2
+    for t in range(1, 4):
+        grads = params.zeros_like()
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        T.adam_step(params, grads, state, lr=0.01)
+        g = grads.flat
+        ref_m = b1 * ref_m + (1.0 - b1) * g
+        ref_v = b2 * ref_v + (1.0 - b2) * (g * g)
+        ref_p -= 0.01 * (ref_m / (1.0 - b1 ** t)) / (np.sqrt(ref_v / (1.0 - b2 ** t))
+                                                      + T.ADAM_EPS)
+        ref_p[:params.word_emb[0].size] = 0.0  # PAD row re-pinned
+        assert np.array_equal(params.flat, ref_p)
+        assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+
+
 def test_adam_repins_pad_row(toy_params):
     grads = toy_params.zeros_like()
     grads.word_emb[...] = 1.0  # adversarial: even a bogus PAD gradient
