@@ -53,6 +53,8 @@ def load_params(path):
     The header, the file length it implies and the metadata are checked
     before the payload is read, so a truncated, padded or corrupted file
     raises CheckpointError naming it instead of allocating from bogus dims.
+    A header dim that contradicts the same field of the metadata's "config"
+    is rejected too; the tensor payload carries no checksum.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -83,6 +85,15 @@ def load_params(path):
             raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: metadata is not a JSON object")
+        # review_len and num_reviews size no tensor, so the file length cannot
+        # catch a flip in them; the training config saved beside them can
+        config = meta.get("config")
+        if isinstance(config, dict):
+            for field in _DIM_FIELDS:
+                if field in config and config[field] != getattr(dims, field):
+                    raise CheckpointError(f"{path}: header {field} "
+                                          f"{getattr(dims, field)} disagrees with the "
+                                          f"metadata config's {config[field]!r}")
         activation = meta.get("conv_activation", "relu")
         if activation not in ("relu", "tanh"):
             raise CheckpointError(f"{path}: unknown conv_activation {activation!r}")

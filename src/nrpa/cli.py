@@ -69,12 +69,19 @@ def load_config(path) -> TrainConfig:
     return cfg
 
 
+# files are hashed in blocks of this many bytes, so memory stays flat
+_FINGERPRINT_BLOCK = 1 << 20
+
+
 def _fingerprint(data_dir) -> str:
+    """sha256 over each file's name and bytes, in name order."""
     h = hashlib.sha256()
     for p in sorted(Path(data_dir).iterdir()):
         if p.is_file():
             h.update(p.name.encode("utf-8"))
-            h.update(p.read_bytes())
+            with open(p, "rb") as fh:
+                while block := fh.read(_FINGERPRINT_BLOCK):
+                    h.update(block)
     return h.hexdigest()
 
 
@@ -170,7 +177,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_for(ds, path):
+def _load_checkpoint_for(ds, args):
+    """The checkpoint of args.checkpoint, checked against the dataset of
+    args.data: same vocabulary and owners, profiles no longer than stored."""
+    path = args.checkpoint
     try:
         params, meta = checkpoint.load_params(path)
     except (OSError, checkpoint.CheckpointError) as exc:
@@ -180,12 +190,15 @@ def _load_checkpoint_for(ds, path):
     if got != want:
         raise UsageError(f"checkpoint dims {got} do not match dataset dims {want} "
                          f"(vocab, users, items)")
+    if params.dims.review_len > ds.review_len:
+        raise UsageError(f"{path}: review_len {params.dims.review_len} exceeds the "
+                         f"prepared review_len {ds.review_len} of {args.data}")
     return params, meta
 
 
 def cmd_eval(args) -> int:
     ds = _load_dataset(args.data)
-    params, meta = _load_checkpoint_for(ds, args.checkpoint)
+    params, meta = _load_checkpoint_for(ds, args)
     cfg_meta = meta.get("config", {})
     stores = build_profiles(ds.split.train, params.dims.review_len,
                             params.dims.num_reviews, ds.n_users, ds.n_items)
@@ -237,7 +250,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     ds = _load_dataset(args.data)
-    params, meta = _load_checkpoint_for(ds, args.checkpoint)
+    params, meta = _load_checkpoint_for(ds, args)
     user = ds.user_index(args.user)
     item = ds.item_index(args.item)
     if user == 0:

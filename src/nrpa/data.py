@@ -141,13 +141,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        toks = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                tok, idx = line.rstrip("\n").split("\t")
-                toks.append((int(idx), tok))
-        toks.sort()
-        ordered = [t for _, t in toks]
+        ordered = _read_index_file(path)
         if ordered[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError(f"vocabulary at {path} is missing PAD/UNK header entries")
         return cls(ordered[2:])
@@ -375,39 +369,54 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
 
 
-def _load_keys(path):
-    keys = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            key, idx = line.rstrip("\n").split("\t")
-            keys.append((int(idx), key))
-    keys.sort()
-    return [k for _, k in keys]
+def _read_index_file(path) -> list:
+    """Names of a `name<TAB>index` file (vocab.tsv, users.tsv, items.tsv) in
+    index order; the indices must be 0..n-1, each once."""
+    entries = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    name, idx = line.rstrip("\n").split("\t")
+                    entries.append((int(idx), name))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected `name<TAB>index`, "
+                                     f"got {line!r}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
+    entries.sort()
+    if [i for i, _ in entries] != list(range(len(entries))):
+        raise ValueError(f"{path}: indices are not 0..{len(entries) - 1}, each once")
+    return [name for _, name in entries]
 
 
-def load_prepared(in_dir) -> PreparedDataset:
-    src = Path(in_dir)
-    vocab = Vocabulary.load(src / "vocab.tsv")
-    user_keys = _load_keys(src / "users.tsv")
-    item_keys = _load_keys(src / "items.tsv")
-
-    with open(src / "interactions.bin", "rb") as fh:
-        header = np.frombuffer(fh.read(4 * _HEADER_DTYPE.itemsize), dtype=_HEADER_DTYPE)
-        n, n_users, n_items, review_len = (int(x) for x in header)
-        recs = np.frombuffer(fh.read(), dtype=_record_dtype(review_len))
-    if len(recs) != n:
-        raise ValueError(f"interactions.bin corrupt: header says {n} records, found {len(recs)}")
-    if n_users != len(user_keys) or n_items != len(item_keys):
-        raise ValueError("interactions.bin header disagrees with users.tsv/items.tsv")
-
-    interactions = [
-        Interaction(int(r["user"]), int(r["item"]), float(r["rating"]),
-                    r["tokens"][:int(r["ntok"])].astype(np.int32))
-        for r in recs
-    ]
-    with open(src / "split.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    split = DatasetSplit(
+def _load_split(path, interactions: list) -> DatasetSplit:
+    """split.json; its three index lists must partition the interactions."""
+    n = len(interactions)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ValueError(f"{path}: unreadable: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    if type(manifest.get("seed")) is not int:
+        raise ValueError(f"{path}: seed is not an integer")
+    parts = []
+    for key in ("train", "validation", "test"):
+        idx = manifest.get(key)
+        try:
+            arr = np.asarray(idx) if isinstance(idx, list) else None
+        except ValueError:  # ragged nesting
+            arr = None
+        if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError(f"{path}: {key!r} is not a list of integers")
+        parts.append(arr.astype(np.int64))
+    if not np.array_equal(np.sort(np.concatenate(parts)), np.arange(n)):
+        raise ValueError(f"{path}: train, validation and test do not partition the "
+                         f"{n} interactions (an index is out of 0..{n - 1}, repeated "
+                         f"or missing)")
+    return DatasetSplit(
         train=[interactions[i] for i in manifest["train"]],
         validation=[interactions[i] for i in manifest["validation"]],
         test=[interactions[i] for i in manifest["test"]],
@@ -416,4 +425,61 @@ def load_prepared(in_dir) -> PreparedDataset:
         val_idx=manifest["validation"],
         test_idx=manifest["test"],
     )
+
+
+def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
+                   review_len: int) -> None:
+    """Raises ValueError naming path and the first record with a field out of range."""
+    rating = recs["rating"]
+    checks = (
+        ((recs["user"] < 1) | (recs["user"] >= n_users),
+         f"a user id outside 1..{n_users - 1}"),
+        ((recs["item"] < 1) | (recs["item"] >= n_items),
+         f"an item id outside 1..{n_items - 1}"),
+        (recs["ntok"] > review_len, f"ntok above review_len {review_len}"),
+        (~((rating >= 1.0) & (rating <= 5.0)), "a rating that is not a number in [1, 5]"),
+        ((recs["tokens"] >= vocab_size).any(axis=1),
+         f"a token id not below the vocabulary size {vocab_size}"),
+    )
+    for bad, what in checks:
+        if bad.any():
+            raise ValueError(f"{path}: record {int(np.argmax(bad))} has {what}")
+
+
+def load_prepared(in_dir) -> PreparedDataset:
+    """Reads a save_prepared directory. Every index and id is checked against
+    the sizes it refers to, so a corrupt or hand-edited file raises ValueError
+    naming the file and the problem instead of failing later in training."""
+    src = Path(in_dir)
+    vocab = Vocabulary.load(src / "vocab.tsv")
+    user_keys = _read_index_file(src / "users.tsv")
+    item_keys = _read_index_file(src / "items.tsv")
+
+    path = src / "interactions.bin"
+    with open(path, "rb") as fh:
+        head = fh.read(4 * _HEADER_DTYPE.itemsize)
+        body = fh.read()
+    if len(head) < 4 * _HEADER_DTYPE.itemsize:
+        raise ValueError(f"{path}: truncated header")
+    n, n_users, n_items, review_len = (int(x) for x in np.frombuffer(head, _HEADER_DTYPE))
+    if review_len < 1:
+        raise ValueError(f"{path}: review_len {review_len} in the header")
+    try:
+        recs = np.frombuffer(body, dtype=_record_dtype(review_len))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {len(body)} record bytes do not hold records of "
+                         f"review_len {review_len}: {exc}") from None
+    if len(recs) != n:
+        raise ValueError(f"{path}: header says {n} records, found {len(recs)}")
+    if n_users != len(user_keys) or n_items != len(item_keys):
+        raise ValueError(f"{path}: header says {n_users} users and {n_items} items, "
+                         f"users.tsv/items.tsv hold {len(user_keys)} and {len(item_keys)}")
+    _check_records(path, recs, n_users, n_items, len(vocab), review_len)
+
+    interactions = [
+        Interaction(int(r["user"]), int(r["item"]), float(r["rating"]),
+                    r["tokens"][:int(r["ntok"])].astype(np.int32))
+        for r in recs
+    ]
+    split = _load_split(src / "split.json", interactions)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)

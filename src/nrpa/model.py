@@ -7,6 +7,9 @@ does the same with item queries. Each side yields a pooled text feature; the
 concatenation goes through the FM to produce the rating. Every rating is
 computed by predict_batch; forward() is a batch of one.
 
+Personalized attention is one stage, at both levels and under every ablation:
+query() and attention_pool(), with their backward functions beside them.
+
 Conventions:
   reviews are embedded time-major, (review_len, word_dim) per review;
   conv filters are stored flattened as (num_filters, window*word_dim) where
@@ -237,28 +240,51 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def uniform_weights(mask: np.ndarray) -> np.ndarray:
-    """1/(unmasked count) over unmasked positions, rows without any -> all zero."""
-    mask = np.asarray(mask, dtype=bool)
-    counts = mask.sum(axis=-1, keepdims=True).astype(np.float64)
-    return np.divide(mask.astype(np.float64), counts,
-                     out=np.zeros(mask.shape), where=counts > 0)
-
-
 def attention_pool(features: np.ndarray, query, mask: np.ndarray):
     """Masked attention pooling of (R, L, K) features; returns (weights, pooled).
 
     query is the (R, K) pairing-transformed query, so the logit of position l
-    is features[r, l] . query[r]; None pools uniformly. Masked positions carry
-    weight exactly 0 and a row with nothing unmasked pools to the zero vector,
-    so empty reviews and profiles stay representable.
+    is features[r, l] . query[r]; None pools uniformly (zero logits). Masked
+    positions carry weight exactly 0 and a row with nothing unmasked pools to
+    the zero vector, so empty reviews and profiles stay representable.
     """
     if query is None:
-        weights = uniform_weights(mask)
+        logits = np.zeros(np.shape(mask))
     else:
         logits = np.matmul(features, query[:, :, None])[:, :, 0]  # (R, L)
-        weights = masked_softmax(logits, mask)
+    weights = masked_softmax(logits, mask)
     return weights, np.matmul(weights[:, None, :], features)[:, 0, :]
+
+
+def attention_pool_backward(features: np.ndarray, query, weights: np.ndarray,
+                            d_pooled: np.ndarray):
+    """attention_pool's gradients given d loss / d pooled (R, K): returns
+    (d_features (R, L, K), d_query (R, K)), d_query None when query is None."""
+    d_features = weights[:, :, None] * d_pooled[:, None, :]
+    if query is None:
+        return d_features, None
+    d_weights = np.matmul(features, d_pooled[:, :, None])[:, :, 0]    # (R, L)
+    inner = np.sum(weights * d_weights, axis=1, keepdims=True)
+    d_logits = weights * (d_weights - inner)                          # masked stay 0
+    d_features += d_logits[:, :, None] * query[:, None, :]
+    return d_features, np.matmul(d_logits[:, None, :], features)[:, 0, :]
+
+
+def query(uid: np.ndarray, query_w, query_b, pairing):
+    """ReLU query MLP of (B, id_dim) id embeddings, then the pairing matrix;
+    returns (pre-activation (B, attn_dim), paired query (B, K))."""
+    pre = uid @ query_w.T + query_b
+    return pre, np.maximum(pre, 0.0) @ pairing
+
+
+def query_backward(uid, pre, d_paired, query_w, pairing, g_query_w, g_query_b, g_pairing):
+    """Adds query()'s parameter gradients given d loss / d paired (B, K) into
+    the g_ views; returns d loss / d uid. The ReLU subgradient at 0 is 0."""
+    g_pairing += np.maximum(pre, 0.0).T @ d_paired
+    d_pre = (d_paired @ pairing.T) * (pre > 0)
+    g_query_w += d_pre.T @ uid
+    g_query_b += d_pre.sum(axis=0)
+    return d_pre @ query_w
 
 
 @dataclass
@@ -284,8 +310,6 @@ class SideCache:
     a_r: np.ndarray          # (B, K) or None
     beta: np.ndarray         # (B, N)
     pooled: np.ndarray       # (B, K)
-    word_uniform: bool
-    review_uniform: bool
 
 
 def _stacked_filters(side: SideParams, word_dim: int) -> np.ndarray:
@@ -325,43 +349,38 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
     """Vectorized profile encoding for a batch of owners on one side."""
     side = params.side(side_name)
     id_emb = params.user_id_emb if side_name == "user" else params.item_id_emb
-    word_uniform = ablation.word_uniform(side_name)
-    review_uniform = ablation.review_uniform(side_name)
 
     tokens, token_mask, review_mask = store.gather(owners, exclude_partner)
     b, n, t = tokens.shape
     k = side.conv_w.shape[0]
     uid = id_emb[owners]  # (B, id_dim)
 
-    pre_qw = a_q = None
-    if not word_uniform:
-        pre_qw = uid @ side.word_query_w.T + side.word_query_b  # (B, attn_dim)
-        a_q = np.maximum(pre_qw, 0.0) @ side.word_attn          # (B, K)
+    pre_qw = a_q = a_q_rep = None
+    if not ablation.word_uniform(side_name):
+        pre_qw, a_q = query(uid, side.word_query_w, side.word_query_b, side.word_attn)
+        a_q_rep = np.repeat(a_q, n, axis=0)  # (B*N, K)
 
     alpha = np.zeros((b, n, t))
     d_vecs = np.zeros((b, n, k))
     tokens_flat = tokens.reshape(b * n, t)
     tmask_flat = token_mask.reshape(b * n, t)
-    a_q_rep = None if word_uniform else np.repeat(a_q, n, axis=0)  # (B*N, K)
     chunk = _conv_chunk_rows(side, params.word_emb.shape[1], t)
     for lo in range(0, b * n, chunk):
         hi = min(lo + chunk, b * n)
         c, _, _, _ = _conv_chunk_forward(tokens_flat[lo:hi], side, params.word_emb,
                                          params.conv_activation)  # (r, T, K)
-        w, pooled_words = attention_pool(c, None if word_uniform else a_q_rep[lo:hi],
+        w, pooled_words = attention_pool(c, None if a_q_rep is None else a_q_rep[lo:hi],
                                          tmask_flat[lo:hi])
         alpha.reshape(b * n, t)[lo:hi] = w
         d_vecs.reshape(b * n, k)[lo:hi] = pooled_words
 
     pre_qr = a_r = None
-    if not review_uniform:
-        pre_qr = uid @ side.review_query_w.T + side.review_query_b
-        a_r = np.maximum(pre_qr, 0.0) @ side.review_attn          # (B, K)
+    if not ablation.review_uniform(side_name):
+        pre_qr, a_r = query(uid, side.review_query_w, side.review_query_b, side.review_attn)
     beta, pooled = attention_pool(d_vecs, a_r, review_mask)       # (B, N), (B, K)
 
     return SideCache(owners, tokens, token_mask, review_mask, uid, pre_qw, a_q,
-                     alpha, d_vecs, pre_qr, a_r, beta, pooled, word_uniform,
-                     review_uniform)
+                     alpha, d_vecs, pre_qr, a_r, beta, pooled)
 
 
 def fm_predict_batch(fm: FMParams, features: np.ndarray) -> np.ndarray:

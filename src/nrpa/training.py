@@ -2,12 +2,13 @@
 forward graph, Adam, and the early-stopping training loop.
 
 Gradients are accumulated into a second ModelParams, one flat buffer laid out
-like the parameters, and derived by hand for every stage: FM fast form, masked
-softmax at both attention levels, the query MLPs (ReLU subgradient 0 at 0),
-the convolution (through the offset-stacked filter layout) and the embedding
-lookups (scatter-add). The word-level stage recomputes conv features chunk by
-chunk instead of caching them, mirroring the forward pass. Adam keeps its
-moments as flat buffers and updates every parameter in one in-place pass.
+like the parameters, and derived by hand for every stage: FM fast form, the
+convolution (through the offset-stacked filter layout), the embedding lookups
+(scatter-add), and both attention levels through the backward functions
+model.py keeps beside attention_pool and query. The word-level stage
+recomputes conv features chunk by chunk instead of caching them, mirroring
+the forward pass. Adam keeps its moments as flat buffers and updates every
+parameter in one in-place pass.
 """
 
 from dataclasses import dataclass
@@ -120,45 +121,29 @@ def _backward_side(cache: M.SideCache, side: M.SideParams, grads_side: M.SidePar
     window = side.conv_w.shape[1] // word_dim
     half = (window - 1) // 2
 
-    beta, d_vecs = cache.beta, cache.d_vecs
-    d_d = beta[:, :, None] * d_pooled[:, None, :]                 # (B, N, K)
+    d_d, da_r = M.attention_pool_backward(cache.d_vecs, cache.a_r, cache.beta, d_pooled)
     duid = np.zeros_like(cache.uid)
-
-    if not cache.review_uniform:
-        dbeta = np.matmul(d_vecs, d_pooled[:, :, None])[:, :, 0]  # (B, N)
-        inner = np.sum(beta * dbeta, axis=1, keepdims=True)
-        de = beta * (dbeta - inner)                               # masked rows stay 0
-        d_d += de[:, :, None] * cache.a_r[:, None, :]
-        da_r = np.matmul(de[:, None, :], d_vecs)[:, 0, :]         # (B, K)
-        q_r = np.maximum(cache.pre_qr, 0.0)
-        grads_side.review_attn += q_r.T @ da_r
-        dq_r = da_r @ side.review_attn.T
-        dpre = dq_r * (cache.pre_qr > 0)
-        grads_side.review_query_w += dpre.T @ cache.uid
-        grads_side.review_query_b += dpre.sum(axis=0)
-        duid += dpre @ side.review_query_w
+    if da_r is not None:
+        duid += M.query_backward(cache.uid, cache.pre_qr, da_r, side.review_query_w,
+                                 side.review_attn, grads_side.review_query_w,
+                                 grads_side.review_query_b, grads_side.review_attn)
 
     # word level, chunked exactly like the forward pass
     tokens_flat = cache.tokens.reshape(b * n, t)
     alpha_flat = cache.alpha.reshape(b * n, t)
     d_d_flat = d_d.reshape(b * n, k)
-    da_q_flat = None if cache.word_uniform else np.zeros((b * n, k))
-    a_q_rep = None if cache.word_uniform else np.repeat(cache.a_q, n, axis=0)
+    a_q_rep = None if cache.a_q is None else np.repeat(cache.a_q, n, axis=0)
+    da_q_flat = np.zeros((b * n, k))
 
     chunk = M._conv_chunk_rows(side, word_dim, t)
     for lo in range(0, b * n, chunk):
         hi = min(lo + chunk, b * n)
         c, pre, emb_pad, stacked = M._conv_chunk_forward(tokens_flat[lo:hi], side,
                                                          word_emb, activation)
-        dd = d_d_flat[lo:hi]
-        al = alpha_flat[lo:hi]
-        dc = al[:, :, None] * dd[:, None, :]                      # (r, T, K)
-        if not cache.word_uniform:
-            dalpha = np.matmul(c, dd[:, :, None])[:, :, 0]        # (r, T)
-            inner = np.sum(al * dalpha, axis=1, keepdims=True)
-            dg = al * (dalpha - inner)
-            dc += dg[:, :, None] * a_q_rep[lo:hi][:, None, :]
-            da_q_flat[lo:hi] = np.matmul(dg[:, None, :], c)[:, 0, :]
+        dc, da_q = M.attention_pool_backward(
+            c, None if a_q_rep is None else a_q_rep[lo:hi], alpha_flat[lo:hi], d_d_flat[lo:hi])
+        if da_q is not None:
+            da_q_flat[lo:hi] = da_q
         if activation == "relu":
             dpre = dc * (pre > 0)
         else:
@@ -180,15 +165,11 @@ def _backward_side(cache: M.SideCache, side: M.SideParams, grads_side: M.SidePar
         np.add.at(grad_word_emb, tokens_flat[lo:hi].ravel(),
                   demb_pad[:, half:half + t].reshape(-1, word_dim))
 
-    if not cache.word_uniform:
+    if a_q_rep is not None:
         da_q = da_q_flat.reshape(b, n, k).sum(axis=1)             # (B, K)
-        q_w = np.maximum(cache.pre_qw, 0.0)
-        grads_side.word_attn += q_w.T @ da_q
-        dq_w = da_q @ side.word_attn.T
-        dpre = dq_w * (cache.pre_qw > 0)
-        grads_side.word_query_w += dpre.T @ cache.uid
-        grads_side.word_query_b += dpre.sum(axis=0)
-        duid += dpre @ side.word_query_w
+        duid += M.query_backward(cache.uid, cache.pre_qw, da_q, side.word_query_w,
+                                 side.word_attn, grads_side.word_query_w,
+                                 grads_side.word_query_b, grads_side.word_attn)
 
     np.add.at(grad_id_emb, cache.owners, duid)
 

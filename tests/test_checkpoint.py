@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from nrpa import model as M
 from nrpa.checkpoint import MAGIC, CheckpointError, load_params, save_params
-from nrpa.evaluation import evaluate
+from nrpa.evaluation import ABLATION_VARIANTS, evaluate
 from nrpa.training import TrainConfig, train
 from conftest import TOY_DIMS
 
@@ -103,14 +104,58 @@ def test_init_checkpoint_bytes_are_golden(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == INIT_SEED7_SHA256
 
 
-def test_trained_checkpoint_bytes_are_golden(tmp_path, tiny_dataset, tiny_stores):
+def trained_checkpoint_sha256(tmp_path, dataset, stores, ablation=M.FULL_ATTENTION):
     cfg = TrainConfig(word_dim=8, id_dim=4, num_filters=8, attn_dim=8, window=3,
                       fm_dim=4, review_len=12, num_reviews=4, learning_rate=5e-3,
                       batch_size=16, max_epochs=3, patience=3, l2_weight=1e-6, seed=5)
-    params, _ = train(cfg, tiny_dataset, tiny_stores)
+    params, _ = train(cfg, dataset, stores, ablation)
     path = tmp_path / "trained.nrpa"
     save_params(params, path, {"config": {"seed": 5}})
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRAIN_SEED5_SHA256
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_trained_checkpoint_bytes_are_golden(tmp_path, tiny_dataset, tiny_stores):
+    assert trained_checkpoint_sha256(tmp_path, tiny_dataset, tiny_stores) == \
+        TRAIN_SEED5_SHA256
+
+
+# the same training with every attention site uniform, and with only the
+# word level uniform: the pooling and gradients of uniform sites stay bit for bit
+ABLATED_SEED5_SHA256 = {
+    "no-attention": "48b273d95ba3014156d4e9076634e5e819e635ad05cfefed5d17d87ca293c4c0",
+    "review-only": "1f2807100f97e1512facaeac4e5b196db3c30687e7c27d89cdc233bfc6a7ab4e",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(ABLATED_SEED5_SHA256))
+def test_ablated_trained_checkpoint_bytes_are_golden(tmp_path, tiny_dataset, tiny_stores,
+                                                     variant):
+    ablation = dict(ABLATION_VARIANTS)[variant]
+    assert trained_checkpoint_sha256(tmp_path, tiny_dataset, tiny_stores, ablation) == \
+        ABLATED_SEED5_SHA256[variant]
+
+
+@pytest.mark.parametrize("field,offset,value", [("review_len", 44, 150),
+                                                 ("num_reviews", 48, 9)])
+def test_header_dim_contradicting_config_rejected(tmp_path, toy_params, field, offset,
+                                                  value):
+    """review_len and num_reviews size no tensor, so only the saved config
+    can tell that the header was changed."""
+    path = tmp_path / "dims.nrpa"
+
+    def save_with_header_dim(config):
+        save_params(toy_params, path, {"config": config})
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(blob))
+
+    config = {"review_len": TOY_DIMS.review_len, "num_reviews": TOY_DIMS.num_reviews}
+    save_with_header_dim(config)
+    with pytest.raises(CheckpointError, match=f"dims.nrpa: header {field} {value} "):
+        load_params(path)
+    del config[field]  # a field the config does not hold is not checked
+    save_with_header_dim(config)
+    assert getattr(load_params(path)[0].dims, field) == value
 
 
 def test_magic_bytes_spell_format_name(tmp_path, toy_params):

@@ -1,14 +1,18 @@
 import csv
+import hashlib
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
 
+from nrpa import cli
+from nrpa.checkpoint import save_params
 from nrpa.cli import main, parse_ablation, load_config, UsageError
 from nrpa.data import load_prepared
 from nrpa.evaluation import make_synthetic_corpus
-from nrpa.model import AblationSpec
+from nrpa.model import AblationSpec, Dims, init_params
 
 TINY_CONFIG = """
 # toy hyperparameters for CLI tests
@@ -263,6 +267,47 @@ def test_eval_dim_mismatch_exits_2(workspace, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "do not match" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_checkpoint_review_len_above_prepared_exits_2(workspace, tmp_path, capsys,
+                                                      command):
+    ds = load_prepared(workspace["data"])
+    dims = Dims(len(ds.vocab), ds.n_users, ds.n_items, 8, 4, 8, 8, 3, 4, 101, 4)
+    ckpt = tmp_path / "long.nrpa"
+    save_params(init_params(dims, seed=1), ckpt)
+    extra = (["--split", "val"] if command == "eval" else
+             ["--user", ds.user_keys[1], "--item", ds.item_keys[1]])
+    code = main([command, "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                 *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "review_len 101" in err and "review_len 100" in err
+
+
+def test_corrupt_prepared_data_exits_2_naming_the_file(workspace, tmp_path, capsys):
+    data = tmp_path / "prep"
+    shutil.copytree(workspace["data"], data)
+    (data / "split.json").write_text('{"seed": 11, "train": [0], "validation": []}')
+    code = main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                 "--data", str(data), "--split", "val"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "split.json" in err and "'test'" in err
+
+
+def test_fingerprint_streams_to_the_whole_file_digest(tmp_path):
+    rng = np.random.default_rng(0)
+    files = {"a.bin": rng.bytes(2 * cli._FINGERPRINT_BLOCK + 123), "b.txt": b"x",
+             "c.tsv": b""}
+    for name, blob in files.items():
+        (tmp_path / name).write_bytes(blob)
+    (tmp_path / "sub").mkdir()  # directories are skipped
+    whole = hashlib.sha256()
+    for name in sorted(files):
+        whole.update(name.encode("utf-8"))
+        whole.update(files[name])
+    assert cli._fingerprint(tmp_path) == whole.hexdigest()
 
 
 def test_inspect_matches_trace_dump(workspace, tmp_path, capsys):

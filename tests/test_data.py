@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 import tempfile
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nrpa.data import (PAD_ID, UNK_ID, Interaction, RawRecord, Vocabulary,
                        build_profiles, build_vocabulary, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
-                       split_dataset, tokenize)
+                       split_dataset, tokenize, _record_dtype)
 from nrpa.evaluation import make_synthetic_corpus
 
 
@@ -289,6 +290,153 @@ def test_prepared_roundtrip_bytes_and_content(tmp_path, tiny_dataset):
     for name in ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin",
                  "split.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# load_prepared rejects what it cannot use
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def prepared_dir(tmp_path_factory, tiny_dataset):
+    out = tmp_path_factory.mktemp("prepared") / "good"
+    save_prepared(tiny_dataset, out)
+    return out
+
+
+def copy_prepared(src, dst):
+    shutil.copytree(src, dst, dirs_exist_ok=True)
+    return dst
+
+
+def edit_records(prep, field, row, value):
+    """Overwrites one field of one record in interactions.bin."""
+    path = prep / "interactions.bin"
+    blob = path.read_bytes()
+    review_len = int(np.frombuffer(blob[:16], "<u4")[3])
+    recs = np.frombuffer(blob, _record_dtype(review_len), offset=16).copy()
+    recs[field][row] = value
+    path.write_bytes(blob[:16] + recs.tobytes())
+
+
+def edit_split(prep, **changes):
+    path = prep / "split.json"
+    manifest = json.loads(path.read_text())
+    manifest.update(changes)
+    path.write_text(json.dumps(manifest))
+
+
+def load_rejects(prep, file, *words):
+    with pytest.raises(ValueError) as info:
+        load_prepared(prep)
+    msg = str(info.value)
+    assert file in msg, msg
+    for word in words:
+        assert word in msg, msg
+
+
+def test_split_index_past_the_end_rejected(prepared_dir, tmp_path, tiny_dataset):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    n = len(tiny_dataset.interactions)
+    edit_split(prep, test=tiny_dataset.split.test_idx[:-1] + [n])
+    load_rejects(prep, "split.json", "partition")
+
+
+def test_split_negative_index_rejected(prepared_dir, tmp_path, tiny_dataset):
+    """-1 in place of the last index would wrap onto the same interaction."""
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    last = len(tiny_dataset.interactions) - 1
+    split = tiny_dataset.split
+    for key, idx in (("train", split.train_idx), ("validation", split.val_idx),
+                     ("test", split.test_idx)):
+        if last in idx:
+            edit_split(prep, **{key: [-1 if i == last else i for i in idx]})
+    load_rejects(prep, "split.json", "partition")
+
+
+def test_split_missing_key_or_not_an_object_rejected(prepared_dir, tmp_path):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    manifest = json.loads((prep / "split.json").read_text())
+    del manifest["test"]
+    (prep / "split.json").write_text(json.dumps(manifest))
+    load_rejects(prep, "split.json", "'test'")
+    (prep / "split.json").write_text("[1, 2, 3]")
+    load_rejects(prep, "split.json", "not a JSON object")
+
+
+@pytest.mark.parametrize("field,value,words", [
+    ("user", 0, ["record 5", "user id"]),
+    ("user", 13, ["record 5", "user id"]),
+    ("item", 9, ["record 5", "item id"]),
+])
+def test_owner_id_out_of_range_rejected(prepared_dir, tmp_path, field, value, words):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    edit_records(prep, field, 5, value)
+    load_rejects(prep, "interactions.bin", *words)
+
+
+def test_token_id_past_vocabulary_rejected(prepared_dir, tmp_path, tiny_dataset):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    edit_records(prep, "tokens", 3, len(tiny_dataset.vocab))
+    load_rejects(prep, "interactions.bin", "record 3", "token id")
+
+
+def test_ntok_above_review_len_rejected(prepared_dir, tmp_path):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    edit_records(prep, "ntok", 2, 15)
+    load_rejects(prep, "interactions.bin", "record 2", "ntok")
+
+
+@pytest.mark.parametrize("rating", [np.nan, np.inf, 0.5, 5.5])
+def test_rating_not_in_range_rejected(prepared_dir, tmp_path, rating):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    edit_records(prep, "rating", 7, rating)
+    load_rejects(prep, "interactions.bin", "record 7", "rating")
+
+
+@pytest.mark.parametrize("name", ["users.tsv", "items.tsv", "vocab.tsv"])
+def test_key_file_indices_must_be_each_index_once(prepared_dir, tmp_path, name):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    lines = (prep / name).read_text().splitlines(keepends=True)
+    key, _ = lines[2].split("\t")
+    lines[2] = f"{key}\t1\n"  # index 1 twice, index 2 missing
+    (prep / name).write_text("".join(lines))
+    load_rejects(prep, name, "indices")
+
+
+def loads_in_range_or_rejects(prep, file):
+    """load_prepared either raises ValueError naming `file` or returns a
+    dataset whose every id and index is in range."""
+    try:
+        ds = load_prepared(prep)
+    except ValueError as exc:
+        assert file in str(exc), str(exc)
+        return
+    n = len(ds.interactions)
+    for inter in ds.interactions:
+        assert 1 <= inter.user < ds.n_users and 1 <= inter.item < ds.n_items
+        assert len(inter.tokens) <= ds.review_len
+        assert (inter.tokens < len(ds.vocab)).all() and (inter.tokens >= 0).all()
+        assert 1.0 <= inter.rating <= 5.0
+    split = ds.split
+    assert sorted(split.train_idx + split.val_idx + split.test_idx) == list(range(n))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_corrupt_prepared_files_load_in_range_or_raise_value_error(prepared_dir, data):
+    prep = copy_prepared(prepared_dir, prepared_dir.with_name("work"))
+    file = data.draw(st.sampled_from(["interactions.bin", "split.json"]), label="file")
+    path = prep / file
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="kept bytes")]
+    else:
+        # bias half the flips into the header and the first records
+        limit = data.draw(st.sampled_from([200, len(blob)]), label="region")
+        pos = data.draw(st.integers(0, min(limit, len(blob)) - 1), label="position")
+        blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(blob))
+    loads_in_range_or_rejects(prep, file)
 
 
 def test_unknown_owner_maps_to_reserved_index(tiny_dataset):

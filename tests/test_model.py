@@ -5,6 +5,7 @@ import pytest
 
 from nrpa import model as M
 from nrpa.data import ProfileStore
+from nrpa.tensor import grad_check
 from conftest import TOY_DIMS, toy_batch, toy_stores
 
 
@@ -309,10 +310,69 @@ def test_review_pool_permutation_equivariance():
 
 
 def test_uniform_weights_counts():
+    """Uniform pooling (no query) weighs each unmasked position 1/count."""
     mask = np.array([[True, True, False], [False, False, False]])
-    w = M.uniform_weights(mask)
+    w, _ = M.attention_pool(np.ones((2, 3, 4)), None, mask)
     assert np.allclose(w[0], [0.5, 0.5, 0.0])
     assert not w[1].any()
+
+
+def random_pool_case(seed, with_query):
+    """Random (R, L, K) features, mask with row 0 fully masked, optional query,
+    and the upstream gradient G of the loss sum(pooled * G)."""
+    rng = np.random.default_rng(seed)
+    r, length, k = rng.integers(2, 5), rng.integers(1, 7), rng.integers(1, 5)
+    features = rng.normal(size=(r, length, k))
+    mask = rng.random((r, length)) < 0.7
+    mask[0] = False
+    mask[1, 0] = True
+    q = rng.normal(size=(r, k)) if with_query else None
+    return features, q, mask, rng.normal(size=(r, k))
+
+
+@pytest.mark.parametrize("with_query", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_attention_pool_backward_matches_finite_differences(seed, with_query):
+    features, q, mask, g = random_pool_case(seed, with_query)
+    weights, _ = M.attention_pool(features, q, mask)
+    d_features, d_query = M.attention_pool_backward(features, q, weights, g)
+
+    def f_features(flat):
+        return float(np.sum(M.attention_pool(flat.reshape(features.shape), q, mask)[1] * g))
+    assert grad_check(f_features, features.ravel().copy(), d_features) < 1e-6
+    assert not d_features[0].any()  # a fully masked row passes no gradient
+    if q is None:
+        assert d_query is None
+        return
+
+    def f_query(flat):
+        return float(np.sum(M.attention_pool(features, flat.reshape(q.shape), mask)[1] * g))
+    assert grad_check(f_query, q.ravel().copy(), d_query) < 1e-6
+    assert not d_query[0].any()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_query_backward_matches_finite_differences(seed):
+    rng = np.random.default_rng(seed)
+    b, id_dim, attn, k = rng.integers(1, 5), rng.integers(1, 5), rng.integers(1, 6), \
+        rng.integers(1, 5)
+    while True:  # keep every pre-activation away from the ReLU kink
+        uid, w = rng.normal(size=(b, id_dim)), rng.normal(size=(attn, id_dim))
+        bias, pairing = rng.normal(size=attn), rng.normal(size=(attn, k))
+        if np.abs(M.query(uid, w, bias, pairing)[0]).min() > 0.05:
+            break
+    g = rng.normal(size=(b, k))
+    pre, _ = M.query(uid, w, bias, pairing)
+    grads = [np.zeros_like(w), np.zeros_like(bias), np.zeros_like(pairing)]
+    d_uid = M.query_backward(uid, pre, g, w, pairing, *grads)
+
+    args = [uid, w, bias, pairing]
+    for pos, analytic in enumerate([d_uid] + grads):
+        def f(flat, pos=pos):
+            trial = list(args)
+            trial[pos] = flat.reshape(args[pos].shape)
+            return float(np.sum(M.query(*trial)[1] * g))
+        assert grad_check(f, args[pos].ravel().copy(), analytic) < 1e-6, pos
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from nrpa import model as M
 from nrpa import training as T
 from nrpa.data import Interaction
-from nrpa.evaluation import evaluate
+from nrpa.evaluation import ABLATION_VARIANTS, evaluate
 from nrpa.tensor import grad_check
 from conftest import TOY_DIMS, toy_batch, toy_stores
 
@@ -106,15 +106,23 @@ def test_gradients_match_finite_differences(toy_params):
     assert max(worst.values()) < 1e-4, worst
 
 
-def test_gradients_match_under_ablation(toy_params):
-    ablation = M.AblationSpec(word_level="uniform")
+@pytest.mark.parametrize("ablation", [spec for _, spec in ABLATION_VARIANTS],
+                         ids=[name for name, _ in ABLATION_VARIANTS])
+def test_gradients_match_under_ablation(toy_params, ablation):
     worst = grad_check_all_tensors(toy_params, toy_batch(), toy_stores(), 1e-3,
                                    ablation)
     assert max(worst.values()) < 1e-4, worst
     _, grads = T.backward(toy_batch(), toy_params, toy_stores(), 0.0, ablation)
-    assert not grads.user.word_query_w.any()  # ablated site is untrained
-    assert not grads.item.word_attn.any()
-    assert grads.user.review_attn.any()
+    for name in ("user", "item"):
+        g = grads.side(name)
+        for level, uniform in (("word", ablation.word_uniform(name)),
+                               ("review", ablation.review_uniform(name))):
+            site = [getattr(g, f"{level}_{field}")
+                    for field in ("query_w", "query_b", "attn")]
+            if uniform:  # an ablated site is untrained
+                assert not any(t.any() for t in site), (name, level)
+            else:
+                assert site[2].any(), (name, level)
 
 
 def test_gradients_match_with_tanh_conv():
