@@ -26,9 +26,10 @@ class UsageError(Exception):
 
 
 def load_config(path) -> TrainConfig:
-    """Flat `key = value` config file; unknown keys are hard errors."""
+    """Flat `key = value` config file; unknown and repeated keys are hard errors."""
     cfg = TrainConfig()
     known = {f.name: f for f in dataclasses.fields(TrainConfig)}
+    seen = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -44,6 +45,10 @@ def load_config(path) -> TrainConfig:
         raw = raw.strip()
         if key not in known:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in seen:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} given twice, "
+                             f"on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         ftype = known[key].type
         try:
             if ftype in (bool, "bool"):
@@ -92,11 +97,20 @@ def _load_dataset(data_dir):
         raise UsageError(f"cannot load prepared dataset at {data_dir}: {exc}") from exc
 
 
-def _load_config_and_dataset(args):
-    """Config and prepared dataset for train, ablate and sweep. Profiles are
-    cut from the stored reviews, so the config may not ask for longer ones."""
+def _require_splits(ds, data_dir, names):
+    """Rejects a prepared dataset whose split.json leaves a needed split empty."""
+    for name in names:
+        if not getattr(ds.split, name):
+            raise UsageError(f"{Path(data_dir) / 'split.json'}: the {name} split is empty")
+
+
+def _load_config_and_dataset(args, splits):
+    """Config and prepared dataset for train, ablate and sweep, which need
+    the named splits non-empty. Profiles are cut from the stored reviews, so
+    the config may not ask for longer ones."""
     cfg = load_config(args.config)
     ds = _load_dataset(args.data)
+    _require_splits(ds, args.data, splits)
     if cfg.review_len > ds.review_len:
         raise UsageError(f"{args.config}: review_len {cfg.review_len} exceeds the "
                          f"prepared review_len {ds.review_len} of {args.data}")
@@ -149,7 +163,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg, ds = _load_config_and_dataset(args)
+    cfg, ds = _load_config_and_dataset(args, ("train", "validation"))
     stores = build_profiles(ds.split.train, cfg.review_len, cfg.num_reviews,
                             ds.n_users, ds.n_items)
     out = Path(args.out)
@@ -198,12 +212,14 @@ def _load_checkpoint_for(ds, args):
 
 def cmd_eval(args) -> int:
     ds = _load_dataset(args.data)
+    split_name = "validation" if args.split == "val" else "test"
+    _require_splits(ds, args.data, (split_name,))
     params, meta = _load_checkpoint_for(ds, args)
     cfg_meta = meta.get("config", {})
     stores = build_profiles(ds.split.train, params.dims.review_len,
                             params.dims.num_reviews, ds.n_users, ds.n_items)
     ablation = parse_ablation(args.ablation) if args.ablation else AblationSpec()
-    split = ds.split.validation if args.split == "val" else ds.split.test
+    split = getattr(ds.split, split_name)
     exclude = bool(cfg_meta.get("exclude_target", True))
 
     sink = None
@@ -227,7 +243,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, ds = _load_config_and_dataset(args)
+    cfg, ds = _load_config_and_dataset(args, ("train", "validation", "test"))
     rows = evaluation.run_ablation_suite(cfg, ds, csv_path=args.out)
     for name, score in rows:
         print(f"{name}: mse={score!r}")
@@ -235,13 +251,16 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, ds = _load_config_and_dataset(args)
+    cfg, ds = _load_config_and_dataset(args, ("train", "validation"))
     try:
         dims = [int(x) for x in args.dims.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --dims list {args.dims!r}: {exc}") from exc
     if not dims:
         raise UsageError("--dims list is empty")
+    if min(dims) < 1:
+        raise UsageError(f"bad --dims list {args.dims!r}: id_dim must be >= 1, "
+                         f"got {min(dims)}")
     rows = evaluation.sweep_id_dim(cfg, ds, dims, csv_path=args.out)
     for d, score in rows:
         print(f"d_id={d}: val_mse={score!r}")

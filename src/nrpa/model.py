@@ -7,8 +7,11 @@ does the same with item queries. Each side yields a pooled text feature; the
 concatenation goes through the FM to produce the rating. Every rating is
 computed by predict_batch; forward() is a batch of one.
 
-Personalized attention is one stage, at both levels and under every ablation:
-query() and attention_pool(), with their backward functions beside them.
+The review encoder is two stages, each with its backward function beside
+it: conv(), which projects each distinct token of the batch through every
+filter tap once and keeps the whole batch's feature maps for backward, and
+personalized attention, query() and attention_pool(), at both levels and
+under every ablation.
 
 Conventions:
   reviews are embedded time-major, (review_len, word_dim) per review;
@@ -26,19 +29,6 @@ from .rng import SplitMix64
 from .tensor import masked_softmax
 
 PAD_ID = 0
-
-# reviews are pushed through the convolution in chunks sized so the position-
-# stacked GEMM buffer stays near this many bytes; keeps memory flat at
-# full-scale dims without fragmenting the work at toy dims
-CONV_BUFFER_BYTES = 64 << 20
-
-
-def _conv_chunk_rows(side: "SideParams", word_dim: int, t: int) -> int:
-    k, taps = side.conv_w.shape
-    window = taps // word_dim
-    per_row = 8 * (t + window) * window * max(k, word_dim)
-    return max(64, CONV_BUFFER_BYTES // per_row)
-
 
 @dataclass(frozen=True)
 class Dims:
@@ -232,14 +222,6 @@ def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelPa
 # batched forward: the one way a rating is computed
 # ---------------------------------------------------------------------------
 
-def _activate(x: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ValueError(f"unknown activation {kind!r}")
-
-
 def attention_pool(features: np.ndarray, query, mask: np.ndarray):
     """Masked attention pooling of (R, L, K) features; returns (weights, pooled).
 
@@ -287,21 +269,95 @@ def query_backward(uid, pre, d_paired, query_w, pairing, g_query_w, g_query_b, g
     return d_pre @ query_w
 
 
+def _stacked_filters(conv_w: np.ndarray, word_dim: int) -> np.ndarray:
+    """conv_w (K, window*word_dim) -> (word_dim, window*K) with offset-major
+    column blocks, so one GEMM evaluates every filter at every offset."""
+    k, taps = conv_w.shape
+    window = taps // word_dim
+    return np.ascontiguousarray(
+        conv_w.reshape(k, window, word_dim).transpose(2, 1, 0).reshape(word_dim, window * k))
+
+
+def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: str):
+    """Same-padded convolution of (R, T) token rows, time-major; returns
+    (features (R, T, K), ids, pos).
+
+    The convolution is linear in the embeddings, so each distinct token,
+    ids (sorted), is projected through every filter tap once. pos (R,
+    T + window - 1) holds, at every zero-padded position, the projection row
+    it reads: the token's index in ids, or len(ids), a zero row, at the
+    edges. Feature (r, j) is conv_b plus tap c at pos[r, j + c], added in
+    offset order c = 0, 1, ...
+    """
+    r, t = tokens.shape
+    word_dim = word_emb.shape[1]
+    k, taps = conv_w.shape
+    window = taps // word_dim
+    half = (window - 1) // 2
+    if activation not in ("relu", "tanh"):
+        raise ValueError(f"unknown activation {activation!r}")
+
+    ids, inv = np.unique(tokens, return_inverse=True)
+    proj = np.zeros((ids.size + 1, window, k))
+    np.matmul(word_emb[ids], _stacked_filters(conv_w, word_dim),
+              out=proj[:-1].reshape(ids.size, window * k))
+    pos = np.full((r, t + 2 * half), ids.size)
+    pos[:, half:half + t] = inv.reshape(r, t)
+
+    features = proj[pos[:, 0:t], 0]
+    features += conv_b
+    for c in range(1, window):
+        features += proj[pos[:, c:c + t], c]
+    if activation == "relu":
+        np.maximum(features, 0.0, out=features)
+    else:
+        np.tanh(features, out=features)
+    return features, ids, pos
+
+
+def conv_backward(d_features: np.ndarray, features: np.ndarray, ids: np.ndarray,
+                  pos: np.ndarray, conv_w, word_emb: np.ndarray, activation: str,
+                  g_conv_w, g_conv_b, g_word_emb):
+    """Adds conv()'s gradients given d loss / d features (R, T, K), which it
+    overwrites, into g_conv_w, g_conv_b and the ids rows of g_word_emb.
+    The ReLU subgradient at 0 is 0."""
+    r, t, k = features.shape
+    word_dim = word_emb.shape[1]
+    window = conv_w.shape[1] // word_dim
+    d_pre = d_features
+    if activation == "relu":
+        d_pre *= features > 0
+    else:
+        d_pre *= 1.0 - features * features
+    g_conv_b += d_pre.sum(axis=(0, 1))
+
+    # d_proj[u, c] sums d_pre over the positions whose tap c reads row u:
+    # one bincount per tap over (row, filter) cells; the zero row's are dropped
+    cells = np.empty((r, t, k), dtype=np.intp)
+    d_proj = np.empty((ids.size, window, k))
+    for c in range(window):
+        np.add((pos[:, c:c + t] * k)[:, :, None], np.arange(k), out=cells)
+        d_proj[:, c] = np.bincount(cells.ravel(), d_pre.ravel(),
+                                   (ids.size + 1) * k)[:-k].reshape(ids.size, k)
+    d_proj = d_proj.reshape(ids.size, window * k)
+
+    emb = word_emb[ids]
+    g_conv_w += (emb.T @ d_proj).reshape(word_dim, window, k) \
+        .transpose(2, 1, 0).reshape(k, window * word_dim)
+    g_word_emb[ids] += d_proj @ _stacked_filters(conv_w, word_dim).T  # ids are distinct
+
+
 @dataclass
 class SideCache:
     """Everything backward() needs for one side of one batch; alpha and beta
     are also the attention traces, row j aligned with the owner's j-th
-    profile slot.
-
-    The conv feature maps are deliberately not kept: backward recomputes them
-    chunk by chunk from the tokens, which bounds peak memory at the cost of
-    one extra convolution pass.
-    """
+    profile slot."""
     owners: np.ndarray       # (B,)
-    tokens: np.ndarray       # (B, N, T)
-    token_mask: np.ndarray   # (B, N, T)
     review_mask: np.ndarray  # (B, N)
     uid: np.ndarray          # (B, id_dim)
+    features: np.ndarray     # (B*N, T, K) conv features, review b*N + j
+    ids: np.ndarray          # (U,) the batch's distinct tokens, as conv() returns them
+    pos: np.ndarray          # (B*N, T + window - 1) projection rows, as conv() returns them
     pre_qw: np.ndarray       # (B, attn_dim) or None when word level is uniform
     a_q: np.ndarray          # (B, K) pairing-transformed word query, or None
     alpha: np.ndarray        # (B, N, T)
@@ -312,38 +368,6 @@ class SideCache:
     pooled: np.ndarray       # (B, K)
 
 
-def _stacked_filters(side: SideParams, word_dim: int) -> np.ndarray:
-    """conv_w (K, window*word_dim) -> (word_dim, window*K) with offset-major
-    column blocks, so one GEMM evaluates every filter at every offset."""
-    k, taps = side.conv_w.shape
-    window = taps // word_dim
-    return np.ascontiguousarray(
-        side.conv_w.reshape(k, window, word_dim).transpose(2, 1, 0).reshape(word_dim, window * k))
-
-
-def _conv_chunk_forward(tokens_flat: np.ndarray, side: SideParams, word_emb: np.ndarray,
-                        activation: str):
-    """Convolution features for a chunk of flattened reviews, time-major.
-
-    Returns (c, pre, emb_pad, stacked) where c and pre are (R, T, K); the
-    padded embeddings and stacked filter matrix are reused by backward.
-    """
-    r, t = tokens_flat.shape
-    word_dim = word_emb.shape[1]
-    k, taps = side.conv_w.shape
-    window = taps // word_dim
-    half = (window - 1) // 2
-
-    emb_pad = np.zeros((r, t + 2 * half, word_dim))
-    emb_pad[:, half:half + t] = word_emb[tokens_flat]
-    stacked = _stacked_filters(side, word_dim)
-    full = (emb_pad.reshape(-1, word_dim) @ stacked).reshape(r, t + 2 * half, window, k)
-    pre = side.conv_b + full[:, 0:t, 0]
-    for c in range(1, window):
-        pre += full[:, c:c + t, c]
-    return _activate(pre, activation), pre, emb_pad, stacked
-
-
 def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.ndarray,
                       exclude_partner=None, ablation: AblationSpec = FULL_ATTENTION) -> SideCache:
     """Vectorized profile encoding for a batch of owners on one side."""
@@ -352,35 +376,24 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
 
     tokens, token_mask, review_mask = store.gather(owners, exclude_partner)
     b, n, t = tokens.shape
-    k = side.conv_w.shape[0]
     uid = id_emb[owners]  # (B, id_dim)
 
     pre_qw = a_q = a_q_rep = None
     if not ablation.word_uniform(side_name):
         pre_qw, a_q = query(uid, side.word_query_w, side.word_query_b, side.word_attn)
         a_q_rep = np.repeat(a_q, n, axis=0)  # (B*N, K)
-
-    alpha = np.zeros((b, n, t))
-    d_vecs = np.zeros((b, n, k))
-    tokens_flat = tokens.reshape(b * n, t)
-    tmask_flat = token_mask.reshape(b * n, t)
-    chunk = _conv_chunk_rows(side, params.word_emb.shape[1], t)
-    for lo in range(0, b * n, chunk):
-        hi = min(lo + chunk, b * n)
-        c, _, _, _ = _conv_chunk_forward(tokens_flat[lo:hi], side, params.word_emb,
-                                         params.conv_activation)  # (r, T, K)
-        w, pooled_words = attention_pool(c, None if a_q_rep is None else a_q_rep[lo:hi],
-                                         tmask_flat[lo:hi])
-        alpha.reshape(b * n, t)[lo:hi] = w
-        d_vecs.reshape(b * n, k)[lo:hi] = pooled_words
+    features, ids, pos = conv(tokens.reshape(b * n, t), side.conv_w, side.conv_b,
+                              params.word_emb, params.conv_activation)
+    alpha, d_vecs = attention_pool(features, a_q_rep, token_mask.reshape(b * n, t))
 
     pre_qr = a_r = None
     if not ablation.review_uniform(side_name):
         pre_qr, a_r = query(uid, side.review_query_w, side.review_query_b, side.review_attn)
+    d_vecs = d_vecs.reshape(b, n, -1)
     beta, pooled = attention_pool(d_vecs, a_r, review_mask)       # (B, N), (B, K)
 
-    return SideCache(owners, tokens, token_mask, review_mask, uid, pre_qw, a_q,
-                     alpha, d_vecs, pre_qr, a_r, beta, pooled)
+    return SideCache(owners, review_mask, uid, features, ids, pos, pre_qw, a_q,
+                     alpha.reshape(b, n, t), d_vecs, pre_qr, a_r, beta, pooled)
 
 
 def fm_predict_batch(fm: FMParams, features: np.ndarray) -> np.ndarray:

@@ -2,15 +2,13 @@
 forward graph, Adam, and the early-stopping training loop.
 
 Gradients are accumulated into a second ModelParams, one flat buffer laid out
-like the parameters, and derived by hand for every stage: FM fast form, the
-convolution (through the offset-stacked filter layout), the embedding lookups
-(scatter-add), and both attention levels through the backward functions
-model.py keeps beside attention_pool and query. The word-level stage
-recomputes conv features chunk by chunk instead of caching them, mirroring
-the forward pass. Adam keeps its moments as flat buffers and updates every
-parameter in one in-place pass.
+like the parameters, and derived by hand for every stage: the FM fast form
+here, and each side as a composition of the backward functions model.py
+keeps beside attention_pool, conv and query. Adam keeps its moments as flat
+buffers and updates every parameter in one in-place pass.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +47,13 @@ class TrainConfig:
                      "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.l2_weight < 0:
-            raise ValueError("l2_weight must be non-negative")
+        # written so that NaN, which compares false, fails too
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and positive, got "
+                             f"{self.learning_rate}")
+        if not (0 <= self.l2_weight < math.inf):
+            raise ValueError(f"l2_weight must be finite and non-negative, got "
+                             f"{self.l2_weight}")
         if self.window % 2 == 0:
             raise ValueError("window must be odd")
         if self.conv_activation not in ("relu", "tanh"):
@@ -115,11 +116,8 @@ def _backward_side(cache: M.SideCache, side: M.SideParams, grads_side: M.SidePar
                    grad_word_emb: np.ndarray, grad_id_emb: np.ndarray,
                    activation: str):
     """Accumulate gradients for one side given d loss / d pooled (B, K)."""
-    b, n, t = cache.tokens.shape
-    k = side.conv_w.shape[0]
-    word_dim = word_emb.shape[1]
-    window = side.conv_w.shape[1] // word_dim
-    half = (window - 1) // 2
+    b, n, t = cache.alpha.shape
+    k = d_pooled.shape[1]
 
     d_d, da_r = M.attention_pool_backward(cache.d_vecs, cache.a_r, cache.beta, d_pooled)
     duid = np.zeros_like(cache.uid)
@@ -128,47 +126,16 @@ def _backward_side(cache: M.SideCache, side: M.SideParams, grads_side: M.SidePar
                                  side.review_attn, grads_side.review_query_w,
                                  grads_side.review_query_b, grads_side.review_attn)
 
-    # word level, chunked exactly like the forward pass
-    tokens_flat = cache.tokens.reshape(b * n, t)
-    alpha_flat = cache.alpha.reshape(b * n, t)
-    d_d_flat = d_d.reshape(b * n, k)
     a_q_rep = None if cache.a_q is None else np.repeat(cache.a_q, n, axis=0)
-    da_q_flat = np.zeros((b * n, k))
-
-    chunk = M._conv_chunk_rows(side, word_dim, t)
-    for lo in range(0, b * n, chunk):
-        hi = min(lo + chunk, b * n)
-        c, pre, emb_pad, stacked = M._conv_chunk_forward(tokens_flat[lo:hi], side,
-                                                         word_emb, activation)
-        dc, da_q = M.attention_pool_backward(
-            c, None if a_q_rep is None else a_q_rep[lo:hi], alpha_flat[lo:hi], d_d_flat[lo:hi])
-        if da_q is not None:
-            da_q_flat[lo:hi] = da_q
-        if activation == "relu":
-            dpre = dc * (pre > 0)
-        else:
-            dpre = dc * (1.0 - c * c)
-        grads_side.conv_b += dpre.sum(axis=(0, 1))
-
-        # undo the offset summation, then one GEMM pair for filter and
-        # embedding gradients through the stacked-filter layout
-        rows = hi - lo
-        dfull = np.zeros((rows, t + 2 * half, window, k))
-        for cpos in range(window):
-            dfull[:, cpos:cpos + t, cpos] = dpre
-        dfull2 = dfull.reshape(-1, window * k)
-        emb2 = emb_pad.reshape(-1, word_dim)
-        dstacked = emb2.T @ dfull2                                # (word_dim, window*K)
-        grads_side.conv_w += dstacked.reshape(word_dim, window, k) \
-            .transpose(2, 1, 0).reshape(k, window * word_dim)
-        demb_pad = (dfull2 @ stacked.T).reshape(rows, t + 2 * half, word_dim)
-        np.add.at(grad_word_emb, tokens_flat[lo:hi].ravel(),
-                  demb_pad[:, half:half + t].reshape(-1, word_dim))
-
-    if a_q_rep is not None:
-        da_q = da_q_flat.reshape(b, n, k).sum(axis=1)             # (B, K)
-        duid += M.query_backward(cache.uid, cache.pre_qw, da_q, side.word_query_w,
-                                 side.word_attn, grads_side.word_query_w,
+    d_features, da_q = M.attention_pool_backward(cache.features, a_q_rep,
+                                                 cache.alpha.reshape(b * n, t),
+                                                 d_d.reshape(b * n, k))
+    M.conv_backward(d_features, cache.features, cache.ids, cache.pos, side.conv_w,
+                    word_emb, activation, grads_side.conv_w, grads_side.conv_b,
+                    grad_word_emb)
+    if da_q is not None:
+        duid += M.query_backward(cache.uid, cache.pre_qw, da_q.reshape(b, n, k).sum(axis=1),
+                                 side.word_query_w, side.word_attn, grads_side.word_query_w,
                                  grads_side.word_query_b, grads_side.word_attn)
 
     np.add.at(grad_id_emb, cache.owners, duid)

@@ -157,6 +157,74 @@ def test_review_len_above_prepared_exits_2_naming_both(workspace, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+def with_empty_split(workspace, tmp_path, empty):
+    """A copy of the prepared data whose split.json moves every index of the
+    split `empty` into another split, so the three still partition."""
+    data = tmp_path / "prep"
+    shutil.copytree(workspace["data"], data)
+    split = json.loads((data / "split.json").read_text())
+    other = "test" if empty != "test" else "train"
+    split[other] += split[empty]
+    split[empty] = []
+    (data / "split.json").write_text(json.dumps(split))
+    return data
+
+
+@pytest.mark.parametrize("empty", ["train", "validation"])
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_empty_split_exits_2_naming_it(workspace, tmp_path, capsys, command, empty):
+    data = with_empty_split(workspace, tmp_path, empty)
+    code = main([command, "--data", str(data), "--config", str(workspace["config"]),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(data / "split.json") in err and f"the {empty} split is empty" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("split,empty", [("val", "validation"), ("test", "test")])
+def test_eval_empty_split_exits_2_naming_it(workspace, tmp_path, capsys, split, empty):
+    data = with_empty_split(workspace, tmp_path, empty)
+    code = main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                 "--data", str(data), "--split", split, "--out", str(tmp_path / "e.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(data / "split.json") in err and f"the {empty} split is empty" in err
+
+
+def test_sweep_dims_below_one_exits_2(workspace, tmp_path, capsys):
+    code = main(["sweep", "--data", str(workspace["data"]), "--config",
+                 str(workspace["config"]), "--dims", "4,0", "--out",
+                 str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "--dims" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("learning_rate", "nan"), ("learning_rate", "inf"),
+                                       ("l2_weight", "nan")])
+def test_non_finite_config_value_exits_2_naming_the_key(workspace, tmp_path, capsys,
+                                                        key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", TINY_CONFIG,
+                          flags=re.MULTILINE))
+    code = main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_duplicate_config_key_exits_2_naming_both_lines(workspace, tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\nwindow = 3\nseed = 2\n")
+    code = main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err and "lines 1 and 3" in err
+
+
 def test_train_rerun_byte_identical(workspace, tmp_path):
     run2 = tmp_path / "run2"
     assert main(["train", "--data", str(workspace["data"]), "--config",

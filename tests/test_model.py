@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -106,29 +107,21 @@ def test_nan_attention_parameter_gives_non_finite_ratings(toy_params):
 # embed / conv / query, through the batched encoder's pieces
 # ---------------------------------------------------------------------------
 
-HALF = (TOY_DIMS.window - 1) // 2
-
-
-def conv_side(filters, biases):
-    """A side whose only tensors in use are the convolution taps."""
-    return M.SideParams(filters, biases, *([None] * 6))
-
-
 def conv_columns(m, filters, biases):
     """Convolution of the columns of m (word_dim, T) as (T, K) features:
     position k reads embedding row k, so each column is its own token."""
-    tokens = np.arange(m.shape[1], dtype=np.int32)[None]
-    c, _, _, _ = M._conv_chunk_forward(tokens, conv_side(filters, biases), m.T.copy(),
-                                       "relu")
-    return c[0]
+    tokens = np.arange(m.shape[1])[None]
+    features, _, _ = M.conv(tokens, filters, biases, m.T.copy(), "relu")
+    return features[0]
 
 
 def embedded(tokens, word_emb):
-    """The zero-padded time-major embeddings the convolution reads."""
-    _, _, emb_pad, _ = M._conv_chunk_forward(np.asarray([tokens], dtype=np.int32),
-                                             M.init_params(TOY_DIMS, seed=0).user,
-                                             word_emb, "relu")
-    return emb_pad[0, HALF:HALF + len(tokens)]
+    """The embeddings the convolution reads, read back through it: window 1
+    with filters [I; -I] gives relu(x) - relu(-x), which is x exactly."""
+    eye = np.eye(word_emb.shape[1])
+    features, _, _ = M.conv(np.asarray([tokens], dtype=np.int32), np.vstack([eye, -eye]),
+                            np.zeros(2 * len(eye)), word_emb, "relu")
+    return features[0, :, :len(eye)] - features[0, :, len(eye):]
 
 
 def test_embed_all_pad_review_is_zero_matrix(toy_params):
@@ -186,6 +179,43 @@ def test_conv_window3_locality():
     changed = np.where(np.any(out != base, axis=1))[0]
     assert set(changed) <= {3, 4, 5}
     assert 4 in changed
+
+
+def pre_activation(tokens, conv_w, conv_b, word_emb):
+    """conv's features before the activation: relu(p) - relu(-p) is p exactly."""
+    pos, _, _ = M.conv(tokens, conv_w, conv_b, word_emb, "relu")
+    neg, _, _ = M.conv(tokens, -conv_w, -conv_b, word_emb, "relu")
+    return pos - neg
+
+
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_conv_backward_matches_finite_differences(activation, window):
+    rng = np.random.default_rng(10 * window + (activation == "tanh"))
+    r, t, k, word_dim, vocab = 4, 5, 3, 2, 6
+    tokens = rng.integers(0, vocab, size=(r, t))  # repeated ids and PAD tokens
+    tokens[0] = M.PAD_ID                           # an all-PAD review
+    tokens[1, -2:] = M.PAD_ID
+    while True:  # keep every pre-activation away from the ReLU kink
+        conv_w = rng.normal(size=(k, window * word_dim))
+        conv_b = rng.normal(size=k)
+        word_emb = rng.normal(size=(vocab, word_dim))
+        word_emb[M.PAD_ID] = 0.0
+        if np.abs(pre_activation(tokens, conv_w, conv_b, word_emb)).min() > 0.05:
+            break
+    g = rng.normal(size=(r, t, k))
+    features, ids, pos = M.conv(tokens, conv_w, conv_b, word_emb, activation)
+    grads = [np.zeros_like(conv_w), np.zeros_like(conv_b), np.zeros_like(word_emb)]
+    M.conv_backward(g.copy(), features, ids, pos, conv_w, word_emb, activation, *grads)
+
+    args = [conv_w, conv_b, word_emb]
+    for i, analytic in enumerate(grads):
+        def f(flat, i=i):
+            trial = list(args)
+            trial[i] = flat.reshape(args[i].shape)
+            return float(np.sum(M.conv(tokens, *trial, activation)[0] * g))
+        assert grad_check(f, args[i].ravel().copy(), analytic) < 1e-6, i
+    assert grads[2][np.setdiff1d(np.arange(vocab), tokens)].sum() == 0.0
 
 
 def test_conv_rejects_even_window():
@@ -425,6 +455,23 @@ def test_fm_batch_matches_single():
 # ---------------------------------------------------------------------------
 # composed forward
 # ---------------------------------------------------------------------------
+
+# sha256 of predict_batch's predictions and both sides' alpha for
+# init_params(TOY_DIMS, seed=7) on the toy stores: the bits of the forward pass
+FORWARD_SEED7_SHA256 = "d59b989bf8b1b4c7f3be333f721707ad2c2564176c5701e29542262cb233ce4e"
+
+
+def test_forward_bits_are_golden(toy_params):
+    users, items = toy_stores()
+    batch = toy_batch()
+    preds, u_cache, i_cache = M.predict_batch(toy_params, users, items,
+                                              [b.user for b in batch],
+                                              [b.item for b in batch])
+    h = hashlib.sha256()
+    for arr in (preds, u_cache.alpha, i_cache.alpha):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    assert h.hexdigest() == FORWARD_SEED7_SHA256
+
 
 def test_forward_deterministic(toy_params):
     users, items = toy_stores()
