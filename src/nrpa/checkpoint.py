@@ -11,6 +11,7 @@ Layout (all integers little-endian u32, all floats little-endian f64):
             parameter buffer ModelParams.flat, written whole
 """
 
+import dataclasses
 import json
 import os
 import struct
@@ -22,13 +23,11 @@ from .model import Dims, ModelParams, param_count
 MAGIC = b"NRPA"
 VERSION = 1
 
-_DIM_FIELDS = ("vocab_size", "n_users", "n_items", "word_dim", "id_dim",
-               "num_filters", "attn_dim", "window", "fm_dim", "review_len",
-               "num_reviews")
+_DIM_FIELDS = tuple(f.name for f in dataclasses.fields(Dims))
 
 
 # magic, version, the dims, metadata length
-_HEADER = struct.Struct("<4sI11II")
+_HEADER = struct.Struct(f"<4sI{len(_DIM_FIELDS)}II")
 
 
 class CheckpointError(ValueError):
@@ -53,8 +52,9 @@ def load_params(path):
     The header, the file length it implies and the metadata are checked
     before the payload is read, so a truncated, padded or corrupted file
     raises CheckpointError naming it instead of allocating from bogus dims.
-    A header dim that contradicts the same field of the metadata's "config"
-    is rejected too; the tensor payload carries no checksum.
+    A metadata "config" that is not an object, or whose exclude_target is
+    not a boolean, is rejected, and so is a header dim that contradicts the
+    same field of it; the tensor payload carries no checksum.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -87,13 +87,17 @@ def load_params(path):
             raise CheckpointError(f"{path}: metadata is not a JSON object")
         # review_len and num_reviews size no tensor, so the file length cannot
         # catch a flip in them; the training config saved beside them can
-        config = meta.get("config")
-        if isinstance(config, dict):
-            for field in _DIM_FIELDS:
-                if field in config and config[field] != getattr(dims, field):
-                    raise CheckpointError(f"{path}: header {field} "
-                                          f"{getattr(dims, field)} disagrees with the "
-                                          f"metadata config's {config[field]!r}")
+        config = meta.get("config", {})
+        if not isinstance(config, dict):
+            raise CheckpointError(f"{path}: metadata config is not a JSON object")
+        if not isinstance(config.get("exclude_target", True), bool):
+            raise CheckpointError(f"{path}: metadata config's exclude_target "
+                                  f"{config['exclude_target']!r} is not a boolean")
+        for field in _DIM_FIELDS:
+            if field in config and config[field] != getattr(dims, field):
+                raise CheckpointError(f"{path}: header {field} "
+                                      f"{getattr(dims, field)} disagrees with the "
+                                      f"metadata config's {config[field]!r}")
         activation = meta.get("conv_activation", "relu")
         if activation not in ("relu", "tanh"):
             raise CheckpointError(f"{path}: unknown conv_activation {activation!r}")

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, evaluation, training
-from .data import build_profiles, load_prepared, parse_reviews, prepare_dataset, save_prepared
-from .model import AblationSpec, forward
+from .data import (ProfileStore, build_profiles, load_prepared, parse_reviews,
+                   prepare_dataset, save_prepared)
+from .model import AblationSpec, Dims, forward, param_count
 from .training import TrainConfig, TrainingDiverged
 
 
@@ -104,16 +106,39 @@ def _require_splits(ds, data_dir, names):
             raise UsageError(f"{Path(data_dir) / 'split.json'}: the {name} split is empty")
 
 
-def _load_config_and_dataset(args, splits):
+def _check_memory(where, dims: Dims):
+    """Rejects dims whose parameters or profile stores alone exceed physical
+    memory, before anything is allocated. Sizes are Python ints; the message
+    names the dim that sizes them most, the one whose reduction to 1 shrinks
+    them most."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for what, nbytes in (("parameters", lambda d: 8 * param_count(d)),
+                         ("profile stores", lambda d: ProfileStore.nbytes(
+                             d.n_users + d.n_items, d.num_reviews, d.review_len))):
+        size = nbytes(dims)
+        if size > physical:
+            key = min((f.name for f in dataclasses.fields(Dims)),
+                      key=lambda name: nbytes(dataclasses.replace(dims, **{name: 1})))
+            raise UsageError(f"{where}: {key} = {getattr(dims, key)} makes the {what} "
+                             f"{size:,} bytes, more than the {physical:,} bytes of "
+                             f"physical memory")
+
+
+def _load_config_and_dataset(args, splits, id_dims=None):
     """Config and prepared dataset for train, ablate and sweep, which need
     the named splits non-empty. Profiles are cut from the stored reviews, so
-    the config may not ask for longer ones."""
+    the config may not ask for longer ones, and the model at the config's
+    dims (at each of id_dims, if given) must fit in memory."""
     cfg = load_config(args.config)
     ds = _load_dataset(args.data)
     _require_splits(ds, args.data, splits)
     if cfg.review_len > ds.review_len:
         raise UsageError(f"{args.config}: review_len {cfg.review_len} exceeds the "
                          f"prepared review_len {ds.review_len} of {args.data}")
+    dims = cfg.dims(len(ds.vocab), ds.n_users, ds.n_items)
+    where = args.config if id_dims is None else f"{args.config} with --dims {args.dims}"
+    for id_dim in id_dims or (cfg.id_dim,):
+        _check_memory(where, dataclasses.replace(dims, id_dim=id_dim))
     return cfg, ds
 
 
@@ -192,8 +217,9 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_for(ds, args):
-    """The checkpoint of args.checkpoint, checked against the dataset of
-    args.data: same vocabulary and owners, profiles no longer than stored."""
+    """(params, exclude_target) of args.checkpoint, checked against the
+    dataset of args.data: same vocabulary and owners, profiles no longer than
+    stored and small enough to build."""
     path = args.checkpoint
     try:
         params, meta = checkpoint.load_params(path)
@@ -207,20 +233,19 @@ def _load_checkpoint_for(ds, args):
     if params.dims.review_len > ds.review_len:
         raise UsageError(f"{path}: review_len {params.dims.review_len} exceeds the "
                          f"prepared review_len {ds.review_len} of {args.data}")
-    return params, meta
+    _check_memory(path, params.dims)
+    return params, meta.get("config", {}).get("exclude_target", True)
 
 
 def cmd_eval(args) -> int:
     ds = _load_dataset(args.data)
     split_name = "validation" if args.split == "val" else "test"
     _require_splits(ds, args.data, (split_name,))
-    params, meta = _load_checkpoint_for(ds, args)
-    cfg_meta = meta.get("config", {})
+    params, exclude = _load_checkpoint_for(ds, args)
     stores = build_profiles(ds.split.train, params.dims.review_len,
                             params.dims.num_reviews, ds.n_users, ds.n_items)
     ablation = parse_ablation(args.ablation) if args.ablation else AblationSpec()
     split = getattr(ds.split, split_name)
-    exclude = bool(cfg_meta.get("exclude_target", True))
 
     sink = None
     try:
@@ -251,7 +276,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, ds = _load_config_and_dataset(args, ("train", "validation"))
     try:
         dims = [int(x) for x in args.dims.split(",") if x.strip()]
     except ValueError as exc:
@@ -261,6 +285,7 @@ def cmd_sweep(args) -> int:
     if min(dims) < 1:
         raise UsageError(f"bad --dims list {args.dims!r}: id_dim must be >= 1, "
                          f"got {min(dims)}")
+    cfg, ds = _load_config_and_dataset(args, ("train", "validation"), dims)
     rows = evaluation.sweep_id_dim(cfg, ds, dims, csv_path=args.out)
     for d, score in rows:
         print(f"d_id={d}: val_mse={score!r}")
@@ -269,7 +294,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_inspect(args) -> int:
     ds = _load_dataset(args.data)
-    params, meta = _load_checkpoint_for(ds, args)
+    params, exclude = _load_checkpoint_for(ds, args)
     user = ds.user_index(args.user)
     item = ds.item_index(args.item)
     if user == 0:
@@ -278,7 +303,6 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"unknown item {args.item!r}")
     stores = build_profiles(ds.split.train, params.dims.review_len,
                             params.dims.num_reviews, ds.n_users, ds.n_items)
-    exclude = bool(meta.get("config", {}).get("exclude_target", True))
     rating, trace = forward(user, item, stores[0], stores[1], params,
                             exclude_target=exclude)
     print(f"prediction: {rating!r}")

@@ -199,6 +199,13 @@ class ProfileStore:
         self.partner = np.full((n_owners, num_reviews), -1, dtype=np.int32)
         self._fill = np.zeros(n_owners, dtype=np.int32)
 
+    @staticmethod
+    def nbytes(n_owners: int, num_reviews: int, review_len: int) -> int:
+        """Bytes __init__ allocates, as a Python int, so oversized dims can be
+        rejected before anything is allocated."""
+        cells = n_owners * num_reviews
+        return cells * review_len * (4 + 1) + cells * (1 + 4) + n_owners * 4
+
     def add_review(self, owner: int, partner: int, tokens: np.ndarray):
         slot = self._fill[owner]
         if slot >= self.tokens.shape[1]:

@@ -1,5 +1,6 @@
-"""Forward model: embeddings, convolutional review encoding, personalized
-word- and review-level attention pooling, and the factorization-machine head.
+"""The NRPA network, forward and backward: embeddings, convolutional review
+encoding, personalized word- and review-level attention pooling, and the
+factorization-machine head.
 
 Two towers share one word-embedding table: the user side encodes the user's
 review profile with queries derived from the user id embedding, the item side
@@ -7,11 +8,13 @@ does the same with item queries. Each side yields a pooled text feature; the
 concatenation goes through the FM to produce the rating. Every rating is
 computed by predict_batch; forward() is a batch of one.
 
-The review encoder is two stages, each with its backward function beside
-it: conv(), which projects each distinct token of the batch through every
-filter tap once and keeps the whole batch's feature maps for backward, and
-personalized attention, query() and attention_pool(), at both levels and
-under every ablation.
+Every stage has its backward function beside it: conv(), which projects each
+distinct token of the batch through every filter tap once and keeps the whole
+batch's feature maps for backward; personalized attention, query() and
+attention_pool(), at both levels and under every ablation; and the FM head.
+encode_side_backward() and backward_batch() compose them in reverse, so the
+exact gradient of any loss of the predictions is one backward_batch() call
+given d loss / d predictions.
 
 Conventions:
   reviews are embedded time-major, (review_len, word_dim) per review;
@@ -22,11 +25,11 @@ Conventions:
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .rng import SplitMix64
-from .tensor import masked_softmax
 
 PAD_ID = 0
 
@@ -56,7 +59,8 @@ def param_layout(dims: Dims):
     """(name, shape) of every parameter tensor, in checkpoint order.
 
     The one place that names and shapes a parameter: ModelParams lays its
-    flat buffer out by it, init_params draws in its order and the checkpoint
+    flat buffer out by it and exposes "group.field" names as attribute groups,
+    init_params draws in its order, the L2 rule walks it and the checkpoint
     format writes it.
     """
     d = dims
@@ -82,31 +86,13 @@ def param_count(dims: Dims) -> int:
     return sum(math.prod(shape) for _, shape in param_layout(dims))
 
 
-@dataclass
-class SideParams:
-    conv_w: np.ndarray
-    conv_b: np.ndarray
-    word_query_w: np.ndarray
-    word_query_b: np.ndarray
-    word_attn: np.ndarray
-    review_query_w: np.ndarray
-    review_query_b: np.ndarray
-    review_attn: np.ndarray
-
-
-@dataclass
-class FMParams:
-    bias: np.ndarray
-    linear: np.ndarray
-    factors: np.ndarray
-
-
 class ModelParams:
     """All parameters in one contiguous float64 buffer, `flat`, laid out by
-    param_layout(dims). word_emb, user_id_emb, item_id_emb, user, item and fm
-    hold views into it, so a write through any of them changes `flat` and
-    whole-model operations (copy, zeroing, Adam, checkpoint I/O) are one
-    operation on `flat`.
+    param_layout(dims). Each layout name is a view into it: a top-level name
+    is an attribute (params.word_emb) and a dotted one a field of its group
+    (params.user.conv_w, params.fm.bias). A write through any view changes
+    `flat`, and whole-model operations (copy, zeroing, Adam, checkpoint I/O)
+    are one operation on `flat`.
     """
 
     def __init__(self, dims: Dims, flat: np.ndarray, conv_activation: str = "relu"):
@@ -131,11 +117,10 @@ class ModelParams:
                 groups.setdefault(group, {})[field] = view
             else:
                 setattr(self, field, view)
-        self.user = SideParams(**groups["user"])
-        self.item = SideParams(**groups["item"])
-        self.fm = FMParams(**groups["fm"])
+        for group, fields in groups.items():
+            setattr(self, group, SimpleNamespace(**fields))
 
-    def side(self, which: str) -> SideParams:
+    def side(self, which: str) -> SimpleNamespace:
         return self.user if which == "user" else self.item
 
     def tensors(self):
@@ -174,13 +159,11 @@ class AblationSpec:
             if val not in ("personalized", "uniform"):
                 raise ValueError(f"{name} must be personalized|uniform, got {val!r}")
 
-    def word_uniform(self, side: str) -> bool:
-        side_mode = self.user_attention if side == "user" else self.item_attention
-        return side_mode == "uniform" or self.word_level == "uniform"
-
-    def review_uniform(self, side: str) -> bool:
-        side_mode = self.user_attention if side == "user" else self.item_attention
-        return side_mode == "uniform" or self.review_level == "uniform"
+    def uniform(self, side: str, level: str) -> bool:
+        """Whether the site of side "user"|"item" at level "word"|"review"
+        pools uniformly."""
+        return "uniform" in (getattr(self, f"{side}_attention"),
+                             getattr(self, f"{level}_level"))
 
 
 FULL_ATTENTION = AblationSpec()
@@ -219,8 +202,33 @@ def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelPa
 
 
 # ---------------------------------------------------------------------------
-# batched forward: the one way a rating is computed
+# batched forward and backward: the one way a rating and its gradient are computed
 # ---------------------------------------------------------------------------
+
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis restricted to mask==True positions.
+
+    The max is subtracted first, so large logits cannot overflow. Masked
+    positions get weight exactly 0. Rows with no unmasked position come back
+    all-zero rather than raising, so empty reviews/profiles stay scorable; a
+    row with a NaN logit at an unmasked position comes back all-NaN, so a
+    corrupt parameter shows in the output instead of pooling to zero.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    mask = np.asarray(mask, dtype=bool)
+    if logits.shape != mask.shape:
+        raise ValueError(f"logits {logits.shape} vs mask {mask.shape}")
+    neg = np.where(mask, logits, -np.inf)
+    mx = neg.max(axis=-1, keepdims=True)
+    # rows with no unmasked entry have mx = -inf; their total is 0
+    safe_mx = np.where(np.isfinite(mx), mx, 0.0)
+    # after the shift every exponent is <= 0; the shift itself can only
+    # overflow at the float64 extremes, to -inf (numpy warns), which gives
+    # weight exactly 0
+    e = np.where(mask, np.exp(neg - safe_mx), 0.0)
+    total = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, total, out=np.zeros_like(e), where=total != 0)
+
 
 def attention_pool(features: np.ndarray, query, mask: np.ndarray):
     """Masked attention pooling of (R, L, K) features; returns (weights, pooled).
@@ -349,9 +357,9 @@ def conv_backward(d_features: np.ndarray, features: np.ndarray, ids: np.ndarray,
 
 @dataclass
 class SideCache:
-    """Everything backward() needs for one side of one batch; alpha and beta
-    are also the attention traces, row j aligned with the owner's j-th
-    profile slot."""
+    """Everything encode_side_backward() needs for one side of one batch;
+    alpha and beta are also the attention traces, row j aligned with the
+    owner's j-th profile slot."""
     owners: np.ndarray       # (B,)
     review_mask: np.ndarray  # (B, N)
     uid: np.ndarray          # (B, id_dim)
@@ -372,14 +380,14 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
                       exclude_partner=None, ablation: AblationSpec = FULL_ATTENTION) -> SideCache:
     """Vectorized profile encoding for a batch of owners on one side."""
     side = params.side(side_name)
-    id_emb = params.user_id_emb if side_name == "user" else params.item_id_emb
+    id_emb = getattr(params, f"{side_name}_id_emb")
 
     tokens, token_mask, review_mask = store.gather(owners, exclude_partner)
     b, n, t = tokens.shape
     uid = id_emb[owners]  # (B, id_dim)
 
     pre_qw = a_q = a_q_rep = None
-    if not ablation.word_uniform(side_name):
+    if not ablation.uniform(side_name, "word"):
         pre_qw, a_q = query(uid, side.word_query_w, side.word_query_b, side.word_attn)
         a_q_rep = np.repeat(a_q, n, axis=0)  # (B*N, K)
     features, ids, pos = conv(tokens.reshape(b * n, t), side.conv_w, side.conv_b,
@@ -387,7 +395,7 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
     alpha, d_vecs = attention_pool(features, a_q_rep, token_mask.reshape(b * n, t))
 
     pre_qr = a_r = None
-    if not ablation.review_uniform(side_name):
+    if not ablation.uniform(side_name, "review"):
         pre_qr, a_r = query(uid, side.review_query_w, side.review_query_b, side.review_attn)
     d_vecs = d_vecs.reshape(b, n, -1)
     beta, pooled = attention_pool(d_vecs, a_r, review_mask)       # (B, N), (B, K)
@@ -396,11 +404,56 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
                      alpha.reshape(b, n, t), d_vecs, pre_qr, a_r, beta, pooled)
 
 
-def fm_predict_batch(fm: FMParams, features: np.ndarray) -> np.ndarray:
+def encode_side_backward(params: ModelParams, side_name: str, cache: SideCache,
+                         d_pooled: np.ndarray, grads: ModelParams):
+    """Adds one side's gradients given d loss / d pooled (B, K) into grads:
+    its tower, its owners' id embedding rows and its tokens' word embedding
+    rows. encode_side_batch's stages in reverse."""
+    side, g_side = params.side(side_name), grads.side(side_name)
+    b, n, t = cache.alpha.shape
+    k = d_pooled.shape[1]
+
+    d_d, da_r = attention_pool_backward(cache.d_vecs, cache.a_r, cache.beta, d_pooled)
+    duid = np.zeros_like(cache.uid)
+    if da_r is not None:
+        duid += query_backward(cache.uid, cache.pre_qr, da_r, side.review_query_w,
+                               side.review_attn, g_side.review_query_w,
+                               g_side.review_query_b, g_side.review_attn)
+
+    a_q_rep = None if cache.a_q is None else np.repeat(cache.a_q, n, axis=0)
+    d_features, da_q = attention_pool_backward(cache.features, a_q_rep,
+                                               cache.alpha.reshape(b * n, t),
+                                               d_d.reshape(b * n, k))
+    conv_backward(d_features, cache.features, cache.ids, cache.pos, side.conv_w,
+                  params.word_emb, params.conv_activation, g_side.conv_w, g_side.conv_b,
+                  grads.word_emb)
+    if da_q is not None:
+        duid += query_backward(cache.uid, cache.pre_qw, da_q.reshape(b, n, k).sum(axis=1),
+                               side.word_query_w, side.word_attn, g_side.word_query_w,
+                               g_side.word_query_b, g_side.word_attn)
+
+    np.add.at(getattr(grads, f"{side_name}_id_emb"), cache.owners, duid)
+
+
+def fm_predict_batch(fm, features: np.ndarray) -> np.ndarray:
     """FM scores for (B, 2K) feature rows."""
     s = features @ fm.factors                       # (B, fm_dim)
     sq = (features ** 2) @ (fm.factors ** 2)        # (B, fm_dim)
     return fm.bias + features @ fm.linear + 0.5 * np.sum(s * s - sq, axis=1)
+
+
+def fm_backward(fm, features: np.ndarray, d_pred: np.ndarray, g_fm) -> np.ndarray:
+    """Adds fm_predict_batch's parameter gradients given d loss / d scores (B,)
+    into the g_fm views; returns d loss / d features (B, 2K)."""
+    s = features @ fm.factors                                     # (B, fm_dim)
+    g_fm.bias += d_pred.sum()
+    g_fm.linear += d_pred @ features
+    r2 = np.sum(fm.factors ** 2, axis=1)                          # (2K,)
+    d_features = d_pred[:, None] * (fm.linear[None, :] + s @ fm.factors.T
+                                    - features * r2[None, :])
+    g_fm.factors += (features * d_pred[:, None]).T @ s \
+        - np.sum((features ** 2) * d_pred[:, None], axis=0)[:, None] * fm.factors
+    return d_features
 
 
 def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray,
@@ -415,6 +468,18 @@ def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray
                                 users if exclude_target else None, ablation)
     features = np.concatenate([u_cache.pooled, i_cache.pooled], axis=1)
     return fm_predict_batch(params.fm, features), u_cache, i_cache
+
+
+def backward_batch(params: ModelParams, u_cache: SideCache, i_cache: SideCache,
+                   d_pred: np.ndarray, grads: ModelParams):
+    """Adds every parameter's gradient given d loss / d predictions (B,) of the
+    predict_batch call that returned the caches into grads; predict_batch's
+    stages in reverse."""
+    features = np.concatenate([u_cache.pooled, i_cache.pooled], axis=1)
+    d_features = fm_backward(params.fm, features, d_pred, grads.fm)
+    k = params.dims.num_filters
+    encode_side_backward(params, "user", u_cache, d_features[:, :k], grads)
+    encode_side_backward(params, "item", i_cache, d_features[:, k:], grads)
 
 
 def attention_traces(u_cache: SideCache, i_cache: SideCache) -> list:

@@ -1,11 +1,10 @@
-"""Squared-error objective, exact reverse-mode gradients through the whole
-forward graph, Adam, and the early-stopping training loop.
+"""The objective, Adam, and the early-stopping training loop.
 
-Gradients are accumulated into a second ModelParams, one flat buffer laid out
-like the parameters, and derived by hand for every stage: the FM fast form
-here, and each side as a composition of the backward functions model.py
-keeps beside attention_pool, conv and query. Adam keeps its moments as flat
-buffers and updates every parameter in one in-place pass.
+backward() is the squared-error objective with selective L2: it takes the
+residual and hands d loss / d predictions to model.backward_batch, which
+accumulates the exact gradients of the whole network into a second
+ModelParams, one flat buffer laid out like the parameters. Adam keeps its
+moments as flat buffers and updates every parameter in one in-place pass.
 """
 
 import math
@@ -66,22 +65,17 @@ class TrainConfig:
 
 
 def _regularized(params: M.ModelParams, ablation: M.AblationSpec):
-    """Weight tensors under L2: everything except biases, the PAD embedding
-    row, and the attention parameters of sites ablated to uniform."""
-    yield params.word_emb[1:]
-    yield params.user_id_emb
-    yield params.item_id_emb
-    for name in ("user", "item"):
-        side = params.side(name)
-        yield side.conv_w
-        if not ablation.word_uniform(name):
-            yield side.word_query_w
-            yield side.word_attn
-        if not ablation.review_uniform(name):
-            yield side.review_query_w
-            yield side.review_attn
-    yield params.fm.linear
-    yield params.fm.factors
+    """Weight tensors under L2, in layout order: everything except biases,
+    the PAD embedding row, and the query MLP weights and pairing matrices of
+    sites ablated to uniform."""
+    for name, t in params.tensors():
+        side, _, field = name.rpartition(".")
+        if name.endswith(("_b", ".bias")):
+            continue
+        if field.endswith(("_query_w", "_attn")) and \
+                ablation.uniform(side, field.partition("_")[0]):
+            continue
+        yield t[1:] if name == "word_emb" else t
 
 
 def _l2_value(params, l2_weight, ablation) -> float:
@@ -97,48 +91,6 @@ def _batch_arrays(batch):
     items = np.array([b.item for b in batch], dtype=np.int64)
     ratings = np.array([b.rating for b in batch], dtype=np.float64)
     return users, items, ratings
-
-
-def loss(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
-         ablation: M.AblationSpec = M.FULL_ATTENTION,
-         exclude_target: bool = False) -> float:
-    """Mean squared residual over the batch plus the L2 penalty."""
-    users, items, ratings = _batch_arrays(batch)
-    user_store, item_store = stores
-    preds, _, _ = M.predict_batch(params, user_store, item_store, users, items,
-                                  exclude_target, ablation)
-    res = preds - ratings
-    return float(np.mean(res * res)) + _l2_value(params, l2_weight, ablation)
-
-
-def _backward_side(cache: M.SideCache, side: M.SideParams, grads_side: M.SideParams,
-                   d_pooled: np.ndarray, word_emb: np.ndarray,
-                   grad_word_emb: np.ndarray, grad_id_emb: np.ndarray,
-                   activation: str):
-    """Accumulate gradients for one side given d loss / d pooled (B, K)."""
-    b, n, t = cache.alpha.shape
-    k = d_pooled.shape[1]
-
-    d_d, da_r = M.attention_pool_backward(cache.d_vecs, cache.a_r, cache.beta, d_pooled)
-    duid = np.zeros_like(cache.uid)
-    if da_r is not None:
-        duid += M.query_backward(cache.uid, cache.pre_qr, da_r, side.review_query_w,
-                                 side.review_attn, grads_side.review_query_w,
-                                 grads_side.review_query_b, grads_side.review_attn)
-
-    a_q_rep = None if cache.a_q is None else np.repeat(cache.a_q, n, axis=0)
-    d_features, da_q = M.attention_pool_backward(cache.features, a_q_rep,
-                                                 cache.alpha.reshape(b * n, t),
-                                                 d_d.reshape(b * n, k))
-    M.conv_backward(d_features, cache.features, cache.ids, cache.pos, side.conv_w,
-                    word_emb, activation, grads_side.conv_w, grads_side.conv_b,
-                    grad_word_emb)
-    if da_q is not None:
-        duid += M.query_backward(cache.uid, cache.pre_qw, da_q.reshape(b, n, k).sum(axis=1),
-                                 side.word_query_w, side.word_attn, grads_side.word_query_w,
-                                 grads_side.word_query_b, grads_side.word_attn)
-
-    np.add.at(grad_id_emb, cache.owners, duid)
 
 
 def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
@@ -157,24 +109,7 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
     value = float(np.mean(res * res)) + _l2_value(params, l2_weight, ablation)
 
     grads = params.zeros_like()
-    d_r = 2.0 * res / nb                                          # (B,)
-
-    # FM head
-    fm = params.fm
-    features = np.concatenate([u_cache.pooled, i_cache.pooled], axis=1)  # (B, 2K)
-    s = features @ fm.factors                                     # (B, fm_dim)
-    grads.fm.bias += d_r.sum()
-    grads.fm.linear += d_r @ features
-    r2 = np.sum(fm.factors ** 2, axis=1)                          # (2K,)
-    d_feat = d_r[:, None] * (fm.linear[None, :] + s @ fm.factors.T - features * r2[None, :])
-    grads.fm.factors += (features * d_r[:, None]).T @ s \
-        - np.sum((features ** 2) * d_r[:, None], axis=0)[:, None] * fm.factors
-
-    k = params.dims.num_filters
-    _backward_side(u_cache, params.user, grads.user, d_feat[:, :k], params.word_emb,
-                   grads.word_emb, grads.user_id_emb, params.conv_activation)
-    _backward_side(i_cache, params.item, grads.item, d_feat[:, k:], params.word_emb,
-                   grads.word_emb, grads.item_id_emb, params.conv_activation)
+    M.backward_batch(params, u_cache, i_cache, 2.0 * res / nb, grads)
 
     if l2_weight:
         for g_t, p_t in zip(_regularized(grads, ablation), _regularized(params, ablation)):

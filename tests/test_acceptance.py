@@ -9,6 +9,7 @@ import csv
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from nrpa.checkpoint import load_params, save_params
 from nrpa.data import (ProfileStore, build_profiles, parse_reviews,
                        prepare_dataset)
 from nrpa.evaluation import evaluate, make_synthetic_corpus, mse
-from nrpa.tensor import grad_check, masked_softmax
+from nrpa.model import masked_softmax
 from conftest import TOY_DIMS, toy_batch, toy_stores
+from gradcheck import grad_check, loss
 from scalar_oracle import scalar_forward
 
 NO_ATTENTION = M.AblationSpec(word_level="uniform", review_level="uniform")
@@ -51,12 +53,12 @@ def test_criterion_1_gradient_exactness():
             def f(flat, shape=p.shape):
                 trial = params.copy()
                 trial.word_emb[1:] = flat.reshape(shape)
-                return T.loss(batch, trial, stores, l2)
+                return loss(batch, trial, stores, l2)
         else:
             def f(flat, name=name, shape=p.shape):
                 trial = params.copy()
                 dict(trial.tensors())[name][...] = flat.reshape(shape)
-                return T.loss(batch, trial, stores, l2)
+                return loss(batch, trial, stores, l2)
         worst[name] = grad_check(f, p.reshape(-1).copy(), g.reshape(-1).copy(),
                                  eps=1e-5)
     elapsed = time.time() - started
@@ -96,8 +98,8 @@ def test_criterion_3_fm_identity():
     worst = 0.0
     for _ in range(100):
         n, k_fm = 160, 10
-        fm = M.FMParams(np.array(rng.normal()), rng.normal(size=n),
-                        rng.normal(size=(n, k_fm)) * 0.3)
+        fm = SimpleNamespace(bias=np.array(rng.normal()), linear=rng.normal(size=n),
+                             factors=rng.normal(size=(n, k_fm)) * 0.3)
         o = rng.normal(size=n)
         fast = M.fm_predict_batch(fm, o[None])[0]
         gram = fm.factors @ fm.factors.T

@@ -158,6 +158,19 @@ def test_header_dim_contradicting_config_rejected(tmp_path, toy_params, field, o
     assert getattr(load_params(path)[0].dims, field) == value
 
 
+@pytest.mark.parametrize("config", ["oops", None, [1], {"exclude_target": "false"},
+                                    {"exclude_target": 0}],
+                         ids=["string", "null", "list", "exclude_target-string",
+                              "exclude_target-int"])
+def test_malformed_metadata_config_rejected(tmp_path, toy_params, config):
+    path = tmp_path / "meta.nrpa"
+    save_params(toy_params, path, {"config": config})
+    with pytest.raises(CheckpointError, match="meta.nrpa: metadata config"):
+        load_params(path)
+    save_params(toy_params, path, {"config": {"exclude_target": False}})
+    assert load_params(path)[1]["config"]["exclude_target"] is False
+
+
 def test_magic_bytes_spell_format_name(tmp_path, toy_params):
     path = tmp_path / "m.nrpa"
     save_params(toy_params, path)

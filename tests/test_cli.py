@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,74 @@ def test_checkpoint_review_len_above_prepared_exits_2(workspace, tmp_path, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "review_len 101" in err and "review_len 100" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+@pytest.mark.parametrize("config", ["oops", {"exclude_target": "false"}],
+                         ids=["string", "exclude_target-string"])
+def test_checkpoint_malformed_config_exits_2_naming_it(workspace, tmp_path, capsys,
+                                                       command, config):
+    ds = load_prepared(workspace["data"])
+    dims = Dims(len(ds.vocab), ds.n_users, ds.n_items, 8, 4, 8, 8, 3, 4, 12, 4)
+    ckpt = tmp_path / "meta.nrpa"
+    save_params(init_params(dims, seed=1), ckpt, {"config": config})
+    extra = (["--split", "val"] if command == "eval" else
+             ["--user", ds.user_keys[1], "--item", ds.item_keys[1]])
+    code = main([command, "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                 *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "metadata config" in err
+
+
+HUGE = 10 ** 12  # far past any machine's memory, in parameters or profiles
+
+
+def run_traced(argv):
+    """main(argv) and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("key", ["id_dim", "num_reviews"])
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_huge_dim_exits_2_before_allocating(workspace, tmp_path, capsys, command, key):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {HUGE}", TINY_CONFIG,
+                          flags=re.MULTILINE))
+    # sweep trains at its --dims, not at the config's id_dim
+    extra = ["--dims", f"4,{HUGE}"] if command == "sweep" else []
+    code, peak = run_traced([command, "--data", str(workspace["data"]), "--config",
+                             str(cfg), "--out", str(tmp_path / "o"), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and f"{key} = {HUGE} " in err and "physical memory" in err
+    assert peak < 64 << 20
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_checkpoint_huge_num_reviews_exits_2_before_allocating(workspace, tmp_path,
+                                                                capsys, command):
+    """num_reviews sizes no tensor, so a checkpoint header can carry any u32
+    there; the profile stores it would size are rejected."""
+    ds = load_prepared(workspace["data"])
+    num_reviews = 2 ** 32 - 1
+    dims = Dims(len(ds.vocab), ds.n_users, ds.n_items, 8, 4, 8, 8, 3, 4, 12, num_reviews)
+    ckpt = tmp_path / "huge.nrpa"
+    save_params(init_params(dims, seed=1), ckpt)
+    extra = (["--split", "val"] if command == "eval" else
+             ["--user", ds.user_keys[1], "--item", ds.item_keys[1]])
+    code, peak = run_traced([command, "--checkpoint", str(ckpt), "--data",
+                             str(workspace["data"]), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and f"num_reviews = {num_reviews} " in err
+    assert peak < 64 << 20
 
 
 def test_corrupt_prepared_data_exits_2_naming_the_file(workspace, tmp_path, capsys):

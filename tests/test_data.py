@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrpa.data import (PAD_ID, UNK_ID, Interaction, RawRecord, Vocabulary,
+from nrpa.data import (PAD_ID, UNK_ID, Interaction, ProfileStore, RawRecord, Vocabulary,
                        build_profiles, build_vocabulary, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
                        split_dataset, tokenize, _record_dtype)
@@ -251,6 +251,13 @@ def test_profile_masked_cells_hold_pad():
     inters = [Interaction(1, 1, 3.0, np.array([5, 6], dtype=np.int32))]
     users, _ = build_profiles(inters, 5, 2, 2, 2)
     assert (users.tokens[~users.token_mask] == PAD_ID).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (4, 3, 6), (7, 15, 100)])
+def test_profile_store_nbytes_counts_every_array(shape):
+    store = ProfileStore(*shape)
+    arrays = [v for v in vars(store).values() if isinstance(v, np.ndarray)]
+    assert ProfileStore.nbytes(*shape) == sum(a.nbytes for a in arrays)
 
 
 def test_build_profiles_rejects_degenerate_shapes():

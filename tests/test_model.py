@@ -1,13 +1,14 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nrpa import model as M
 from nrpa.data import ProfileStore
-from nrpa.tensor import grad_check
 from conftest import TOY_DIMS, toy_batch, toy_stores
+from gradcheck import grad_check
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,21 @@ def test_views_tile_flat_in_layout_order(toy_params):
         assert t.shape == shape and np.shares_memory(t, toy_params.flat), name
         assert np.array_equal(t.reshape(-1), toy_params.flat[offset:offset + t.size]), name
         offset += t.size
+
+
+def test_attributes_expose_exactly_the_layout_names(toy_params):
+    """Top-level tensors and the fields of the attribute groups are the
+    param_layout names, each the view tensors() holds into flat."""
+    exposed = {}
+    for attr, value in vars(toy_params).items():
+        if isinstance(value, SimpleNamespace):
+            exposed.update((f"{attr}.{field}", view) for field, view in vars(value).items())
+        elif isinstance(value, np.ndarray) and value is not toy_params.flat:
+            exposed[attr] = value
+    assert sorted(exposed) == sorted(name for name, _ in M.param_layout(TOY_DIMS))
+    views = dict(toy_params.tensors())
+    for name, view in exposed.items():
+        assert view is views[name] and view.base is toy_params.flat, name
 
 
 def test_copy_and_zeros_like_share_no_memory(toy_params):
@@ -420,14 +436,19 @@ def fm_brute_force(o, fm):
     return total
 
 
+def fm_params(bias, linear, factors):
+    """An FM head's parameters, as fm_predict_batch reads them."""
+    return SimpleNamespace(bias=bias, linear=linear, factors=factors)
+
+
 def test_fm_bias_only():
-    fm = M.FMParams(np.array(3.7), np.zeros(4), np.zeros((4, 2)))
+    fm = fm_params(np.array(3.7), np.zeros(4), np.zeros((4, 2)))
     assert M.fm_predict_batch(fm, np.zeros((1, 4)))[0] == 3.7
 
 
 def test_fm_linear_when_factors_zero():
     rng = np.random.default_rng(7)
-    fm = M.FMParams(np.array(0.5), rng.normal(size=6), np.zeros((6, 3)))
+    fm = fm_params(np.array(0.5), rng.normal(size=6), np.zeros((6, 3)))
     o = rng.normal(size=6)
     assert M.fm_predict_batch(fm, o[None])[0] == pytest.approx(0.5 + fm.linear @ o,
                                                                abs=1e-12)
@@ -435,8 +456,8 @@ def test_fm_linear_when_factors_zero():
 
 def test_fm_fast_identity_matches_brute_force_small():
     rng = np.random.default_rng(8)
-    fm = M.FMParams(np.array(rng.normal()), rng.normal(size=4),
-                    rng.normal(size=(4, 2)))
+    fm = fm_params(np.array(rng.normal()), rng.normal(size=4),
+                   rng.normal(size=(4, 2)))
     o = rng.normal(size=4)
     fast = M.fm_predict_batch(fm, o[None])[0]
     assert fast == pytest.approx(fm_brute_force(o, fm), abs=1e-12)
@@ -444,7 +465,7 @@ def test_fm_fast_identity_matches_brute_force_small():
 
 def test_fm_batch_matches_single():
     rng = np.random.default_rng(9)
-    fm = M.FMParams(np.array(0.2), rng.normal(size=8), rng.normal(size=(8, 3)))
+    fm = fm_params(np.array(0.2), rng.normal(size=8), rng.normal(size=(8, 3)))
     feats = rng.normal(size=(5, 8))
     batch = M.fm_predict_batch(fm, feats)
     for b in range(5):
@@ -575,5 +596,5 @@ def test_ablation_spec_validation():
     with pytest.raises(ValueError):
         M.AblationSpec(word_level="average")
     spec = M.AblationSpec(user_attention="uniform")
-    assert spec.word_uniform("user") and spec.review_uniform("user")
-    assert not spec.word_uniform("item")
+    assert spec.uniform("user", "word") and spec.uniform("user", "review")
+    assert not spec.uniform("item", "word")

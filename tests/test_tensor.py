@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrpa.tensor import grad_check, masked_softmax
+from nrpa.model import masked_softmax
+from gradcheck import grad_check
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 

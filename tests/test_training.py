@@ -5,8 +5,8 @@ from nrpa import model as M
 from nrpa import training as T
 from nrpa.data import Interaction
 from nrpa.evaluation import ABLATION_VARIANTS, evaluate
-from nrpa.tensor import grad_check
 from conftest import TOY_DIMS, toy_batch, toy_stores
+from gradcheck import grad_check, loss
 
 
 def test_loss_zero_on_perfect_predictions(toy_params):
@@ -16,7 +16,7 @@ def test_loss_zero_on_perfect_predictions(toy_params):
                                   [b.user for b in batch], [b.item for b in batch])
     matched = [Interaction(b.user, b.item, float(p), None)
                for b, p in zip(batch, preds)]
-    assert T.loss(matched, toy_params, stores, l2_weight=0.0) == pytest.approx(0.0, abs=1e-24)
+    assert loss(matched, toy_params, stores, l2_weight=0.0) == pytest.approx(0.0, abs=1e-24)
 
 
 def test_loss_constant_predictor_arithmetic(toy_params):
@@ -27,35 +27,52 @@ def test_loss_constant_predictor_arithmetic(toy_params):
     stores = toy_stores()
     batch = [Interaction(1, 1, 1.0, None), Interaction(2, 2, 5.0, None)]
     expect = ((2.0 - 1.0) ** 2 + (2.0 - 5.0) ** 2) / 2
-    assert T.loss(batch, params, stores) == pytest.approx(expect, abs=1e-15)
+    assert loss(batch, params, stores) == pytest.approx(expect, abs=1e-15)
 
 
-def test_loss_l2_term_matches_direct_summation(toy_params):
+def attention_site(side, level):
+    return [f"{side}.{level}_query_w", f"{side}.{level}_attn"]
+
+
+# the tensors under L2 besides word_emb[1:]: no bias, and no query MLP weights
+# or pairing matrix of a uniform site
+L2_ALWAYS = ["user_id_emb", "item_id_emb", "user.conv_w", "item.conv_w",
+             "fm.linear", "fm.factors"]
+L2_ATTENTION = {
+    "full": attention_site("user", "word") + attention_site("user", "review")
+    + attention_site("item", "word") + attention_site("item", "review"),
+    "no-attention": [],
+    "user-only": attention_site("user", "word") + attention_site("user", "review"),
+    "item-only": attention_site("item", "word") + attention_site("item", "review"),
+    "word-only": attention_site("user", "word") + attention_site("item", "word"),
+    "review-only": attention_site("user", "review") + attention_site("item", "review"),
+}
+
+
+@pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
+def test_loss_l2_term_matches_direct_summation(toy_params, variant):
+    ablation = dict(ABLATION_VARIANTS)[variant]
     stores = toy_stores()
     batch = toy_batch()
-    base = T.loss(batch, toy_params, stores, l2_weight=0.0)
-    with_l2 = T.loss(batch, toy_params, stores, l2_weight=0.01)
-    p = toy_params
-    direct = float(np.sum(p.word_emb[1:] ** 2))
-    direct += float(np.sum(p.user_id_emb ** 2)) + float(np.sum(p.item_id_emb ** 2))
-    for side in (p.user, p.item):
-        direct += sum(float(np.sum(t ** 2)) for t in (
-            side.conv_w, side.word_query_w, side.word_attn,
-            side.review_query_w, side.review_attn))
-    direct += float(np.sum(p.fm.linear ** 2)) + float(np.sum(p.fm.factors ** 2))
+    base = loss(batch, toy_params, stores, 0.0, ablation)
+    with_l2 = loss(batch, toy_params, stores, 0.01, ablation)
+    tensors = dict(toy_params.tensors())
+    direct = float(np.sum(toy_params.word_emb[1:] ** 2))
+    direct += sum(float(np.sum(tensors[name] ** 2))
+                  for name in L2_ALWAYS + L2_ATTENTION[variant])
     assert with_l2 - base == pytest.approx(0.01 * direct, rel=1e-12)
 
 
 def test_loss_rejects_empty_batch(toy_params):
     with pytest.raises(ValueError):
-        T.loss([], toy_params, toy_stores())
+        loss([], toy_params, toy_stores())
 
 
 def test_backward_loss_value_equals_loss(toy_params):
     stores = toy_stores()
     batch = toy_batch()
     value, _ = T.backward(batch, toy_params, stores, l2_weight=1e-3)
-    assert value == T.loss(batch, toy_params, stores, l2_weight=1e-3)
+    assert value == loss(batch, toy_params, stores, l2_weight=1e-3)
 
 
 def test_backward_zero_residual_means_zero_bias_gradient(toy_params):
@@ -91,12 +108,12 @@ def grad_check_all_tensors(params, batch, stores, l2, ablation=M.FULL_ATTENTION,
             def f(flat, shape=p.shape):
                 trial = params.copy()
                 trial.word_emb[1:] = flat.reshape(shape)
-                return T.loss(batch, trial, stores, l2, ablation)
+                return loss(batch, trial, stores, l2, ablation)
         else:
             def f(flat, name=name, shape=p.shape):
                 trial = params.copy()
                 dict(trial.tensors())[name][...] = flat.reshape(shape)
-                return T.loss(batch, trial, stores, l2, ablation)
+                return loss(batch, trial, stores, l2, ablation)
         worst[name] = grad_check(f, p.reshape(-1).copy(), g.reshape(-1).copy(), eps)
     return worst
 
@@ -115,11 +132,10 @@ def test_gradients_match_under_ablation(toy_params, ablation):
     _, grads = T.backward(toy_batch(), toy_params, toy_stores(), 0.0, ablation)
     for name in ("user", "item"):
         g = grads.side(name)
-        for level, uniform in (("word", ablation.word_uniform(name)),
-                               ("review", ablation.review_uniform(name))):
+        for level in ("word", "review"):
             site = [getattr(g, f"{level}_{field}")
                     for field in ("query_w", "query_b", "attn")]
-            if uniform:  # an ablated site is untrained
+            if ablation.uniform(name, level):  # an ablated site is untrained
                 assert not any(t.any() for t in site), (name, level)
             else:
                 assert site[2].any(), (name, level)
@@ -143,7 +159,7 @@ def test_gradients_match_with_exclude_target(toy_params):
         def f(flat):
             trial = toy_params.copy()
             trial.fm.factors[...] = flat.reshape(p.shape)
-            return T.loss(batch, trial, stores, 1e-3, exclude_target=True)
+            return loss(batch, trial, stores, 1e-3, exclude_target=True)
         worst[name] = grad_check(f, p.reshape(-1).copy(), g.reshape(-1).copy())
     assert max(worst.values()) < 1e-4
 
@@ -241,7 +257,7 @@ def test_adam_single_step_decreases_batch_loss():
         before, grads = T.backward(batch, params, stores, l2_weight=0.0)
         state = T.AdamState.for_params(params)
         T.adam_step(params, grads, state, lr=1e-4)
-        after = T.loss(batch, params, stores, l2_weight=0.0)
+        after = loss(batch, params, stores, l2_weight=0.0)
         if not after < before:
             failures.append((seed, before, after))
     if failures:
