@@ -106,13 +106,16 @@ def _require_splits(ds, data_dir, names):
             raise UsageError(f"{Path(data_dir) / 'split.json'}: the {name} split is empty")
 
 
-def _check_memory(where, dims: Dims):
-    """Rejects dims whose parameters or profile stores alone exceed physical
-    memory, before anything is allocated. Sizes are Python ints; the message
-    names the dim that sizes them most, the one whose reduction to 1 shrinks
-    them most."""
+def _check_memory(where, dims: Dims, param_buffers: int = 1):
+    """Rejects dims whose param_buffers parameter-sized buffers (one to
+    evaluate a checkpoint, training.PARAM_BUFFERS to train) or profile stores
+    alone exceed physical memory, before anything is allocated. Sizes are
+    Python ints; the message names the dim that sizes them most, the one
+    whose reduction to 1 shrinks them most."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for what, nbytes in (("parameters", lambda d: 8 * param_count(d)),
+    what_params = "parameters" if param_buffers == 1 else \
+        f"{param_buffers} parameter-sized training buffers"
+    for what, nbytes in ((what_params, lambda d: param_buffers * 8 * param_count(d)),
                          ("profile stores", lambda d: ProfileStore.nbytes(
                              d.n_users + d.n_items, d.num_reviews, d.review_len))):
         size = nbytes(dims)
@@ -128,7 +131,7 @@ def _load_config_and_dataset(args, splits, id_dims=None):
     """Config and prepared dataset for train, ablate and sweep, which need
     the named splits non-empty. Profiles are cut from the stored reviews, so
     the config may not ask for longer ones, and the model at the config's
-    dims (at each of id_dims, if given) must fit in memory."""
+    dims (at each of id_dims, if given) must fit in memory for training."""
     cfg = load_config(args.config)
     ds = _load_dataset(args.data)
     _require_splits(ds, args.data, splits)
@@ -138,7 +141,8 @@ def _load_config_and_dataset(args, splits, id_dims=None):
     dims = cfg.dims(len(ds.vocab), ds.n_users, ds.n_items)
     where = args.config if id_dims is None else f"{args.config} with --dims {args.dims}"
     for id_dim in id_dims or (cfg.id_dim,):
-        _check_memory(where, dataclasses.replace(dims, id_dim=id_dim))
+        _check_memory(where, dataclasses.replace(dims, id_dim=id_dim),
+                      training.PARAM_BUFFERS)
     return cfg, ds
 
 

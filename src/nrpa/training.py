@@ -3,8 +3,11 @@
 backward() is the squared-error objective with selective L2: it takes the
 residual and hands d loss / d predictions to model.backward_batch, which
 accumulates the exact gradients of the whole network into a second
-ModelParams, one flat buffer laid out like the parameters. Adam keeps its
-moments as flat buffers and updates every parameter in one in-place pass.
+ModelParams, one flat buffer laid out like the parameters. The L2 value, the
+L2 gradient and the finiteness check are one blocked walk of the flat buffers
+after that. Adam keeps its moments as flat buffers and updates every
+parameter in one in-place pass. train() allocates no whole-model temporary:
+it holds PARAM_BUFFERS parameter-sized buffers for the whole run.
 """
 
 import math
@@ -64,24 +67,59 @@ class TrainConfig:
                       self.review_len, self.num_reviews)
 
 
-def _regularized(params: M.ModelParams, ablation: M.AblationSpec):
-    """Weight tensors under L2, in layout order: everything except biases,
+def _l2_ranges(dims: M.Dims, ablation: M.AblationSpec):
+    """[lo, hi) offsets into the flat buffer of the weights under L2, in layout
+    order, adjacent tensors merged into one range: everything except biases,
     the PAD embedding row, and the query MLP weights and pairing matrices of
     sites ablated to uniform."""
-    for name, t in params.tensors():
+    ranges = []
+    hi = 0
+    for name, shape in M.param_layout(dims):
+        lo, hi = hi, hi + math.prod(shape)
         side, _, field = name.rpartition(".")
         if name.endswith(("_b", ".bias")):
             continue
         if field.endswith(("_query_w", "_attn")) and \
                 ablation.uniform(side, field.partition("_")[0]):
             continue
-        yield t[1:] if name == "word_emb" else t
+        if name == "word_emb":
+            lo += dims.word_dim
+        if ranges and ranges[-1][1] == lo:
+            lo = ranges.pop()[0]
+        ranges.append((lo, hi))
+    return ranges
 
 
-def _l2_value(params, l2_weight, ablation) -> float:
-    if l2_weight == 0.0:
-        return 0.0
-    return l2_weight * sum(float(np.sum(t * t)) for t in _regularized(params, ablation))
+def _dense_pass(params: M.ModelParams, l2_weight: float, ablation: M.AblationSpec,
+                grads: M.ModelParams = None) -> float:
+    """The L2 value, l2_weight * sum(p^2) over the regularized ranges; given
+    grads, the same walk adds the L2 gradient 2 l2_weight p into them and
+    raises FloatingPointError naming the first non-finite tensor.
+
+    One walk of the flat buffers in _ADAM_BLOCK slices with one block-sized
+    scratch row, like adam_step. The square sums are np.vdot per (block,
+    range) piece, added in address order, so the value alone (grads None) is
+    exactly the value backward returns.
+    """
+    ranges = _l2_ranges(params.dims, ablation) if l2_weight else []
+    size = params.flat.size
+    scratch = np.empty(min(size, _ADAM_BLOCK))
+    total = 0.0
+    for lo in range(0, size, _ADAM_BLOCK):
+        hi = min(lo + _ADAM_BLOCK, size)
+        for a, b in ranges:
+            a, b = max(a, lo), min(b, hi)
+            if a >= b:
+                continue
+            p = params.flat[a:b]
+            total += float(np.vdot(p, p))
+            if grads is not None:
+                np.multiply(p, 2.0 * l2_weight, out=scratch[:b - a])
+                grads.flat[a:b] += scratch[:b - a]
+        if grads is not None and not np.isfinite(grads.flat[lo:hi]).all():
+            params.assert_finite("parameter")  # a non-finite parameter is the cause
+            grads.assert_finite("gradient")
+    return l2_weight * total
 
 
 def _batch_arrays(batch):
@@ -95,8 +133,12 @@ def _batch_arrays(batch):
 
 def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
              ablation: M.AblationSpec = M.FULL_ATTENTION,
-             exclude_target: bool = False):
-    """Loss and its exact gradients w.r.t. every parameter tensor."""
+             exclude_target: bool = False, *, grads: M.ModelParams = None):
+    """Loss and its exact gradients w.r.t. every parameter tensor.
+
+    The gradients go into grads, zeroed first, when it is given, and into a
+    fresh buffer otherwise; either way the buffer is returned.
+    """
     users, items, ratings = _batch_arrays(batch)
     user_store, item_store = stores
     preds, u_cache, i_cache = M.predict_batch(params, user_store, item_store,
@@ -106,21 +148,14 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
         raise FloatingPointError("non-finite predictions in forward pass")
     res = preds - ratings
     nb = len(batch)
-    value = float(np.mean(res * res)) + _l2_value(params, l2_weight, ablation)
 
-    grads = params.zeros_like()
+    if grads is None:
+        grads = params.zeros_like()
+    else:
+        grads.flat.fill(0.0)
     M.backward_batch(params, u_cache, i_cache, 2.0 * res / nb, grads)
-
-    if l2_weight:
-        for g_t, p_t in zip(_regularized(grads, ablation), _regularized(params, ablation)):
-            g_t += 2.0 * l2_weight * p_t
-
     grads.word_emb[PAD_ID] = 0.0
-    try:
-        grads.assert_finite("gradient")
-    except FloatingPointError:
-        params.assert_finite("parameter")  # a non-finite parameter is the cause
-        raise
+    value = float(np.mean(res * res)) + _dense_pass(params, l2_weight, ablation, grads)
     return value, grads
 
 
@@ -133,9 +168,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-# the Adam pass walks the flat buffers in blocks of this many elements: each
-# block's slices stay in cache, and two block-sized scratch rows are all the
-# step allocates, where whole-model temporaries would raise peak memory
+# adam_step and _dense_pass walk the flat buffers in blocks of this many
+# elements: each block's slices stay in cache, and block-sized scratch rows are
+# all a step allocates, where whole-model temporaries would raise peak memory
 _ADAM_BLOCK = 1 << 16
 
 
@@ -194,6 +229,12 @@ def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState,
 # training loop
 # ---------------------------------------------------------------------------
 
+# the parameter-sized float64 buffers train() holds: the parameters, one
+# gradient buffer reused by every step, Adam's m and v, and the best
+# parameters so far
+PARAM_BUFFERS = 5
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -221,6 +262,7 @@ def train(config: TrainConfig, dataset, stores,
     history = []
     best_val = np.inf
     best_params = params.copy()
+    grads = params.zeros_like()
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -230,7 +272,8 @@ def train(config: TrainConfig, dataset, stores,
             batch = train_set[lo:lo + config.batch_size]
             where = f"epoch {epoch}, batch {batch_idx}"
             try:
-                value, grads = backward(batch, params, stores, config.l2_weight, ablation)
+                value, _ = backward(batch, params, stores, config.l2_weight, ablation,
+                                    grads=grads)
             except FloatingPointError as exc:
                 raise TrainingDiverged(f"training diverged at {where}: {exc}") from exc
             if not np.isfinite(value):
@@ -245,7 +288,7 @@ def train(config: TrainConfig, dataset, stores,
 
         if val_mse < best_val:
             best_val = val_mse
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             epochs_since_best = 0
         else:
             epochs_since_best += 1

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import shutil
 import tracemalloc
@@ -11,9 +12,9 @@ import pytest
 from nrpa import cli
 from nrpa.checkpoint import save_params
 from nrpa.cli import main, parse_ablation, load_config, UsageError
-from nrpa.data import load_prepared
+from nrpa.data import ProfileStore, load_prepared
 from nrpa.evaluation import make_synthetic_corpus
-from nrpa.model import AblationSpec, Dims, init_params
+from nrpa.model import AblationSpec, Dims, init_params, param_count
 
 TINY_CONFIG = """
 # toy hyperparameters for CLI tests
@@ -420,6 +421,32 @@ def test_checkpoint_huge_num_reviews_exits_2_before_allocating(workspace, tmp_pa
     err = capsys.readouterr().err
     assert str(ckpt) in err and f"num_reviews = {num_reviews} " in err
     assert peak < 64 << 20
+
+
+def test_train_checks_every_training_buffer_against_memory(workspace, tmp_path,
+                                                           capsys, monkeypatch):
+    """With physical memory between one and five parameter buffers, train
+    exits 2 before allocating, while eval still loads a checkpoint of the
+    same dims."""
+    ds = load_prepared(workspace["data"])
+    cfg = load_config(workspace["config"])
+    dims = cfg.dims(len(ds.vocab), ds.n_users, ds.n_items)
+    physical = 2 * 8 * param_count(dims)
+    assert ProfileStore.nbytes(ds.n_users + ds.n_items, cfg.num_reviews,
+                               cfg.review_len) < physical
+    real_sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": physical}.get(name) or real_sysconf(name))
+    assert main(["train", "--data", str(workspace["data"]), "--config",
+                 str(workspace["config"]), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    key = re.search(r": (\w+) = (\d+) makes the 5 parameter-sized training buffers", err)
+    assert key and key[1] in Dims.__dataclass_fields__ and "physical memory" in err
+    assert int(key[2]) == getattr(dims, key[1])
+    assert not (tmp_path / "o").exists()
+    assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                 "--data", str(workspace["data"]), "--split", "val",
+                 "--out", str(tmp_path / "eval.csv")]) == 0
 
 
 def test_corrupt_prepared_data_exits_2_naming_the_file(workspace, tmp_path, capsys):

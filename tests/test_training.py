@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -164,6 +167,52 @@ def test_gradients_match_with_exclude_target(toy_params):
     assert max(worst.values()) < 1e-4
 
 
+@pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
+def test_backward_into_a_garbage_buffer_matches_a_fresh_call(toy_params, variant):
+    ablation = dict(ABLATION_VARIANTS)[variant]
+    stores = toy_stores()
+    value, fresh = T.backward(toy_batch(), toy_params, stores, 1e-3, ablation)
+    buf = toy_params.zeros_like()
+    buf.flat[:] = np.random.default_rng(0).normal(size=buf.flat.size)
+    buf.flat[::5] = np.nan
+    got_value, got = T.backward(toy_batch(), toy_params, stores, 1e-3, ablation,
+                                grads=buf)
+    assert got is buf
+    assert got_value == value and np.array_equal(got.flat, fresh.flat)
+
+
+@pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
+def test_l2_walk_in_blocks_splitting_tensors_is_bit_identical(toy_params,
+                                                              monkeypatch, variant):
+    """Blocks of 7 cut tensors and merged ranges; the L2 gradient is still
+    exactly g + 2 l2 p on each regularized tensor and nothing elsewhere."""
+    monkeypatch.setattr(T, "_ADAM_BLOCK", 7)
+    ablation = dict(ABLATION_VARIANTS)[variant]
+    stores, batch, l2 = toy_stores(), toy_batch(), 1e-3
+    _, plain = T.backward(batch, toy_params, stores, 0.0, ablation)
+    value, grads = T.backward(batch, toy_params, stores, l2, ablation)
+    assert value == loss(batch, toy_params, stores, l2, ablation)
+    expect = plain.copy()
+    expect.word_emb[1:] += 2.0 * l2 * toy_params.word_emb[1:]
+    tensors, expected = dict(toy_params.tensors()), dict(expect.tensors())
+    for name in L2_ALWAYS + L2_ATTENTION[variant]:
+        expected[name] += 2.0 * l2 * tensors[name]
+    assert np.array_equal(grads.flat, expect.flat)
+
+
+@pytest.mark.parametrize("name", ["item.review_attn", "user.conv_b"])
+def test_backward_names_a_non_finite_gradient_tensor(toy_params, monkeypatch, name):
+    """One tensor under L2 and one outside it."""
+    real = M.backward_batch
+
+    def poisoned(params, u_cache, i_cache, d_pred, grads):
+        real(params, u_cache, i_cache, d_pred, grads)
+        dict(grads.tensors())[name].flat[-1] = np.nan
+    monkeypatch.setattr(M, "backward_batch", poisoned)
+    with pytest.raises(FloatingPointError, match=f"gradient {name}$"):
+        T.backward(toy_batch(), toy_params, toy_stores(), 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -310,6 +359,24 @@ def test_train_diverges_cleanly(tiny_dataset, tiny_stores):
     with np.errstate(all="ignore"):
         with pytest.raises((T.TrainingDiverged, FloatingPointError)):
             T.train(cfg, tiny_dataset, tiny_stores)
+
+
+def test_train_holds_five_parameter_sized_buffers(tiny_dataset, tiny_stores):
+    """At dims where word_emb is nearly every parameter, train's traced peak
+    stays below 5.5 parameter buffers: parameters, gradients, Adam m and v
+    and the best copy, with no whole-model temporary and no second copy."""
+    cfg = small_config(word_dim=16, max_epochs=3, patience=3)
+    wide = SimpleNamespace(vocab=range(100_000), n_users=tiny_dataset.n_users,
+                           n_items=tiny_dataset.n_items, split=tiny_dataset.split)
+    dims = cfg.dims(len(wide.vocab), wide.n_users, wide.n_items)
+    nbytes = 8 * M.param_count(dims)
+    tracemalloc.start()
+    try:
+        T.train(cfg, wide, tiny_stores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * nbytes, peak / nbytes
 
 
 def test_config_validation():
