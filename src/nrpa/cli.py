@@ -6,6 +6,7 @@ config or the --seed flag; no command reads ambient entropy.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -34,7 +35,7 @@ def load_config(path) -> TrainConfig:
     seen = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -53,16 +54,16 @@ def load_config(path) -> TrainConfig:
         seen[key] = lineno
         ftype = known[key].type
         try:
-            if ftype in (bool, "bool"):
+            if ftype is bool:
                 if raw.lower() in ("true", "yes", "1"):
                     value = True
                 elif raw.lower() in ("false", "no", "0"):
                     value = False
                 else:
                     raise ValueError(f"not a boolean: {raw!r}")
-            elif ftype in (int, "int"):
+            elif ftype is int:
                 value = int(raw)
-            elif ftype in (float, "float"):
+            elif ftype is float:
                 value = float(raw)
             else:
                 value = raw
@@ -163,6 +164,21 @@ def parse_ablation(spec: str) -> AblationSpec:
     return AblationSpec(**kwargs)
 
 
+def _make_out_dir(path):
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc}") from exc
+
+
+def _check_out_file(path):
+    """Rejects, before any work is done, an output file path that is a
+    directory or whose directory does not exist."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise UsageError(f"cannot write {path}: it is a directory or its directory "
+                         f"does not exist")
+
+
 def _write_history(path, history):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("epoch,train_loss,val_mse\n")
@@ -174,10 +190,11 @@ def cmd_prepare(args) -> int:
     try:
         with open(args.input, "rb") as fh:
             records, skipped = parse_reviews(fh, args.format)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read input {args.input}: {exc}") from exc
     if len(records) < 10:
         raise UsageError(f"only {len(records)} usable records in {args.input}; need >= 10")
+    _make_out_dir(args.out)
     ds = prepare_dataset(records, args.seed, args.min_count)
     save_prepared(ds, args.out)
     stats = ds.stats()
@@ -196,7 +213,7 @@ def cmd_train(args) -> int:
     stores = build_profiles(ds.split.train, cfg.review_len, cfg.num_reviews,
                             ds.n_users, ds.n_items)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out)
     started = time.time()
     params, history = training.train(cfg, ds, stores)
 
@@ -242,6 +259,8 @@ def _load_checkpoint_for(ds, args):
 
 
 def cmd_eval(args) -> int:
+    _check_out_file(args.out)
+    _check_out_file(args.trace)
     ds = _load_dataset(args.data)
     split_name = "validation" if args.split == "val" else "test"
     _require_splits(ds, args.data, (split_name,))
@@ -272,6 +291,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_out_file(args.out)
     cfg, ds = _load_config_and_dataset(args, ("train", "validation", "test"))
     rows = evaluation.run_ablation_suite(cfg, ds, csv_path=args.out)
     for name, score in rows:
@@ -289,6 +309,7 @@ def cmd_sweep(args) -> int:
     if min(dims) < 1:
         raise UsageError(f"bad --dims list {args.dims!r}: id_dim must be >= 1, "
                          f"got {min(dims)}")
+    _check_out_file(args.out)
     cfg, ds = _load_config_and_dataset(args, ("train", "validation"), dims)
     rows = evaluation.sweep_id_dim(cfg, ds, dims, csv_path=args.out)
     for d, score in rows:

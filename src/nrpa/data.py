@@ -10,7 +10,7 @@ import io
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +49,17 @@ class Interaction:
     tokens: np.ndarray  # int32 token ids, length <= review_len
 
 
-@dataclass
 class DatasetSplit:
-    train: list
-    validation: list
-    test: list
-    seed: int
-    train_idx: list = field(default_factory=list)
-    val_idx: list = field(default_factory=list)
-    test_idx: list = field(default_factory=list)
+    """Train/validation/test parts of `items`, taken by three index lists;
+    each part keeps the order of its list."""
+
+    def __init__(self, items: list, seed: int, train_idx: list, val_idx: list,
+                 test_idx: list):
+        self.seed = seed
+        self.train_idx, self.val_idx, self.test_idx = train_idx, val_idx, test_idx
+        self.train = [items[i] for i in train_idx]
+        self.validation = [items[i] for i in val_idx]
+        self.test = [items[i] for i in test_idx]
 
 
 def parse_reviews(stream, format: str):
@@ -127,17 +129,13 @@ class Vocabulary:
     def __len__(self):
         return len(self.id_to_token)
 
-    def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens, limit: int) -> np.ndarray:
-        ids = [self.id(t) for t in tokens[:limit]]
-        return np.asarray(ids, dtype=np.int32)
+        """Ids of the first `limit` tokens; unknown tokens map to UNK."""
+        get = self.token_to_id.get
+        return np.asarray([get(t, UNK_ID) for t in tokens[:limit]], dtype=np.int32)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, tok in enumerate(self.id_to_token):
-                fh.write(f"{tok}\t{i}\n")
+        _write_index_file(path, self.id_to_token)
 
     @classmethod
     def load(cls, path):
@@ -170,18 +168,9 @@ def split_dataset(interactions: list, seed: int) -> DatasetSplit:
     SplitMix64(seed).shuffle(order)
     n_train = int(0.8 * n)
     n_val = int(0.1 * n)
-    train_idx = sorted(order[:n_train])
-    val_idx = sorted(order[n_train:n_train + n_val])
-    test_idx = sorted(order[n_train + n_val:])
-    return DatasetSplit(
-        train=[interactions[i] for i in train_idx],
-        validation=[interactions[i] for i in val_idx],
-        test=[interactions[i] for i in test_idx],
-        seed=seed,
-        train_idx=train_idx,
-        val_idx=val_idx,
-        test_idx=test_idx,
-    )
+    return DatasetSplit(interactions, seed, sorted(order[:n_train]),
+                        sorted(order[n_train:n_train + n_val]),
+                        sorted(order[n_train + n_val:]))
 
 
 class ProfileStore:
@@ -189,33 +178,20 @@ class ProfileStore:
 
     tokens[o, n] is the n-th kept training review of owner o, PAD-padded to
     review_len; partner[o, n] identifies the other side of that review so the
-    target review can be masked out when scoring the pair it belongs to.
+    target review can be masked out when scoring the pair it belongs to, and
+    is -1 in an unfilled slot. A review holds no PAD, so the masks follow:
+    a slot is real where partner >= 0 and a token where it is not PAD.
     """
 
     def __init__(self, n_owners: int, num_reviews: int, review_len: int):
         self.tokens = np.zeros((n_owners, num_reviews, review_len), dtype=np.int32)
-        self.token_mask = np.zeros((n_owners, num_reviews, review_len), dtype=bool)
-        self.review_mask = np.zeros((n_owners, num_reviews), dtype=bool)
         self.partner = np.full((n_owners, num_reviews), -1, dtype=np.int32)
-        self._fill = np.zeros(n_owners, dtype=np.int32)
 
     @staticmethod
     def nbytes(n_owners: int, num_reviews: int, review_len: int) -> int:
         """Bytes __init__ allocates, as a Python int, so oversized dims can be
         rejected before anything is allocated."""
-        cells = n_owners * num_reviews
-        return cells * review_len * (4 + 1) + cells * (1 + 4) + n_owners * 4
-
-    def add_review(self, owner: int, partner: int, tokens: np.ndarray):
-        slot = self._fill[owner]
-        if slot >= self.tokens.shape[1]:
-            return  # keep the first num_reviews reviews in corpus order
-        k = min(len(tokens), self.tokens.shape[2])
-        self.tokens[owner, slot, :k] = tokens[:k]
-        self.token_mask[owner, slot, :k] = True
-        self.review_mask[owner, slot] = True
-        self.partner[owner, slot] = partner
-        self._fill[owner] = slot + 1
+        return n_owners * num_reviews * (review_len + 1) * 4
 
     def gather(self, owners: np.ndarray, exclude_partner=None):
         """Profiles for a batch of owners: (tokens, token_mask, review_mask).
@@ -226,13 +202,11 @@ class ProfileStore:
         """
         owners = np.asarray(owners)
         toks = self.tokens[owners]
-        tmask = self.token_mask[owners]
-        rmask = self.review_mask[owners]
+        partner = self.partner[owners]
+        rmask = partner >= 0
         if exclude_partner is not None:
-            drop = self.partner[owners] == np.asarray(exclude_partner).reshape(-1, 1)
-            rmask = rmask & ~drop
-            tmask = tmask & ~drop[:, :, None]
-        return toks, tmask, rmask
+            rmask &= partner != np.asarray(exclude_partner).reshape(-1, 1)
+        return toks, (toks != PAD_ID) & rmask[:, :, None], rmask
 
 
 def build_profiles(train_interactions, review_len: int, num_reviews: int,
@@ -246,9 +220,16 @@ def build_profiles(train_interactions, review_len: int, num_reviews: int,
         raise ValueError("review_len and num_reviews must be >= 1")
     users = ProfileStore(n_users, num_reviews, review_len)
     items = ProfileStore(n_items, num_reviews, review_len)
+    user_fill, item_fill = [0] * n_users, [0] * n_items
     for inter in train_interactions:
-        users.add_review(inter.user, inter.item, inter.tokens)
-        items.add_review(inter.item, inter.user, inter.tokens)
+        toks = inter.tokens[:review_len]
+        for store, fill, owner, partner in ((users, user_fill, inter.user, inter.item),
+                                            (items, item_fill, inter.item, inter.user)):
+            slot = fill[owner]
+            if slot < num_reviews:  # keep the first num_reviews reviews in corpus order
+                store.tokens[owner, slot, :len(toks)] = toks
+                store.partner[owner, slot] = partner
+                fill[owner] = slot + 1
     return users, items
 
 
@@ -298,17 +279,11 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     """
     raw_split = split_dataset(records, seed)
 
-    user_keys = [UNK_TOKEN]
-    item_keys = [UNK_TOKEN]
-    user_index = {}
-    item_index = {}
-    for rec in records:
-        if rec.user_key not in user_index:
-            user_index[rec.user_key] = len(user_keys)
-            user_keys.append(rec.user_key)
-        if rec.item_key not in item_index:
-            item_index[rec.item_key] = len(item_keys)
-            item_keys.append(rec.item_key)
+    # owners in order of first appearance from index 1; 0 is the unknown owner
+    user_keys = [UNK_TOKEN, *dict.fromkeys(r.user_key for r in records)]
+    item_keys = [UNK_TOKEN, *dict.fromkeys(r.item_key for r in records)]
+    user_index = {key: i for i, key in enumerate(user_keys[1:], start=1)}
+    item_index = {key: i for i, key in enumerate(item_keys[1:], start=1)}
 
     vocab = build_vocabulary((r.text for r in raw_split.train), min_count)
 
@@ -317,15 +292,8 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
                     vocab.encode(tokenize(r.text), review_len))
         for r in records
     ]
-    split = DatasetSplit(
-        train=[interactions[i] for i in raw_split.train_idx],
-        validation=[interactions[i] for i in raw_split.val_idx],
-        test=[interactions[i] for i in raw_split.test_idx],
-        seed=seed,
-        train_idx=raw_split.train_idx,
-        val_idx=raw_split.val_idx,
-        test_idx=raw_split.test_idx,
-    )
+    split = DatasetSplit(interactions, seed, raw_split.train_idx, raw_split.val_idx,
+                         raw_split.test_idx)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)
 
 
@@ -348,10 +316,8 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds.vocab.save(out / "vocab.tsv")
-    for name, keys in (("users.tsv", ds.user_keys), ("items.tsv", ds.item_keys)):
-        with open(out / name, "w", encoding="utf-8") as fh:
-            for i, key in enumerate(keys):
-                fh.write(f"{key}\t{i}\n")
+    _write_index_file(out / "users.tsv", ds.user_keys)
+    _write_index_file(out / "items.tsv", ds.item_keys)
 
     n = len(ds.interactions)
     recs = np.zeros(n, dtype=_record_dtype(ds.review_len))
@@ -374,6 +340,13 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     }
     with open(out / "split.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+
+
+def _write_index_file(path, names) -> None:
+    """One `name<TAB>index` line per name, indices 0..n-1 in order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, name in enumerate(names):
+            fh.write(f"{name}\t{i}\n")
 
 
 def _read_index_file(path) -> list:
@@ -423,21 +396,18 @@ def _load_split(path, interactions: list) -> DatasetSplit:
         raise ValueError(f"{path}: train, validation and test do not partition the "
                          f"{n} interactions (an index is out of 0..{n - 1}, repeated "
                          f"or missing)")
-    return DatasetSplit(
-        train=[interactions[i] for i in manifest["train"]],
-        validation=[interactions[i] for i in manifest["validation"]],
-        test=[interactions[i] for i in manifest["test"]],
-        seed=manifest["seed"],
-        train_idx=manifest["train"],
-        val_idx=manifest["validation"],
-        test_idx=manifest["test"],
-    )
+    return DatasetSplit(interactions, manifest["seed"], manifest["train"],
+                        manifest["validation"], manifest["test"])
 
 
 def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
                    review_len: int) -> None:
-    """Raises ValueError naming path and the first record with a field out of range."""
+    """Raises ValueError naming path and the first record with a field out of
+    range, or with PAD among its tokens, which the profile masks would read
+    as padding."""
     rating = recs["rating"]
+    tokens = recs["tokens"]
+    in_review = np.arange(review_len) < recs["ntok"][:, None]
     checks = (
         ((recs["user"] < 1) | (recs["user"] >= n_users),
          f"a user id outside 1..{n_users - 1}"),
@@ -445,8 +415,10 @@ def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
          f"an item id outside 1..{n_items - 1}"),
         (recs["ntok"] > review_len, f"ntok above review_len {review_len}"),
         (~((rating >= 1.0) & (rating <= 5.0)), "a rating that is not a number in [1, 5]"),
-        ((recs["tokens"] >= vocab_size).any(axis=1),
+        ((tokens >= vocab_size).any(axis=1),
          f"a token id not below the vocabulary size {vocab_size}"),
+        ((in_review & (tokens == PAD_ID)).any(axis=1),
+         f"the PAD id {PAD_ID} among its first ntok tokens"),
     )
     for bad, what in checks:
         if bad.any():

@@ -36,30 +36,21 @@ def mse(predictions, truths) -> float:
     return float(np.mean(diff * diff))
 
 
-def predict_split(params: M.ModelParams, interactions, stores,
-                  ablation: M.AblationSpec = M.FULL_ATTENTION,
-                  exclude_target: bool = True):
-    """Score interactions in consecutive _EVAL_CHUNK-sized chunks, in index
-    order; yields (chunk, predictions, user cache, item cache) per chunk."""
+def evaluate(params: M.ModelParams, interactions, stores,
+             ablation: M.AblationSpec = M.FULL_ATTENTION,
+             exclude_target: bool = True, clip: bool = False,
+             trace_sink=None) -> float:
+    """MSE of the model over a split, scored in consecutive _EVAL_CHUNK-sized
+    chunks and summed in fixed index order."""
+    if len(interactions) == 0:
+        raise ValueError("cannot evaluate an empty split")
     user_store, item_store = stores
+    scored = []
     for lo in range(0, len(interactions), _EVAL_CHUNK):
         chunk = interactions[lo:lo + _EVAL_CHUNK]
         preds, u_cache, i_cache = M.predict_batch(
             params, user_store, item_store, [i.user for i in chunk],
             [i.item for i in chunk], exclude_target, ablation)
-        yield chunk, preds, u_cache, i_cache
-
-
-def evaluate(params: M.ModelParams, interactions, stores,
-             ablation: M.AblationSpec = M.FULL_ATTENTION,
-             exclude_target: bool = True, clip: bool = False,
-             trace_sink=None) -> float:
-    """MSE of the model over a split, summed in fixed index order."""
-    if len(interactions) == 0:
-        raise ValueError("cannot evaluate an empty split")
-    scored = []
-    for chunk, preds, u_cache, i_cache in predict_split(params, interactions, stores,
-                                                        ablation, exclude_target):
         if clip:
             preds = np.clip(preds, 1.0, 5.0)
         scored.append(preds)

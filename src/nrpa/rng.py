@@ -21,6 +21,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 
+# uniform() mixes this many words at a time, so its uint64 temporaries stay
+# small whatever the size of the array it fills
+_UNIFORM_BLOCK = 1 << 16
+
 
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
@@ -51,17 +55,24 @@ class SplitMix64:
         """Array of uniforms in [lo, hi), consuming one word per element.
 
         Produces exactly the same stream as repeated next_float() calls but
-        runs the mixing function vectorized in numpy uint64 arithmetic.
+        runs the mixing function vectorized in numpy uint64 arithmetic, one
+        block of _UNIFORM_BLOCK words at a time.
         """
         n = int(np.prod(shape)) if shape else 1
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = (np.uint64(self.state) + np.uint64(_GAMMA) * idx)  # wraps mod 2^64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self.state = (self.state + _GAMMA * n) & _MASK
-        out = (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-        return (lo + (hi - lo) * out).reshape(shape)
+        out = np.empty(n, dtype=np.float64)
+        idx = np.arange(1, min(n, _UNIFORM_BLOCK) + 1, dtype=np.uint64)
+        for start in range(0, n, _UNIFORM_BLOCK):
+            k = min(_UNIFORM_BLOCK, n - start)
+            z = np.uint64(self.state) + np.uint64(_GAMMA) * idx[:k]  # wraps mod 2^64
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            z = z ^ (z >> np.uint64(31))
+            self.state = (self.state + _GAMMA * k) & _MASK
+            top53 = (z >> np.uint64(11)).astype(np.float64)
+            out[start:start + k] = top53 * (1.0 / (1 << 53))
+        out *= hi - lo
+        out += lo
+        return out.reshape(shape)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, back to front."""

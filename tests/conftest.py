@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nrpa import model as M
-from nrpa.data import Interaction, ProfileStore, build_profiles, prepare_dataset
+from nrpa.data import Interaction, build_profiles, prepare_dataset
 from nrpa.evaluation import make_synthetic_corpus
 
 # toy dimensions small enough for finite-difference sweeps over every tensor
@@ -14,8 +14,6 @@ TOY_DIMS = M.Dims(vocab_size=20, n_users=3, n_items=3, word_dim=5, id_dim=4,
 def toy_stores():
     """Deterministic 2-user/2-item profile pair with underfull and overlong
     reviews (owner 0 is the reserved cold-start slot, all padding)."""
-    users = ProfileStore(3, 3, 7)
-    items = ProfileStore(3, 3, 7)
     reviews = [
         (1, 1, [2, 3, 4, 5, 6]),
         (1, 2, [7, 8]),
@@ -23,11 +21,9 @@ def toy_stores():
         (2, 2, [12, 13, 14]),
         (2, 1, [15, 16, 2]),
     ]
-    for u, i, toks in reviews:
-        arr = np.array(toks, dtype=np.int32)
-        users.add_review(u, i, arr)
-        items.add_review(i, u, arr)
-    return users, items
+    inters = [Interaction(u, i, 3.0, np.array(toks, dtype=np.int32))
+              for u, i, toks in reviews]
+    return build_profiles(inters, review_len=7, num_reviews=3, n_users=3, n_items=3)
 
 
 def toy_batch():

@@ -48,7 +48,7 @@ def _encode_side(params, side, id_emb, owner, store, partner, exclude):
         if exclude and int(store.partner[owner, n]) == partner:
             continue_row = False
         else:
-            continue_row = bool(store.review_mask[owner, n])
+            continue_row = bool(store.partner[owner, n] >= 0)
         keep.append(continue_row)
 
         features = [[0.0] * t_len for _ in range(dims.num_filters)]
@@ -68,7 +68,7 @@ def _encode_side(params, side, id_emb, owner, store, partner, exclude):
                     features[j][t] = math.tanh(acc)
 
         unmasked = [t for t in range(t_len)
-                    if continue_row and bool(store.token_mask[owner, n, t])]
+                    if continue_row and bool(store.tokens[owner, n, t] != 0)]
         if unmasked:
             logits = []
             for t in unmasked:

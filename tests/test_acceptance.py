@@ -18,7 +18,7 @@ from nrpa import model as M
 from nrpa import training as T
 from nrpa.cli import main
 from nrpa.checkpoint import load_params, save_params
-from nrpa.data import (ProfileStore, build_profiles, parse_reviews,
+from nrpa.data import (Interaction, build_profiles, parse_reviews,
                        prepare_dataset)
 from nrpa.evaluation import evaluate, make_synthetic_corpus, mse
 from nrpa.model import masked_softmax
@@ -171,10 +171,9 @@ def test_criterion_4c_review_permutation_invariance():
 def test_criterion_4d_uniform_ablation_user_independence():
     rng = np.random.default_rng(44)
     params = M.init_params(M.Dims(30, 12, 3, 6, 4, 5, 5, 3, 2, 9, 3), seed=3)
-    store = ProfileStore(12, 3, 9)
-    for owner in range(12):  # identical text for every owner
-        for rev in range(2):
-            store.add_review(owner, 1, np.arange(2, 2 + 7, dtype=np.int32))
+    text = np.arange(2, 2 + 7, dtype=np.int32)  # identical text for every owner
+    store, _ = build_profiles([Interaction(owner, 1, 3.0, text)
+                               for owner in range(12) for rev in range(2)], 9, 3, 12, 2)
     count = 0
     for _ in range(34):  # x3 user pairs = 102 comparisons
         users = rng.choice(12, size=4, replace=False)

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from nrpa import cli
 from nrpa.checkpoint import save_params
@@ -460,6 +464,61 @@ def test_corrupt_prepared_data_exits_2_naming_the_file(workspace, tmp_path, caps
     assert "split.json" in err and "'test'" in err
 
 
+def test_non_utf8_config_exits_2_naming_it(workspace, tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TINY_CONFIG.encode() + b"# caf\xe9\n")
+    code = main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "amazon-json"])
+def test_non_utf8_corpus_exits_2_naming_it(workspace, tmp_path, capsys, fmt):
+    corpus = tmp_path / "corpus.bin"
+    corpus.write_bytes(workspace["corpus"].read_bytes() + b"u1,i1,4.0,caf\xe9\n")
+    code = main(["prepare", "--input", str(corpus), "--format", fmt,
+                 "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert code == 2
+    assert str(corpus) in capsys.readouterr().err
+
+
+def test_csv_field_past_the_csv_module_limit_exits_2_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "long.csv"
+    corpus.write_text("u1,i1,4.0," + "word " * 30000 + "\n")
+    code = main(["prepare", "--input", str(corpus), "--format", "csv",
+                 "--out", str(tmp_path / "o"), "--seed", "1"])
+    assert code == 2
+    assert str(corpus) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["prepare", "train"])
+def test_out_naming_a_file_exits_2_naming_it(workspace, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    args = (["--input", str(workspace["corpus"]), "--format", "csv", "--seed", "1"]
+            if command == "prepare" else
+            ["--data", str(workspace["data"]), "--config", str(workspace["config"])])
+    assert main([command, *args, "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+@pytest.mark.parametrize("command,flag", [("eval", "--out"), ("eval", "--trace"),
+                                          ("ablate", "--out"), ("sweep", "--out")])
+def test_output_in_missing_directory_or_at_a_directory_exits_2_naming_it(
+        workspace, tmp_path, capsys, command, flag, target):
+    target = tmp_path / target
+    args = (["--checkpoint", str(workspace["run"] / "checkpoint.nrpa"), "--split", "val"]
+            if command == "eval" else ["--config", str(workspace["config"])])
+    if command == "sweep":
+        args += ["--dims", "4"]
+    assert main([command, "--data", str(workspace["data"]), *args, flag, str(target)]) == 2
+    assert str(target) in capsys.readouterr().err
+
+
 def test_fingerprint_streams_to_the_whole_file_digest(tmp_path):
     rng = np.random.default_rng(0)
     files = {"a.bin": rng.bytes(2 * cli._FINGERPRINT_BLOCK + 123), "b.txt": b"x",
@@ -596,3 +655,68 @@ def test_load_config_rejects_bad_values(tmp_path):
     cfg_file.write_text("window = 4\n")
     with pytest.raises(UsageError, match="window"):
         load_config(cfg_file)
+
+
+# ---------------------------------------------------------------------------
+# every config and argv ends in exit 0, 2 or 3
+# ---------------------------------------------------------------------------
+
+# out of range, non-finite, unparsable or huge for some key; valid for others
+HOSTILE_VALUES = ["-1", "0", "1", "2", "3", "nan", "inf", "-inf", "1e400", "seven", "",
+                  "true", "tanh", "sigmoid", str(HUGE)]
+# max_epochs and patience are 1 or invalid, so no example trains long
+SHORT_RUN_VALUES = st.sampled_from(["1"] * 5 + ["-1", "0", "nan", "one", ""])
+NON_UTF8 = [b"\xff", b"\xe9", b"\xc3(", b"\x80abc"]
+
+
+@st.composite
+def config_texts(draw):
+    base = dict(line.split(" = ") for line in TINY_CONFIG.strip().splitlines()[1:])
+    changed = draw(st.sets(st.sampled_from(sorted(base)), max_size=3))
+    lines = []
+    for key, value in base.items():
+        if key in ("max_epochs", "patience"):
+            value = draw(SHORT_RUN_VALUES)
+        elif key in changed:
+            value = draw(st.sampled_from(HOSTILE_VALUES + [None]))
+            if value is None:
+                continue  # left to its default
+        lines.append(f"{key} = {value}")
+    if draw(st.integers(0, 5)) == 0:
+        lines.append(draw(st.sampled_from(lines)))  # a key given twice
+    if draw(st.integers(0, 5)) == 0:
+        lines.append(f"{draw(st.sampled_from(['learningrate', 'dropout', '']))} = 1")
+    text = "\n".join(lines).encode()
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(NON_UTF8)) + text[at:]
+    return text
+
+
+@given(text=config_texts(),
+       shape=st.sampled_from(["train", "ablate", "sweep", "no-out", "unknown-flag"]),
+       dims=st.sampled_from(["4", "0", "2,1", "x", "", str(HUGE)]))
+@settings(max_examples=100, deadline=None)
+def test_any_config_and_argv_exits_0_2_or_3(workspace, text, shape, dims):
+    root = workspace["root"]
+    cfg = root / "property.cfg"
+    cfg.write_bytes(text)
+    base = ["--data", str(workspace["data"]), "--config", str(cfg)]
+    argv = {
+        "train": ["train", *base, "--out", str(root / "property-run")],
+        "ablate": ["ablate", *base, "--out", str(root / "property.csv")],
+        "sweep": ["sweep", *base, "--dims", dims, "--out", str(root / "property.csv")],
+        "no-out": ["train", *base],
+        "unknown-flag": ["train", *base, "--out", str(root / "property-run"), "--fast"],
+    }[shape]
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        assert exc.code == 2
+        event("argparse exit 2")
+    else:
+        assert code in (0, 2, 3)
+        event(f"exit {code}")
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nrpa.data import (PAD_ID, UNK_ID, Interaction, ProfileStore, RawRecord, Vocabulary,
-                       build_profiles, build_vocabulary, load_prepared,
+from nrpa.data import (PAD_ID, UNK_ID, UNK_TOKEN, Interaction, ProfileStore, RawRecord,
+                       Vocabulary, build_profiles, build_vocabulary, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
                        split_dataset, tokenize, _record_dtype)
 from nrpa.evaluation import make_synthetic_corpus
@@ -135,23 +136,27 @@ def test_tokenize_rules():
     assert tokenize("mp3 + player") == ["mp3", "player"]
 
 
+def token_id(vocab, token):
+    return int(vocab.encode([token], 1)[0])
+
+
 def test_vocabulary_min_count_threshold():
     vocab = build_vocabulary(["a a b"], min_count=2)
-    assert vocab.id("a") == 2
-    assert vocab.id("b") == UNK_ID
+    assert token_id(vocab, "a") == 2
+    assert token_id(vocab, "b") == UNK_ID
 
 
 def test_vocabulary_min_count_one():
     vocab = build_vocabulary(["x"], min_count=1)
-    assert vocab.id("x") == 2
+    assert token_id(vocab, "x") == 2
 
 
 def test_vocabulary_frequency_then_lexicographic_order():
     # beta and alpha tie at 2; gamma wins with 3
     vocab = build_vocabulary(["gamma beta alpha", "gamma beta alpha", "gamma"], 1)
-    assert vocab.id("gamma") == 2
-    assert vocab.id("alpha") == 3
-    assert vocab.id("beta") == 4
+    assert token_id(vocab, "gamma") == 2
+    assert token_id(vocab, "alpha") == 3
+    assert token_id(vocab, "beta") == 4
 
 
 def test_vocabulary_empty_corpus_keeps_specials():
@@ -221,7 +226,7 @@ def test_vocabulary_is_train_only():
         ds = prepare_dataset(records, seed=seed, min_count=1)
         held_out = ds.split.validation + ds.split.test
         if any(inter.user == ds.user_index("u19") for inter in held_out):
-            assert ds.vocab.id("zzzunique") == UNK_ID
+            assert token_id(ds.vocab, "zzzunique") == UNK_ID
             return
     pytest.fail("no seed pushed the unique record out of train")
 
@@ -234,9 +239,10 @@ def test_profiles_fixed_shape_for_all_fill_levels():
     users, items = build_profiles(inters, review_len=6, num_reviews=3,
                                   n_users=4, n_items=2)
     assert users.tokens.shape == (4, 3, 6)
-    assert not users.review_mask[empty].any()
-    assert users.review_mask[under].sum() == 1
-    assert users.review_mask[over].all()  # first 3 of 5 kept
+    _, _, rmask = users.gather([empty, under, over])
+    assert not rmask[0].any()
+    assert rmask[1].sum() == 1
+    assert rmask[2].all()  # first 3 of 5 kept
 
 
 def test_profile_truncation_and_padding():
@@ -244,13 +250,43 @@ def test_profile_truncation_and_padding():
     users, _ = build_profiles(inters, review_len=4, num_reviews=3, n_users=2, n_items=2)
     assert np.array_equal(users.tokens[1, 0], [2, 3, 4, 5])  # first 4 tokens kept
     assert users.tokens[1, 1:].sum() == 0                    # padding rows are PAD
-    assert users.token_mask[1, 0].all() and not users.token_mask[1, 1:].any()
+    _, tmask, _ = users.gather([1])
+    assert tmask[0, 0].all() and not tmask[0, 1:].any()
 
 
 def test_profile_masked_cells_hold_pad():
     inters = [Interaction(1, 1, 3.0, np.array([5, 6], dtype=np.int32))]
     users, _ = build_profiles(inters, 5, 2, 2, 2)
-    assert (users.tokens[~users.token_mask] == PAD_ID).all()
+    assert (users.tokens[1, 0, 2:] == PAD_ID).all()
+    assert (users.tokens[1, 1] == PAD_ID).all() and (users.tokens[0] == PAD_ID).all()
+    assert users.partner.tolist() == [[-1, -1], [1, -1]]
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 6)),
+                max_size=25),
+       st.integers(1, 4), st.integers(1, 3), st.lists(st.integers(0, 2), min_size=4,
+                                                       max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_gathered_masks_follow_fill_count_length_and_exclusion(reviews, review_len,
+                                                               num_reviews, excluded):
+    """review_mask[o, n] holds exactly when slot n is below owner o's kept
+    count and its partner is not excluded; token_mask[o, n, t] exactly when
+    the slot holds and t < min(len, review_len) for the review in it."""
+    inters = [Interaction(u, i, 3.0, np.arange(2, 2 + length, dtype=np.int32))
+              for u, i, length in reviews]
+    users, _ = build_profiles(inters, review_len, num_reviews, n_users=4, n_items=3)
+    owners = np.arange(4)
+    _, tmask, rmask = users.gather(owners, exclude_partner=np.array(excluded))
+    for o in owners:
+        kept = [(i, length) for u, i, length in reviews if u == o][:num_reviews]
+        for n in range(num_reviews):
+            filled = n < len(kept) and kept[n][0] != excluded[o]
+            assert rmask[o, n] == filled
+            k = min(kept[n][1], review_len) if filled else 0
+            assert tmask[o, n].tolist() == [t < k for t in range(review_len)]
+    _, _, rmask_all = users.gather(owners)
+    assert (rmask_all.sum(axis=1) == [min(sum(u == o for u, _, _ in reviews), num_reviews)
+                                      for o in owners]).all()
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 3, 6), (7, 15, 100)])
@@ -277,6 +313,29 @@ def test_exclude_target_removes_exactly_the_scored_pair():
     # without exclusion all three rows stay
     _, _, rmask_all = users.gather(np.array([1]))
     assert rmask_all[0].all()
+
+
+# sha256 of each file save_prepared writes for the tiny_dataset corpus
+PREPARED_GOLDEN = {
+    "interactions.bin": "8d01f68fcb9b58212c7fffab8d49a6f3405a58e1429bd2517bad6ef2c56f1fe0",
+    "items.tsv": "c04409622c72482762ea71d59563cc1a7c4ad0984cdbac18f3a0a7f44db038ef",
+    "split.json": "7330a32a343e8333a46d0fd00aebb0f08810d2d016c8d90ff5682cd1ef485e16",
+    "users.tsv": "b6562d279c6e7389c26611eecacb630e5fb8134f601c54af2c007a790045ff03",
+    "vocab.tsv": "a2d347b01a27ef5bc69bfe833c02b7ae5dd5531b3cc9fce441a4057eae41d713",
+}
+
+
+def test_prepared_directory_bytes_are_golden(tmp_path, tiny_dataset):
+    save_prepared(tiny_dataset, tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == PREPARED_GOLDEN
+
+
+def test_literal_unk_key_keeps_its_own_index():
+    records = [RawRecord(["a", UNK_TOKEN][i % 2], "x", 3.0, "w") for i in range(10)]
+    ds = prepare_dataset(records, seed=1)
+    assert ds.user_keys == [UNK_TOKEN, "a", UNK_TOKEN]
+    assert [i.user for i in ds.interactions] == [1, 2] * 5
 
 
 def test_prepared_roundtrip_bytes_and_content(tmp_path, tiny_dataset):
@@ -387,6 +446,17 @@ def test_token_id_past_vocabulary_rejected(prepared_dir, tmp_path, tiny_dataset)
     load_rejects(prep, "interactions.bin", "record 3", "token id")
 
 
+def test_pad_id_inside_ntok_rejected(prepared_dir, tmp_path, tiny_dataset):
+    """The profile masks read PAD as padding, so a stored review may not hold it."""
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    ntok = len(tiny_dataset.interactions[4].tokens)
+    tokens = np.zeros(tiny_dataset.review_len, dtype=np.uint32)
+    tokens[:ntok] = tiny_dataset.interactions[4].tokens
+    tokens[ntok - 1] = PAD_ID
+    edit_records(prep, "tokens", 4, tokens)
+    load_rejects(prep, "interactions.bin", "record 4", "PAD")
+
+
 def test_ntok_above_review_len_rejected(prepared_dir, tmp_path):
     prep = copy_prepared(prepared_dir, tmp_path / "p")
     edit_records(prep, "ntok", 2, 15)
@@ -422,7 +492,7 @@ def loads_in_range_or_rejects(prep, file):
     for inter in ds.interactions:
         assert 1 <= inter.user < ds.n_users and 1 <= inter.item < ds.n_items
         assert len(inter.tokens) <= ds.review_len
-        assert (inter.tokens < len(ds.vocab)).all() and (inter.tokens >= 0).all()
+        assert (inter.tokens < len(ds.vocab)).all() and (inter.tokens > PAD_ID).all()
         assert 1.0 <= inter.rating <= 5.0
     split = ds.split
     assert sorted(split.train_idx + split.val_idx + split.test_idx) == list(range(n))

@@ -100,12 +100,11 @@ def test_uniform_word_ablation_is_user_independent(tiny_dataset, tiny_stores):
 def test_personalized_weights_do_depend_on_user(tiny_dataset, tiny_stores):
     """The same review text read by two different users gets different word
     weights once queries are personalized."""
-    from nrpa.data import ProfileStore
+    from nrpa.data import Interaction, build_profiles
     params = trained_toy(tiny_dataset, tiny_stores)
-    shared = ProfileStore(3, 2, 12)
     toks = np.array([2, 3, 4, 5, 6, 7], dtype=np.int32)
-    for owner in (1, 2):
-        shared.add_review(owner, 1, toks)
+    shared, _ = build_profiles([Interaction(owner, 1, 3.0, toks) for owner in (1, 2)],
+                               12, 2, 3, 2)
     alphas = M.encode_side_batch(params, "user", shared, np.array([1, 2])).alpha
     assert not np.array_equal(alphas[0], alphas[1])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nrpa import model as M
-from nrpa.data import ProfileStore
+from nrpa.data import PAD_ID, Interaction, build_profiles
 from conftest import TOY_DIMS, toy_batch, toy_stores
 from gradcheck import grad_check
 
@@ -544,10 +544,10 @@ def test_forward_batch_exclude_target_matches_single(toy_params):
 def test_forward_trace_weights_normalized(toy_params):
     users, items = toy_stores()
     _, trace = M.forward(2, 1, users, items, toy_params)
-    rmask = users.review_mask[2]
+    rmask = users.partner[2] >= 0
     assert trace.user_beta[rmask].sum() == pytest.approx(1.0, abs=1e-9)
     for j in np.where(rmask)[0]:
-        tmask = users.token_mask[2, j]
+        tmask = users.tokens[2, j] != PAD_ID
         assert trace.user_alpha[j][tmask].sum() == pytest.approx(1.0, abs=1e-9)
         assert not trace.user_alpha[j][~tmask].any()
 
@@ -571,9 +571,9 @@ def test_personalization_is_expressible():
     params.user.word_query_b[:] = 0.0
     params.user.word_attn = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
 
-    store = ProfileStore(3, 2, 5)
-    for owner in (1, 2):  # the same review text for both users
-        store.add_review(owner, 1, np.array([2, 3, 4, 5, 6], dtype=np.int32))
+    # the same review text for both users
+    store, _ = build_profiles([Interaction(owner, 1, 3.0, np.array([2, 3, 4, 5, 6]))
+                               for owner in (1, 2)], 5, 2, 3, 2)
     alpha = user_cache(params, [1, 2], store).alpha
     assert not np.allclose(alpha[0, 0], alpha[1, 0])
 

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from nrpa import rng as rng_module
 from nrpa.rng import SplitMix64
 
 # first outputs of the reference splitmix64 stream seeded with 0
@@ -23,6 +25,17 @@ def test_vectorized_uniform_equals_scalar_stream():
     scalars = np.array([a.next_float() for _ in range(50)])
     vec = b.uniform(0.0, 1.0, (50,))
     assert np.array_equal(scalars, vec)
+    assert a.state == b.state
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 15, 21])
+def test_blocked_uniform_equals_scalar_stream(monkeypatch, n):
+    """Blocks of 7 words: one short block, exactly one, and across boundaries."""
+    monkeypatch.setattr(rng_module, "_UNIFORM_BLOCK", 7)
+    a = SplitMix64(2024)
+    b = SplitMix64(2024)
+    scalars = np.array([-1.0 + 3.0 * a.next_float() for _ in range(n)])
+    assert np.array_equal(b.uniform(-1.0, 2.0, (n,)), scalars)
     assert a.state == b.state
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from nrpa import model as M
 from nrpa import training as T
-from nrpa.data import Interaction
+from nrpa.data import PAD_ID, Interaction
 from nrpa.evaluation import ABLATION_VARIANTS, evaluate
 from conftest import TOY_DIMS, toy_batch, toy_stores
 from gradcheck import grad_check, loss
@@ -89,7 +89,7 @@ def test_backward_zero_residual_means_zero_bias_gradient(toy_params):
 def test_backward_untouched_embedding_rows_get_zero_gradient(toy_params):
     stores = toy_stores()
     _, grads = T.backward(toy_batch(), toy_params, stores, l2_weight=0.0)
-    used = set(stores[0].tokens[stores[0].token_mask].tolist())
+    used = set(stores[0].tokens[stores[0].tokens != PAD_ID].tolist())
     # tokens feed conv windows, so neighbours of used positions matter too;
     # token 19 appears nowhere in the toy profiles
     assert 19 not in used
