@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .model import Dims, ModelParams, param_count
+from .model import ACTIVATIONS, Dims, ModelParams, param_count
 
 MAGIC = b"NRPA"
 VERSION = 1
@@ -99,7 +99,7 @@ def load_params(path):
                                       f"{getattr(dims, field)} disagrees with the "
                                       f"metadata config's {config[field]!r}")
         activation = meta.get("conv_activation", "relu")
-        if activation not in ("relu", "tanh"):
+        if activation not in ACTIVATIONS:
             raise CheckpointError(f"{path}: unknown conv_activation {activation!r}")
 
         flat = np.empty(size, dtype="<f8")

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -93,18 +94,17 @@ def _fingerprint(data_dir) -> str:
     return h.hexdigest()
 
 
-def _load_dataset(data_dir):
+def _load_dataset(data_dir, splits=()):
+    """The prepared dataset at data_dir, whose split.json must leave each of
+    the named splits non-empty."""
     try:
-        return load_prepared(data_dir)
+        ds = load_prepared(data_dir)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load prepared dataset at {data_dir}: {exc}") from exc
-
-
-def _require_splits(ds, data_dir, names):
-    """Rejects a prepared dataset whose split.json leaves a needed split empty."""
-    for name in names:
+    for name in splits:
         if not getattr(ds.split, name):
             raise UsageError(f"{Path(data_dir) / 'split.json'}: the {name} split is empty")
+    return ds
 
 
 def _check_memory(where, dims: Dims, param_buffers: int = 1):
@@ -128,23 +128,36 @@ def _check_memory(where, dims: Dims, param_buffers: int = 1):
                              f"physical memory")
 
 
-def _load_config_and_dataset(args, splits, id_dims=None):
-    """Config and prepared dataset for train, ablate and sweep, which need
-    the named splits non-empty. Profiles are cut from the stored reviews, so
-    the config may not ask for longer ones, and the model at the config's
-    dims (at each of id_dims, if given) must fit in memory for training."""
-    cfg = load_config(args.config)
-    ds = _load_dataset(args.data)
-    _require_splits(ds, args.data, splits)
-    if cfg.review_len > ds.review_len:
-        raise UsageError(f"{args.config}: review_len {cfg.review_len} exceeds the "
+def _profiles(ds, args, dims: Dims, where, param_buffers: int = 1, id_dims=None):
+    """Profile stores of ds for a model at dims, which come from the config or
+    the checkpoint named where. The model must have ds's vocabulary and
+    owners, profiles no longer than the stored reviews, and param_buffers
+    parameter-sized buffers (at each of sweep's id_dims, if given) and the
+    stores small enough for physical memory."""
+    got = (dims.vocab_size, dims.n_users, dims.n_items)
+    want = (len(ds.vocab), ds.n_users, ds.n_items)
+    if got != want:
+        raise UsageError(f"checkpoint dims {got} do not match dataset dims {want} "
+                         f"(vocab, users, items)")
+    if dims.review_len > ds.review_len:
+        raise UsageError(f"{where}: review_len {dims.review_len} exceeds the "
                          f"prepared review_len {ds.review_len} of {args.data}")
-    dims = cfg.dims(len(ds.vocab), ds.n_users, ds.n_items)
-    where = args.config if id_dims is None else f"{args.config} with --dims {args.dims}"
-    for id_dim in id_dims or (cfg.id_dim,):
-        _check_memory(where, dataclasses.replace(dims, id_dim=id_dim),
-                      training.PARAM_BUFFERS)
-    return cfg, ds
+    if id_dims is not None:
+        where = f"{where} with --dims {args.dims}"
+    for id_dim in id_dims or (dims.id_dim,):
+        _check_memory(where, dataclasses.replace(dims, id_dim=id_dim), param_buffers)
+    return build_profiles(ds.split.train, dims.review_len, dims.num_reviews,
+                          ds.n_users, ds.n_items)
+
+
+def _load_checkpoint(args, ds):
+    """(params, exclude_target, profile stores) of args.checkpoint on ds."""
+    try:
+        params, meta = checkpoint.load_params(args.checkpoint)
+    except (OSError, checkpoint.CheckpointError) as exc:
+        raise UsageError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
+    stores = _profiles(ds, args, params.dims, args.checkpoint)
+    return params, meta.get("config", {}).get("exclude_target", True), stores
 
 
 def parse_ablation(spec: str) -> AblationSpec:
@@ -179,11 +192,11 @@ def _check_out_file(path):
                          f"does not exist")
 
 
-def _write_history(path, history):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_mse\n")
-        for rec in history:
-            fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_mse!r}\n")
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_prepare(args) -> int:
@@ -208,10 +221,33 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+def _config_profiles(args, splits, id_dims=None):
+    """(config, dataset, profile stores) for train, ablate and sweep, which
+    need the named splits non-empty and training.PARAM_BUFFERS buffers."""
+    cfg = load_config(args.config)
+    ds = _load_dataset(args.data, splits)
+    stores = _profiles(ds, args, cfg.dims(len(ds.vocab), ds.n_users, ds.n_items),
+                       args.config, training.PARAM_BUFFERS, id_dims)
+    return cfg, ds, stores
+
+
+def _train_and_score(ds, stores, variants, split, out, header, line):
+    """Trains each (label, config, ablation) variant and scores its best
+    parameters on split under its ablation; writes header and one
+    `label,score` row per variant to out, then prints line.format(label,
+    score) per variant."""
+    rows = []
+    for label, cfg, ablation in variants:
+        params, _ = training.train(cfg, ds, stores, ablation)
+        rows.append((label, evaluation.evaluate(params, split, stores, ablation,
+                                                exclude_target=cfg.exclude_target)))
+    _write_csv(out, header, rows)
+    for row in rows:
+        print(line.format(*row))
+
+
 def cmd_train(args) -> int:
-    cfg, ds = _load_config_and_dataset(args, ("train", "validation"))
-    stores = build_profiles(ds.split.train, cfg.review_len, cfg.num_reviews,
-                            ds.n_users, ds.n_items)
+    cfg, ds, stores = _config_profiles(args, ("train", "validation"))
     out = Path(args.out)
     _make_out_dir(out)
     started = time.time()
@@ -219,7 +255,8 @@ def cmd_train(args) -> int:
 
     ckpt_path = out / "checkpoint.nrpa"
     checkpoint.save_params(params, ckpt_path, {"config": dataclasses.asdict(cfg)})
-    _write_history(out / "history.csv", history)
+    _write_csv(out / "history.csv", ("epoch", "train_loss", "val_mse"),
+               map(dataclasses.astuple, history))
     manifest = {
         "config": dataclasses.asdict(cfg),
         "dataset_fingerprint": _fingerprint(args.data),
@@ -237,65 +274,33 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_for(ds, args):
-    """(params, exclude_target) of args.checkpoint, checked against the
-    dataset of args.data: same vocabulary and owners, profiles no longer than
-    stored and small enough to build."""
-    path = args.checkpoint
-    try:
-        params, meta = checkpoint.load_params(path)
-    except (OSError, checkpoint.CheckpointError) as exc:
-        raise UsageError(f"cannot load checkpoint {path}: {exc}") from exc
-    got = (params.dims.vocab_size, params.dims.n_users, params.dims.n_items)
-    want = (len(ds.vocab), ds.n_users, ds.n_items)
-    if got != want:
-        raise UsageError(f"checkpoint dims {got} do not match dataset dims {want} "
-                         f"(vocab, users, items)")
-    if params.dims.review_len > ds.review_len:
-        raise UsageError(f"{path}: review_len {params.dims.review_len} exceeds the "
-                         f"prepared review_len {ds.review_len} of {args.data}")
-    _check_memory(path, params.dims)
-    return params, meta.get("config", {}).get("exclude_target", True)
-
-
 def cmd_eval(args) -> int:
     _check_out_file(args.out)
     _check_out_file(args.trace)
-    ds = _load_dataset(args.data)
     split_name = "validation" if args.split == "val" else "test"
-    _require_splits(ds, args.data, (split_name,))
-    params, exclude = _load_checkpoint_for(ds, args)
-    stores = build_profiles(ds.split.train, params.dims.review_len,
-                            params.dims.num_reviews, ds.n_users, ds.n_items)
+    ds = _load_dataset(args.data, (split_name,))
+    params, exclude, stores = _load_checkpoint(args, ds)
     ablation = parse_ablation(args.ablation) if args.ablation else AblationSpec()
-    split = getattr(ds.split, split_name)
 
-    sink = None
-    try:
-        if args.trace:
-            sink = open(args.trace, "w", encoding="utf-8")
-        score = evaluation.evaluate(params, split, stores, ablation,
-                                    exclude_target=exclude, clip=args.clip,
+    with (open(args.trace, "w", encoding="utf-8") if args.trace
+          else nullcontext()) as sink:
+        score = evaluation.evaluate(params, getattr(ds.split, split_name), stores,
+                                    ablation, exclude_target=exclude, clip=args.clip,
                                     trace_sink=sink)
-    finally:
-        if sink:
-            sink.close()
     print(f"mse={score!r}")
 
     out_csv = args.out or str(Path(args.checkpoint).parent / f"eval_{args.split}.csv")
-    ab_text = args.ablation or "none"
-    with open(out_csv, "w", encoding="utf-8") as fh:
-        fh.write("split,ablation,mse\n")
-        fh.write(f"{args.split},{ab_text},{score!r}\n")
+    _write_csv(out_csv, ("split", "ablation", "mse"),
+               [(args.split, args.ablation or "none", score)])
     return 0
 
 
 def cmd_ablate(args) -> int:
     _check_out_file(args.out)
-    cfg, ds = _load_config_and_dataset(args, ("train", "validation", "test"))
-    rows = evaluation.run_ablation_suite(cfg, ds, csv_path=args.out)
-    for name, score in rows:
-        print(f"{name}: mse={score!r}")
+    cfg, ds, stores = _config_profiles(args, ("train", "validation", "test"))
+    variants = [(name, cfg, ablation) for name, ablation in evaluation.ABLATION_VARIANTS]
+    _train_and_score(ds, stores, variants, ds.split.test, args.out, ("variant", "mse"),
+                     "{}: mse={!r}")
     return 0
 
 
@@ -310,24 +315,25 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"bad --dims list {args.dims!r}: id_dim must be >= 1, "
                          f"got {min(dims)}")
     _check_out_file(args.out)
-    cfg, ds = _load_config_and_dataset(args, ("train", "validation"), dims)
-    rows = evaluation.sweep_id_dim(cfg, ds, dims, csv_path=args.out)
-    for d, score in rows:
-        print(f"d_id={d}: val_mse={score!r}")
+    cfg, ds, stores = _config_profiles(args, ("train", "validation"), dims)
+    # scored again on validation, the best parameters give min(history.val_mse)
+    variants = [(d, dataclasses.replace(cfg, id_dim=d), AblationSpec()) for d in dims]
+    _train_and_score(ds, stores, variants, ds.split.validation, args.out,
+                     ("d_id", "val_mse"), "d_id={}: val_mse={!r}")
     return 0
 
 
 def cmd_inspect(args) -> int:
+    if args.top < 1:
+        raise UsageError(f"--top must be >= 1, got {args.top}")
     ds = _load_dataset(args.data)
-    params, exclude = _load_checkpoint_for(ds, args)
+    params, exclude, stores = _load_checkpoint(args, ds)
     user = ds.user_index(args.user)
     item = ds.item_index(args.item)
     if user == 0:
         raise UsageError(f"unknown user {args.user!r}")
     if item == 0:
         raise UsageError(f"unknown item {args.item!r}")
-    stores = build_profiles(ds.split.train, params.dims.review_len,
-                            params.dims.num_reviews, ds.n_users, ds.n_items)
     rating, trace = forward(user, item, stores[0], stores[1], params,
                             exclude_target=exclude)
     print(f"prediction: {rating!r}")

@@ -1,4 +1,4 @@
-"""Scoring, ablation variants and the id-dimension sweep.
+"""Scoring, the attention ablation variants and the synthetic corpus.
 
 Predictions go through the batched forward path (model.predict_batch) in
 fixed-size chunks taken in index order, so scores are bit-reproducible and
@@ -10,7 +10,7 @@ import json
 import numpy as np
 
 from . import model as M
-from .data import RawRecord, build_profiles
+from .data import RawRecord
 from .rng import SplitMix64
 
 _EVAL_CHUNK = 64
@@ -67,55 +67,6 @@ def evaluate(params: M.ModelParams, interactions, stores,
                 "item_beta": trace.item_beta.tolist(),
             }, sort_keys=True) + "\n")
     return mse(np.concatenate(scored), [i.rating for i in interactions])
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
-
-
-def run_ablation_suite(config, dataset, csv_path=None):
-    """Train and score every attention variant under identical seeds/config.
-
-    Returns [(variant, test_mse)] in the fixed variant order; optionally
-    written as `variant,mse` CSV.
-    """
-    from .training import train  # evaluation sits above training here
-
-    stores = build_profiles(dataset.split.train, config.review_len,
-                            config.num_reviews, dataset.n_users, dataset.n_items)
-    rows = []
-    for name, ablation in ABLATION_VARIANTS:
-        params, _ = train(config, dataset, stores, ablation)
-        score = evaluate(params, dataset.split.test, stores, ablation,
-                         exclude_target=config.exclude_target)
-        rows.append((name, score))
-    if csv_path:
-        _write_csv(csv_path, "variant,mse", rows)
-    return rows
-
-
-def sweep_id_dim(config, dataset, dims, csv_path=None):
-    """Retrain per id-embedding dimension with a fixed seed; returns
-    [(id_dim, val_mse)] rows, optionally written as `d_id,val_mse` CSV."""
-    from dataclasses import replace
-
-    from .training import train
-
-    if not dims:
-        raise ValueError("dims list must be non-empty")
-    stores = build_profiles(dataset.split.train, config.review_len,
-                            config.num_reviews, dataset.n_users, dataset.n_items)
-    rows = []
-    for d in dims:
-        cfg = replace(config, id_dim=int(d))
-        params, history = train(cfg, dataset, stores)
-        rows.append((int(d), min(rec.val_mse for rec in history)))
-    if csv_path:
-        _write_csv(csv_path, "d_id,val_mse", rows)
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ from .rng import SplitMix64
 
 PAD_ID = 0
 
+# the conv nonlinearities conv() applies, by their config names
+ACTIVATIONS = ("relu", "tanh")
+
+
 @dataclass(frozen=True)
 class Dims:
     vocab_size: int
@@ -188,7 +192,7 @@ def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelPa
     """Seed-deterministic init, drawn in layout order: [-0.1, 0.1) embeddings
     with the PAD row zeroed, zero biases, fan-scaled uniform weights."""
     dims.validate()
-    if conv_activation not in ("relu", "tanh"):
+    if conv_activation not in ACTIVATIONS:
         raise ValueError(f"conv_activation must be relu|tanh, got {conv_activation!r}")
     rng = SplitMix64(seed)
     params = ModelParams(dims, np.zeros(param_count(dims)), conv_activation)
@@ -302,7 +306,7 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
     k, taps = conv_w.shape
     window = taps // word_dim
     half = (window - 1) // 2
-    if activation not in ("relu", "tanh"):
+    if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
 
     ids, inv = np.unique(tokens, return_inverse=True)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import model as M
 from .data import PAD_ID
+from .evaluation import evaluate
 from .rng import SplitMix64
 
 
@@ -58,7 +59,7 @@ class TrainConfig:
                              f"{self.l2_weight}")
         if self.window % 2 == 0:
             raise ValueError("window must be odd")
-        if self.conv_activation not in ("relu", "tanh"):
+        if self.conv_activation not in M.ACTIVATIONS:
             raise ValueError(f"conv_activation must be relu|tanh, got {self.conv_activation!r}")
 
     def dims(self, vocab_size: int, n_users: int, n_items: int) -> M.Dims:
@@ -250,8 +251,6 @@ def train(config: TrainConfig, dataset, stores,
     whole run is single-threaded, so identical config + dataset reproduce the
     identical history and parameters.
     """
-    from .evaluation import evaluate  # local import, evaluation layers on top
-
     config.validate()
     dims = config.dims(len(dataset.vocab), dataset.n_users, dataset.n_items)
     params = M.init_params(dims, config.seed, config.conv_activation)

@@ -17,7 +17,7 @@ from nrpa import cli
 from nrpa.checkpoint import save_params
 from nrpa.cli import main, parse_ablation, load_config, UsageError
 from nrpa.data import ProfileStore, load_prepared
-from nrpa.evaluation import make_synthetic_corpus
+from nrpa.evaluation import ABLATION_VARIANTS, make_synthetic_corpus
 from nrpa.model import AblationSpec, Dims, init_params, param_count
 
 TINY_CONFIG = """
@@ -198,6 +198,15 @@ def test_eval_empty_split_exits_2_naming_it(workspace, tmp_path, capsys, split, 
     assert str(data / "split.json") in err and f"the {empty} split is empty" in err
 
 
+def test_sweep_empty_dims_exits_2(workspace, tmp_path, capsys):
+    code = main(["sweep", "--data", str(workspace["data"]), "--config",
+                 str(workspace["config"]), "--dims", ",", "--out",
+                 str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert "--dims list is empty" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_dims_below_one_exits_2(workspace, tmp_path, capsys):
     code = main(["sweep", "--data", str(workspace["data"]), "--config",
                  str(workspace["config"]), "--dims", "4,0", "--out",
@@ -328,6 +337,18 @@ def test_eval_ablation_flag_changes_score(workspace, capsys):
           "--split", "test", "--ablation", "word=uniform,review=uniform"])
     ablated = float(capsys.readouterr().out.split("mse=")[1])
     assert base != ablated
+
+
+def test_eval_csv_quotes_a_multi_term_ablation(workspace, tmp_path, capsys):
+    out_csv = tmp_path / "eval.csv"
+    spec = "word=uniform,review=uniform"
+    assert main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                 "--data", str(workspace["data"]), "--split", "test",
+                 "--ablation", spec, "--out", str(out_csv)]) == 0
+    score = float(capsys.readouterr().out.split("mse=")[1])
+    with open(out_csv, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["split", "ablation", "mse"], ["test", spec, repr(score)]]
 
 
 def test_eval_dim_mismatch_exits_2(workspace, tmp_path, capsys):
@@ -590,6 +611,16 @@ def test_inspect_alpha_rows_sum_to_one(workspace, capsys):
             assert sum(weights) == pytest.approx(1.0, abs=5e-3)  # printed at 3dp
 
 
+@pytest.mark.parametrize("top", [0, -2])
+def test_inspect_top_below_one_exits_2_before_loading(tmp_path, capsys, top):
+    # neither path exists, so a load before the check would name them instead
+    code = main(["inspect", "--checkpoint", str(tmp_path / "missing.nrpa"),
+                 "--data", str(tmp_path / "missing"), "--user", "u0", "--item", "i0",
+                 "--top", str(top)])
+    assert code == 2
+    assert f"--top must be >= 1, got {top}" in capsys.readouterr().err
+
+
 def test_inspect_unknown_user_exits_2(workspace, capsys):
     code = main(["inspect", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
                  "--data", str(workspace["data"]), "--user", "ghost",
@@ -607,6 +638,7 @@ def test_sweep_single_dim(workspace, tmp_path, capsys):
     assert lines[0] == "d_id,val_mse"
     assert len(lines) == 2
     assert lines[1].startswith("4,")
+    assert np.isfinite(float(lines[1].split(",")[1]))
 
 
 def test_default_sweep_list_contains_32():
@@ -617,13 +649,18 @@ def test_default_sweep_list_contains_32():
 
 
 def test_ablate_writes_six_variants(workspace, tmp_path, capsys):
-    out_csv = tmp_path / "ablate.csv"
-    assert main(["ablate", "--data", str(workspace["data"]), "--config",
-                 str(workspace["config"]), "--out", str(out_csv)]) == 0
-    lines = out_csv.read_text().splitlines()
+    runs = []
+    for tag in ("a", "b"):
+        out_csv = tmp_path / f"{tag}.csv"
+        assert main(["ablate", "--data", str(workspace["data"]), "--config",
+                     str(workspace["config"]), "--out", str(out_csv)]) == 0
+        runs.append(out_csv.read_bytes())
+    assert runs[0] == runs[1]  # bit-for-bit under a fixed seed
+    lines = runs[0].decode("utf-8").splitlines()
     assert lines[0] == "variant,mse"
-    assert len(lines) == 7
-    assert lines[1].startswith("full,")
+    rows = [line.split(",") for line in lines[1:]]
+    assert [name for name, _ in rows] == [name for name, _ in ABLATION_VARIANTS]
+    assert all(np.isfinite(float(score)) for _, score in rows)
 
 
 def test_parse_ablation_spec():

@@ -6,9 +6,7 @@ import pytest
 
 from nrpa import model as M
 from nrpa.data import prepare_dataset
-from nrpa.evaluation import (_EVAL_CHUNK, ABLATION_VARIANTS, evaluate,
-                             make_synthetic_corpus, mse, run_ablation_suite,
-                             sweep_id_dim)
+from nrpa.evaluation import _EVAL_CHUNK, evaluate, make_synthetic_corpus, mse
 from nrpa.training import TrainConfig
 
 
@@ -122,43 +120,6 @@ def test_trace_sink_jsonl_schema(tiny_dataset, tiny_stores):
     assert rec["user"] == split[0].user
     beta = np.array(rec["user_beta"])
     assert beta.sum() == pytest.approx(1.0, abs=1e-9) or beta.sum() == 0.0
-
-
-# ---------------------------------------------------------------------------
-# suites
-# ---------------------------------------------------------------------------
-
-def suite_config():
-    return TrainConfig(word_dim=8, id_dim=4, num_filters=8, attn_dim=8, window=3,
-                       fm_dim=4, review_len=12, num_reviews=4, learning_rate=5e-3,
-                       batch_size=16, max_epochs=2, patience=2, l2_weight=1e-6,
-                       seed=2)
-
-
-def test_ablation_suite_six_finite_rows_and_reproducible(tiny_dataset, tmp_path):
-    csv_path = tmp_path / "ablation.csv"
-    rows = run_ablation_suite(suite_config(), tiny_dataset, csv_path=csv_path)
-    assert [name for name, _ in rows] == [name for name, _ in ABLATION_VARIANTS]
-    assert len(rows) == 6
-    assert all(np.isfinite(score) for _, score in rows)
-    again = run_ablation_suite(suite_config(), tiny_dataset)
-    assert rows == again  # bit-for-bit under a fixed seed
-    text = csv_path.read_text().splitlines()
-    assert text[0] == "variant,mse"
-    assert len(text) == 7
-
-
-def test_sweep_single_dim_single_row(tiny_dataset, tmp_path):
-    csv_path = tmp_path / "sweep.csv"
-    rows = sweep_id_dim(suite_config(), tiny_dataset, [4], csv_path=csv_path)
-    assert len(rows) == 1 and rows[0][0] == 4
-    assert np.isfinite(rows[0][1])
-    assert csv_path.read_text().splitlines()[0] == "d_id,val_mse"
-
-
-def test_sweep_rejects_empty_dims(tiny_dataset):
-    with pytest.raises(ValueError):
-        sweep_id_dim(suite_config(), tiny_dataset, [])
 
 
 # ---------------------------------------------------------------------------
