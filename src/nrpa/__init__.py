@@ -1,5 +1,14 @@
 """Review-based rating prediction with personalized hierarchical attention."""
 
+import os
+
+# One BLAS thread unless the caller set these: a threaded GEMM sums in another
+# order, so the same seed would give other bits at another thread count. Set
+# before numpy is first imported, which is when BLAS reads them.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
 from .model import AblationSpec, Dims, ModelParams, forward, init_params
 from .training import TrainConfig, train
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkpoint, evaluation, training
+from . import BLAS_THREAD_VARS, checkpoint, evaluation, training
 from .data import (ProfileStore, build_profiles, load_prepared, parse_reviews,
                    prepare_dataset, save_prepared)
 from .model import AblationSpec, Dims, forward, param_count
@@ -261,6 +261,7 @@ def cmd_train(args) -> int:
         "config": dataclasses.asdict(cfg),
         "dataset_fingerprint": _fingerprint(args.data),
         "seed": cfg.seed,
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "checkpoint": str(ckpt_path),
         "metrics": {"history": str(out / "history.csv")},
         "started_at": started,
@@ -275,7 +276,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_out_file(args.out)
+    out_csv = args.out or str(Path(args.checkpoint).parent / f"eval_{args.split}.csv")
+    _check_out_file(out_csv)
     _check_out_file(args.trace)
     split_name = "validation" if args.split == "val" else "test"
     ds = _load_dataset(args.data, (split_name,))
@@ -288,8 +290,6 @@ def cmd_eval(args) -> int:
                                     ablation, exclude_target=exclude, clip=args.clip,
                                     trace_sink=sink)
     print(f"mse={score!r}")
-
-    out_csv = args.out or str(Path(args.checkpoint).parent / f"eval_{args.split}.csv")
     _write_csv(out_csv, ("split", "ablation", "mse"),
                [(args.split, args.ablation or "none", score)])
     return 0

@@ -28,9 +28,10 @@ UNK_OWNER = 0
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# users.tsv/items.tsv store one `key<TAB>index` line per owner, so a key
-# holding a tab or a line break could not be read back
-_KEY_BREAKERS = re.compile(r"[\t\n\r]")
+# users.tsv/items.tsv store one `key<TAB>index` line per owner in UTF-8, so a
+# key holding a tab or a line break could not be read back, and one holding a
+# lone surrogate (a JSON escape such as "\ud800") could not be written
+_KEY_BREAKERS = re.compile(r"[\t\n\r\ud800-\udfff]")
 
 
 @dataclass
@@ -67,14 +68,19 @@ def parse_reviews(stream, format: str):
 
     amazon-json: one JSON object per line with reviewerID/asin/overall/reviewText.
     csv: headerless rows user,item,rating,text (quoting per the csv module).
-    Malformed lines, non-string review text (e.g. JSON null), ratings
-    outside [1, 5] and user or item keys holding a tab, newline or carriage
-    return are skipped and counted.
+    Malformed lines, user or item keys or review text that are not JSON
+    strings (e.g. null), a boolean overall, ratings outside [1, 5] and user
+    or item keys holding a tab, newline, carriage return or lone surrogate
+    are skipped and counted. A binary stream is read as UTF-8 and left open.
     """
     if format not in ("amazon-json", "csv"):
         raise ValueError(f"unknown format {format!r}")
     if not isinstance(stream, io.TextIOBase) and hasattr(stream, "read"):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
+        text = io.TextIOWrapper(stream, encoding="utf-8")
+        try:
+            return parse_reviews(text, format)
+        finally:
+            text.detach()
 
     records = []
     skipped = 0
@@ -84,13 +90,13 @@ def parse_reviews(stream, format: str):
                 continue
             try:
                 obj = json.loads(line)
-                rating = float(obj["overall"])
-                text = obj["reviewText"]
-                rec = RawRecord(str(obj["reviewerID"]), str(obj["asin"]), rating, text)
+                rec = RawRecord(obj["reviewerID"], obj["asin"], float(obj["overall"]),
+                                obj["reviewText"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 skipped += 1
                 continue
-            if not isinstance(text, str) or not 1.0 <= rating <= 5.0 \
+            if not all(isinstance(v, str) for v in (rec.user_key, rec.item_key, rec.text)) \
+                    or isinstance(obj["overall"], bool) or not 1.0 <= rec.rating <= 5.0 \
                     or _KEY_BREAKERS.search(rec.user_key + rec.item_key):
                 skipped += 1
                 continue
@@ -196,9 +202,9 @@ class ProfileStore:
     def gather(self, owners: np.ndarray, exclude_partner=None):
         """Profiles for a batch of owners: (tokens, token_mask, review_mask).
 
-        With exclude_partner set (one id per owner), rows whose partner matches
-        are masked off, which removes the target review from the encoding
-        without reshaping the grid.
+        With exclude_partner set (one id per owner), reviews whose partner
+        matches are masked off in review_mask only: the target review keeps
+        its words and gets review weight 0, and the grid keeps its shape.
         """
         owners = np.asarray(owners)
         toks = self.tokens[owners]
@@ -206,7 +212,7 @@ class ProfileStore:
         rmask = partner >= 0
         if exclude_partner is not None:
             rmask &= partner != np.asarray(exclude_partner).reshape(-1, 1)
-        return toks, (toks != PAD_ID) & rmask[:, :, None], rmask
+        return toks, toks != PAD_ID, rmask
 
 
 def build_profiles(train_interactions, review_len: int, num_reviews: int,

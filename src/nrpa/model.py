@@ -20,7 +20,8 @@ Conventions:
   reviews are embedded time-major, (review_len, word_dim) per review;
   conv filters are stored flattened as (num_filters, window*word_dim) where
   column block c holds the taps for relative offset c - (window-1)//2;
-  the PAD embedding row (row 0) is pinned to zero.
+  PAD is padding, not a word: conv() reads a PAD position as a zero row, so
+  nothing reads the PAD embedding row and its gradient is exactly zero.
 """
 
 import math
@@ -29,9 +30,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .data import PAD_ID
 from .rng import SplitMix64
-
-PAD_ID = 0
 
 # the conv nonlinearities conv() applies, by their config names
 ACTIVATIONS = ("relu", "tanh")
@@ -68,7 +68,7 @@ def param_layout(dims: Dims):
     format writes it.
     """
     d = dims
-    yield "word_emb", (d.vocab_size, d.word_dim)  # row 0 (PAD) pinned to zero
+    yield "word_emb", (d.vocab_size, d.word_dim)  # row PAD_ID is never read
     yield "user_id_emb", (d.n_users, d.id_dim)
     yield "item_id_emb", (d.n_items, d.id_dim)
     for tag in ("user", "item"):
@@ -298,8 +298,8 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
     ids (sorted), is projected through every filter tap once. pos (R,
     T + window - 1) holds, at every zero-padded position, the projection row
     it reads: the token's index in ids, or len(ids), a zero row, at the
-    edges. Feature (r, j) is conv_b plus tap c at pos[r, j + c], added in
-    offset order c = 0, 1, ...
+    edges and at PAD tokens. Feature (r, j) is conv_b plus tap c at
+    pos[r, j + c], added in offset order c = 0, 1, ...
     """
     r, t = tokens.shape
     word_dim = word_emb.shape[1]
@@ -314,7 +314,7 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
     np.matmul(word_emb[ids], _stacked_filters(conv_w, word_dim),
               out=proj[:-1].reshape(ids.size, window * k))
     pos = np.full((r, t + 2 * half), ids.size)
-    pos[:, half:half + t] = inv.reshape(r, t)
+    pos[:, half:half + t] = np.where(tokens == PAD_ID, ids.size, inv.reshape(r, t))
 
     features = proj[pos[:, 0:t], 0]
     features += conv_b

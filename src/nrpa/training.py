@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .data import PAD_ID
 from .evaluation import evaluate
 from .rng import SplitMix64
 
@@ -70,9 +69,9 @@ class TrainConfig:
 
 def _l2_ranges(dims: M.Dims, ablation: M.AblationSpec):
     """[lo, hi) offsets into the flat buffer of the weights under L2, in layout
-    order, adjacent tensors merged into one range: everything except biases,
-    the PAD embedding row, and the query MLP weights and pairing matrices of
-    sites ablated to uniform."""
+    order, adjacent tensors merged into one range: everything except biases
+    and the query MLP weights and pairing matrices of sites ablated to
+    uniform."""
     ranges = []
     hi = 0
     for name, shape in M.param_layout(dims):
@@ -83,8 +82,6 @@ def _l2_ranges(dims: M.Dims, ablation: M.AblationSpec):
         if field.endswith(("_query_w", "_attn")) and \
                 ablation.uniform(side, field.partition("_")[0]):
             continue
-        if name == "word_emb":
-            lo += dims.word_dim
         if ranges and ranges[-1][1] == lo:
             lo = ranges.pop()[0]
         ranges.append((lo, hi))
@@ -155,7 +152,6 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
     else:
         grads.flat.fill(0.0)
     M.backward_batch(params, u_cache, i_cache, 2.0 * res / nb, grads)
-    grads.word_emb[PAD_ID] = 0.0
     value = float(np.mean(res * res)) + _dense_pass(params, l2_weight, ablation, grads)
     return value, grads
 
@@ -189,7 +185,7 @@ class AdamState:
 
 def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState,
               lr: float) -> None:
-    """One in-place Adam update with bias correction; re-pins the PAD row.
+    """One in-place Adam update with bias correction.
 
     One pass over the flat buffers, in place: the operations are those of
     m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
@@ -223,7 +219,6 @@ def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState,
         den += ADAM_EPS
         num /= den
         p -= num
-    params.word_emb[PAD_ID] = 0.0
 
 
 # ---------------------------------------------------------------------------

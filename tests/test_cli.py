@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from nrpa import cli
+from nrpa import BLAS_THREAD_VARS, cli
 from nrpa.checkpoint import save_params
 from nrpa.cli import main, parse_ablation, load_config, UsageError
 from nrpa.data import ProfileStore, load_prepared
@@ -133,6 +133,7 @@ def test_train_outputs(workspace):
     assert manifest["seed"] == 2
     assert manifest["config"]["num_filters"] == 8
     assert re.fullmatch(r"[0-9a-f]{64}", manifest["dataset_fingerprint"])
+    assert manifest["blas_threads"] == {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
 
 
 def test_train_missing_config_exits_2(workspace, tmp_path, capsys):
@@ -304,6 +305,16 @@ def test_eval_prints_finite_mse_and_writes_csv(workspace, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "split,ablation,mse"
     assert lines[1].startswith("val,none,")
+
+
+def test_eval_default_csv_at_a_directory_exits_2_before_scoring(workspace, tmp_path,
+                                                               capsys):
+    shutil.copy(workspace["run"] / "checkpoint.nrpa", tmp_path)
+    (tmp_path / "eval_val.csv").mkdir()
+    assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.nrpa"), "--data",
+                 str(workspace["data"]), "--split", "val"]) == 2
+    out, err = capsys.readouterr()
+    assert str(tmp_path / "eval_val.csv") in err and "mse=" not in out
 
 
 def test_eval_val_vs_test_differ_only_in_split(workspace, capsys):
@@ -731,7 +742,8 @@ def config_texts(draw):
 
 
 @given(text=config_texts(),
-       shape=st.sampled_from(["train", "ablate", "sweep", "no-out", "unknown-flag"]),
+       shape=st.sampled_from(["train", "ablate", "sweep", "no-out", "unknown-flag",
+                              "eval-default-out-at-a-directory"]),
        dims=st.sampled_from(["4", "0", "2,1", "x", "", str(HUGE)]))
 @settings(max_examples=100, deadline=None)
 def test_any_config_and_argv_exits_0_2_or_3(workspace, text, shape, dims):
@@ -739,12 +751,19 @@ def test_any_config_and_argv_exits_0_2_or_3(workspace, text, shape, dims):
     cfg = root / "property.cfg"
     cfg.write_bytes(text)
     base = ["--data", str(workspace["data"]), "--config", str(cfg)]
+    taken = root / "property-eval"
+    if not taken.is_dir():  # eval's default CSV path is a directory
+        (taken / "eval_val.csv").mkdir(parents=True)
+        shutil.copy(workspace["run"] / "checkpoint.nrpa", taken)
     argv = {
         "train": ["train", *base, "--out", str(root / "property-run")],
         "ablate": ["ablate", *base, "--out", str(root / "property.csv")],
         "sweep": ["sweep", *base, "--dims", dims, "--out", str(root / "property.csv")],
         "no-out": ["train", *base],
         "unknown-flag": ["train", *base, "--out", str(root / "property-run"), "--fast"],
+        "eval-default-out-at-a-directory": ["eval", "--checkpoint",
+                                            str(taken / "checkpoint.nrpa"), "--data",
+                                            str(workspace["data"]), "--split", "val"],
     }[shape]
     err = io.StringIO()
     try:

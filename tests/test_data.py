@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import io
 import json
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +66,30 @@ def test_parse_skips_non_string_review_text():
     records, skipped = parse_reviews(stream, "amazon-json")
     assert skipped == 3
     assert records == [RawRecord("A1", "B1", 5.0, "kept")]
+
+
+def test_parse_skips_keys_that_are_not_text_and_boolean_ratings():
+    stream = io.StringIO("\n".join([
+        amazon_line(user=None), amazon_line(user=["x"]), amazon_line(item=7),
+        amazon_line(item={"a": "b"}), amazon_line(user="a\ud800"),
+        amazon_line(item="\udfff"), amazon_line(rating=True), amazon_line(rating=False),
+        amazon_line(text="kept")]))
+    records, skipped = parse_reviews(stream, "amazon-json")
+    assert skipped == 8
+    assert records == [RawRecord("A1", "B1", 5.0, "kept")]
+
+
+def test_parse_leaves_a_byte_stream_open_and_leaks_no_wrapper(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(amazon_line() + "\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with open(path, "rb") as fh:
+            records, _ = parse_reviews(fh, "amazon-json")
+            gc.collect()
+            assert not fh.closed
+    assert records == [RawRecord("A1", "B1", 5.0, "great")]
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_parse_csv_with_quoted_commas():
@@ -271,7 +297,8 @@ def test_gathered_masks_follow_fill_count_length_and_exclusion(reviews, review_l
                                                                num_reviews, excluded):
     """review_mask[o, n] holds exactly when slot n is below owner o's kept
     count and its partner is not excluded; token_mask[o, n, t] exactly when
-    the slot holds and t < min(len, review_len) for the review in it."""
+    the slot is below the kept count and t < min(len, review_len) for the
+    review in it, whatever is excluded."""
     inters = [Interaction(u, i, 3.0, np.arange(2, 2 + length, dtype=np.int32))
               for u, i, length in reviews]
     users, _ = build_profiles(inters, review_len, num_reviews, n_users=4, n_items=3)
@@ -280,11 +307,11 @@ def test_gathered_masks_follow_fill_count_length_and_exclusion(reviews, review_l
     for o in owners:
         kept = [(i, length) for u, i, length in reviews if u == o][:num_reviews]
         for n in range(num_reviews):
-            filled = n < len(kept) and kept[n][0] != excluded[o]
-            assert rmask[o, n] == filled
-            k = min(kept[n][1], review_len) if filled else 0
+            assert rmask[o, n] == (n < len(kept) and kept[n][0] != excluded[o])
+            k = min(kept[n][1], review_len) if n < len(kept) else 0
             assert tmask[o, n].tolist() == [t < k for t in range(review_len)]
-    _, _, rmask_all = users.gather(owners)
+    _, tmask_all, rmask_all = users.gather(owners)
+    assert np.array_equal(tmask_all, tmask)
     assert (rmask_all.sum(axis=1) == [min(sum(u == o for u, _, _ in reviews), num_reviews)
                                       for o in owners]).all()
 
@@ -309,10 +336,11 @@ def test_exclude_target_removes_exactly_the_scored_pair():
     users, _ = build_profiles(inters, 3, 3, 2, 4)
     toks, tmask, rmask = users.gather(np.array([1]), exclude_partner=np.array([2]))
     assert rmask[0].tolist() == [True, False, True]
-    assert not tmask[0, 1].any()
+    # the excluded review keeps its words: exclusion is a review-level choice
+    assert tmask[0, 1].tolist() == [True, False, False]
     # without exclusion all three rows stay
-    _, _, rmask_all = users.gather(np.array([1]))
-    assert rmask_all[0].all()
+    _, tmask_all, rmask_all = users.gather(np.array([1]))
+    assert rmask_all[0].all() and np.array_equal(tmask_all, tmask)
 
 
 # sha256 of each file save_prepared writes for the tiny_dataset corpus

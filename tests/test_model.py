@@ -125,9 +125,11 @@ def test_nan_attention_parameter_gives_non_finite_ratings(toy_params):
 
 def conv_columns(m, filters, biases):
     """Convolution of the columns of m (word_dim, T) as (T, K) features:
-    position k reads embedding row k, so each column is its own token."""
-    tokens = np.arange(m.shape[1])[None]
-    features, _, _ = M.conv(tokens, filters, biases, m.T.copy(), "relu")
+    position k reads embedding row k + 1, so each column is its own token
+    and none is PAD (row 0, zero)."""
+    tokens = np.arange(1, m.shape[1] + 1)[None]
+    word_emb = np.vstack([np.zeros(m.shape[0]), m.T])
+    features, _, _ = M.conv(tokens, filters, biases, word_emb, "relu")
     return features[0]
 
 
@@ -215,8 +217,7 @@ def test_conv_backward_matches_finite_differences(activation, window):
     while True:  # keep every pre-activation away from the ReLU kink
         conv_w = rng.normal(size=(k, window * word_dim))
         conv_b = rng.normal(size=k)
-        word_emb = rng.normal(size=(vocab, word_dim))
-        word_emb[M.PAD_ID] = 0.0
+        word_emb = rng.normal(size=(vocab, word_dim))  # a PAD row that is not zero
         if np.abs(pre_activation(tokens, conv_w, conv_b, word_emb)).min() > 0.05:
             break
     g = rng.normal(size=(r, t, k))
@@ -232,6 +233,7 @@ def test_conv_backward_matches_finite_differences(activation, window):
             return float(np.sum(M.conv(tokens, *trial, activation)[0] * g))
         assert grad_check(f, args[i].ravel().copy(), analytic) < 1e-6, i
     assert grads[2][np.setdiff1d(np.arange(vocab), tokens)].sum() == 0.0
+    assert not grads[2][M.PAD_ID].any()  # PAD reads the zero row, not its embedding
 
 
 def test_conv_rejects_even_window():

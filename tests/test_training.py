@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import nrpa
+from nrpa import BLAS_THREAD_VARS
 from nrpa import model as M
 from nrpa import training as T
 from nrpa.data import PAD_ID, Interaction
@@ -37,9 +43,9 @@ def attention_site(side, level):
     return [f"{side}.{level}_query_w", f"{side}.{level}_attn"]
 
 
-# the tensors under L2 besides word_emb[1:]: no bias, and no query MLP weights
-# or pairing matrix of a uniform site
-L2_ALWAYS = ["user_id_emb", "item_id_emb", "user.conv_w", "item.conv_w",
+# the tensors under L2: no bias, and no query MLP weights or pairing matrix of
+# a uniform site
+L2_ALWAYS = ["word_emb", "user_id_emb", "item_id_emb", "user.conv_w", "item.conv_w",
              "fm.linear", "fm.factors"]
 L2_ATTENTION = {
     "full": attention_site("user", "word") + attention_site("user", "review")
@@ -60,9 +66,8 @@ def test_loss_l2_term_matches_direct_summation(toy_params, variant):
     base = loss(batch, toy_params, stores, 0.0, ablation)
     with_l2 = loss(batch, toy_params, stores, 0.01, ablation)
     tensors = dict(toy_params.tensors())
-    direct = float(np.sum(toy_params.word_emb[1:] ** 2))
-    direct += sum(float(np.sum(tensors[name] ** 2))
-                  for name in L2_ALWAYS + L2_ATTENTION[variant])
+    direct = sum(float(np.sum(tensors[name] ** 2))
+                 for name in L2_ALWAYS + L2_ATTENTION[variant])
     assert with_l2 - base == pytest.approx(0.01 * direct, rel=1e-12)
 
 
@@ -94,29 +99,21 @@ def test_backward_untouched_embedding_rows_get_zero_gradient(toy_params):
     # token 19 appears nowhere in the toy profiles
     assert 19 not in used
     assert not grads.word_emb[19].any()
-    assert not grads.word_emb[0].any()  # PAD stays pinned
+    assert not grads.word_emb[PAD_ID].any()  # PAD is never read
     assert grads.word_emb[2].any()
 
 
 def grad_check_all_tensors(params, batch, stores, l2, ablation=M.FULL_ATTENTION,
                            eps=1e-5):
-    """Finite-difference sweep over every trainable coordinate; the PAD
-    embedding row is pinned by contract and therefore not a coordinate."""
+    """Finite-difference sweep over every coordinate, the PAD embedding row's
+    included."""
     _, grads = T.backward(batch, params, stores, l2, ablation)
     worst = {}
     for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
-        if name == "word_emb":
-            p, g = p[1:], g[1:]
-
-            def f(flat, shape=p.shape):
-                trial = params.copy()
-                trial.word_emb[1:] = flat.reshape(shape)
-                return loss(batch, trial, stores, l2, ablation)
-        else:
-            def f(flat, name=name, shape=p.shape):
-                trial = params.copy()
-                dict(trial.tensors())[name][...] = flat.reshape(shape)
-                return loss(batch, trial, stores, l2, ablation)
+        def f(flat, name=name, shape=p.shape):
+            trial = params.copy()
+            dict(trial.tensors())[name][...] = flat.reshape(shape)
+            return loss(batch, trial, stores, l2, ablation)
         worst[name] = grad_check(f, p.reshape(-1).copy(), g.reshape(-1).copy(), eps)
     return worst
 
@@ -193,7 +190,6 @@ def test_l2_walk_in_blocks_splitting_tensors_is_bit_identical(toy_params,
     value, grads = T.backward(batch, toy_params, stores, l2, ablation)
     assert value == loss(batch, toy_params, stores, l2, ablation)
     expect = plain.copy()
-    expect.word_emb[1:] += 2.0 * l2 * toy_params.word_emb[1:]
     tensors, expected = dict(toy_params.tensors()), dict(expect.tensors())
     for name in L2_ALWAYS + L2_ATTENTION[variant]:
         expected[name] += 2.0 * l2 * tensors[name]
@@ -282,17 +278,25 @@ def test_adam_pass_is_bit_identical_to_the_expressions(toy_params, monkeypatch, 
         ref_v = b2 * ref_v + (1.0 - b2) * (g * g)
         ref_p -= 0.01 * (ref_m / (1.0 - b1 ** t)) / (np.sqrt(ref_v / (1.0 - b2 ** t))
                                                       + T.ADAM_EPS)
-        ref_p[:params.word_emb[0].size] = 0.0  # PAD row re-pinned
         assert np.array_equal(params.flat, ref_p)
         assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
 
 
-def test_adam_repins_pad_row(toy_params):
-    grads = toy_params.zeros_like()
-    grads.word_emb[...] = 1.0  # adversarial: even a bogus PAD gradient
-    state = T.AdamState.for_params(toy_params)
-    T.adam_step(toy_params, grads, state, lr=0.1)
-    assert not toy_params.word_emb[0].any()
+def test_pad_embedding_row_is_never_read(toy_params):
+    """A finite garbage PAD row leaves the predictions, the loss and every
+    gradient bit-identical, and its own gradient row exactly 0. (At
+    l2_weight 0: the L2 term reads every row.)"""
+    stores, batch = toy_stores(), toy_batch()
+    pairs = ([b.user for b in batch], [b.item for b in batch])
+    garbage = toy_params.copy()
+    garbage.word_emb[PAD_ID] = np.random.default_rng(0).normal(size=TOY_DIMS.word_dim) * 1e3
+    for exclude in (False, True):
+        preds = M.predict_batch(toy_params, *stores, *pairs, exclude)[0]
+        assert np.array_equal(M.predict_batch(garbage, *stores, *pairs, exclude)[0], preds)
+        value, grads = T.backward(batch, toy_params, stores, 0.0, exclude_target=exclude)
+        got_value, got = T.backward(batch, garbage, stores, 0.0, exclude_target=exclude)
+        assert got_value == value and np.array_equal(got.flat, grads.flat)
+        assert not got.word_emb[PAD_ID].any()
 
 
 def test_adam_single_step_decreases_batch_loss():
@@ -377,6 +381,51 @@ def test_train_holds_five_parameter_sized_buffers(tiny_dataset, tiny_stores):
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * nbytes, peak / nbytes
+
+
+# 4 Adam steps at full.cfg dims (review_len 60, 8 reviews) on a 3000-record
+# Zipf corpus of ~7.6k word types, where a threaded GEMM's summation order shows
+# in the gradient bits; prints the sha256 of the parameters
+BLAS_PROBE = """
+import hashlib
+import nrpa
+import numpy as np
+from nrpa import model as M, training as T
+from nrpa.data import RawRecord, build_profiles, prepare_dataset
+
+rng = np.random.default_rng(0)
+zipf = 1.0 / np.arange(1, 8001)
+words = np.array([f"w{r}" for r in range(8000)])
+records = [RawRecord(f"u{rng.integers(300)}", f"i{rng.integers(150)}",
+                     float(rng.integers(1, 6)),
+                     " ".join(rng.choice(words, size=60, p=zipf / zipf.sum())))
+           for _ in range(3000)]
+ds = prepare_dataset(records, seed=1, review_len=60)
+cfg = T.TrainConfig(review_len=60, num_reviews=8, batch_size=50)
+stores = build_profiles(ds.split.train, 60, 8, ds.n_users, ds.n_items)
+params = M.init_params(cfg.dims(len(ds.vocab), ds.n_users, ds.n_items), cfg.seed)
+state = T.AdamState.for_params(params)
+for lo in range(0, 200, 50):
+    _, grads = T.backward(ds.split.train[lo:lo + 50], params, stores, cfg.l2_weight)
+    T.adam_step(params, grads, state, cfg.learning_rate)
+print(hashlib.sha256(params.flat.tobytes()).hexdigest())
+"""
+
+
+def test_default_blas_threads_give_the_one_thread_bits():
+    """Importing nrpa pins BLAS to one thread unless the caller set a count,
+    so a run that sets nothing gives the bits of a run that sets 1. Each run
+    is a fresh process, because BLAS reads the count when numpy loads. On a
+    one-core host the default is one thread anyway, so there this test
+    cannot tell a pinned package from an unpinned one."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(nrpa.__file__).parent.parent)
+    digests = []
+    for pinned in ({}, {var: "1" for var in BLAS_THREAD_VARS}):
+        run = subprocess.run([sys.executable, "-c", BLAS_PROBE], env={**env, **pinned},
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_config_validation():
