@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import BLAS_THREAD_VARS, checkpoint, evaluation, training
+from . import BLAS_THREADS, checkpoint, evaluation, training
 from .data import (ProfileStore, build_profiles, load_prepared, parse_reviews,
                    prepare_dataset, save_prepared)
 from .model import AblationSpec, Dims, forward, param_count
@@ -261,7 +261,7 @@ def cmd_train(args) -> int:
         "config": dataclasses.asdict(cfg),
         "dataset_fingerprint": _fingerprint(args.data),
         "seed": cfg.seed,
-        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "blas_threads": BLAS_THREADS,
         "checkpoint": str(ckpt_path),
         "metrics": {"history": str(out / "history.csv")},
         "started_at": started,
@@ -334,13 +334,13 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"unknown user {args.user!r}")
     if item == 0:
         raise UsageError(f"unknown item {args.item!r}")
-    rating, trace = forward(user, item, stores[0], stores[1], params,
-                            exclude_target=exclude)
+    rating, u_cache, i_cache = forward(user, item, stores[0], stores[1], params,
+                                       exclude_target=exclude)
     print(f"prediction: {rating!r}")
 
-    for side, store, owner, alpha, beta in (
-            ("user", stores[0], user, trace.user_alpha, trace.user_beta),
-            ("item", stores[1], item, trace.item_alpha, trace.item_beta)):
+    for side, store, owner, cache in (("user", stores[0], user, u_cache),
+                                      ("item", stores[1], item, i_cache)):
+        alpha, beta = cache.alpha[0], cache.beta[0]
         keys = ds.item_keys if side == "user" else ds.user_keys
         print(f"{side} reviews by weight:")
         order = np.argsort(-beta)

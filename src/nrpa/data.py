@@ -64,28 +64,29 @@ class DatasetSplit:
 
 
 def parse_reviews(stream, format: str):
-    """Parse a review corpus into (records, skipped_count).
+    """Parse a review corpus from a binary stream into (records, skipped_count).
 
     amazon-json: one JSON object per line with reviewerID/asin/overall/reviewText.
     csv: headerless rows user,item,rating,text (quoting per the csv module).
     Malformed lines, user or item keys or review text that are not JSON
     strings (e.g. null), a boolean overall, ratings outside [1, 5] and user
     or item keys holding a tab, newline, carriage return or lone surrogate
-    are skipped and counted. A binary stream is read as UTF-8 and left open.
+    are skipped and counted. The stream is read as UTF-8 and left open.
     """
     if format not in ("amazon-json", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    if not isinstance(stream, io.TextIOBase) and hasattr(stream, "read"):
-        text = io.TextIOWrapper(stream, encoding="utf-8")
-        try:
-            return parse_reviews(text, format)
-        finally:
-            text.detach()
+    text = io.TextIOWrapper(stream, encoding="utf-8")
+    try:
+        return _parse_text(text, format)
+    finally:
+        text.detach()
 
+
+def _parse_text(text, format: str):
     records = []
     skipped = 0
     if format == "amazon-json":
-        for line in stream:
+        for line in text:
             if not line.strip():
                 continue
             try:
@@ -102,7 +103,7 @@ def parse_reviews(stream, format: str):
                 continue
             records.append(rec)
     else:
-        for row in csv.reader(stream):
+        for row in csv.reader(text):
             if not row:
                 continue
             if len(row) != 4:

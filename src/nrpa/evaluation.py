@@ -2,7 +2,8 @@
 
 Predictions go through the batched forward path (model.predict_batch) in
 fixed-size chunks taken in index order, so scores are bit-reproducible and
-depend on no setting of the caller.
+depend on no setting of the caller, and a non-finite prediction raises
+FloatingPointError there.
 """
 
 import json
@@ -56,15 +57,15 @@ def evaluate(params: M.ModelParams, interactions, stores,
         scored.append(preds)
         if trace_sink is None:
             continue
-        for inter, pred, trace in zip(chunk, preds, M.attention_traces(u_cache, i_cache)):
+        for b, (inter, pred) in enumerate(zip(chunk, preds)):
             trace_sink.write(json.dumps({
                 "user": int(inter.user),
                 "item": int(inter.item),
                 "prediction": float(pred),
-                "user_alpha": trace.user_alpha.tolist(),
-                "user_beta": trace.user_beta.tolist(),
-                "item_alpha": trace.item_alpha.tolist(),
-                "item_beta": trace.item_beta.tolist(),
+                "user_alpha": u_cache.alpha[b].tolist(),
+                "user_beta": u_cache.beta[b].tolist(),
+                "item_alpha": i_cache.alpha[b].tolist(),
+                "item_beta": i_cache.beta[b].tolist(),
             }, sort_keys=True) + "\n")
     return mse(np.concatenate(scored), [i.rating for i in interactions])
 

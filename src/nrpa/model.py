@@ -6,7 +6,8 @@ Two towers share one word-embedding table: the user side encodes the user's
 review profile with queries derived from the user id embedding, the item side
 does the same with item queries. Each side yields a pooled text feature; the
 concatenation goes through the FM to produce the rating. Every rating is
-computed by predict_batch; forward() is a batch of one.
+computed, checked for finiteness and traced by predict_batch; forward() is a
+batch of one.
 
 Every stage has its backward function beside it: conv(), which projects each
 distinct token of the batch through every filter tap once and keeps the whole
@@ -171,14 +172,6 @@ class AblationSpec:
 
 
 FULL_ATTENTION = AblationSpec()
-
-
-@dataclass
-class AttentionTrace:
-    user_alpha: np.ndarray  # (N, T)
-    user_beta: np.ndarray   # (N,)
-    item_alpha: np.ndarray
-    item_beta: np.ndarray
 
 
 def _glorot(rng: SplitMix64, shape) -> np.ndarray:
@@ -362,10 +355,9 @@ def conv_backward(d_features: np.ndarray, features: np.ndarray, ids: np.ndarray,
 @dataclass
 class SideCache:
     """Everything encode_side_backward() needs for one side of one batch;
-    alpha and beta are also the attention traces, row j aligned with the
-    owner's j-th profile slot."""
+    alpha and beta are also the attention traces that `eval --trace` and
+    `inspect` report, row j aligned with the owner's j-th profile slot."""
     owners: np.ndarray       # (B,)
-    review_mask: np.ndarray  # (B, N)
     uid: np.ndarray          # (B, id_dim)
     features: np.ndarray     # (B*N, T, K) conv features, review b*N + j
     ids: np.ndarray          # (U,) the batch's distinct tokens, as conv() returns them
@@ -404,7 +396,7 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
     d_vecs = d_vecs.reshape(b, n, -1)
     beta, pooled = attention_pool(d_vecs, a_r, review_mask)       # (B, N), (B, K)
 
-    return SideCache(owners, review_mask, uid, features, ids, pos, pre_qw, a_q,
+    return SideCache(owners, uid, features, ids, pos, pre_qw, a_q,
                      alpha.reshape(b, n, t), d_vecs, pre_qr, a_r, beta, pooled)
 
 
@@ -463,7 +455,9 @@ def fm_backward(fm, features: np.ndarray, d_pred: np.ndarray, g_fm) -> np.ndarra
 def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray,
                   items: np.ndarray, exclude_target: bool = False,
                   ablation: AblationSpec = FULL_ATTENTION):
-    """Batched ratings; returns (predictions, user cache, item cache)."""
+    """Batched ratings; returns (predictions, user cache, item cache). A
+    non-finite prediction raises FloatingPointError naming the first
+    non-finite parameter tensor."""
     users = np.asarray(users)
     items = np.asarray(items)
     u_cache = encode_side_batch(params, "user", user_store, users,
@@ -471,7 +465,11 @@ def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray
     i_cache = encode_side_batch(params, "item", item_store, items,
                                 users if exclude_target else None, ablation)
     features = np.concatenate([u_cache.pooled, i_cache.pooled], axis=1)
-    return fm_predict_batch(params.fm, features), u_cache, i_cache
+    preds = fm_predict_batch(params.fm, features)
+    if not np.isfinite(preds).all():
+        params.assert_finite("parameter")
+        raise FloatingPointError("non-finite predictions in forward pass")
+    return preds, u_cache, i_cache
 
 
 def backward_batch(params: ModelParams, u_cache: SideCache, i_cache: SideCache,
@@ -486,15 +484,10 @@ def backward_batch(params: ModelParams, u_cache: SideCache, i_cache: SideCache,
     encode_side_backward(params, "item", i_cache, d_features[:, k:], grads)
 
 
-def attention_traces(u_cache: SideCache, i_cache: SideCache) -> list:
-    """One AttentionTrace per scored pair of a predict_batch call."""
-    return [AttentionTrace(u_cache.alpha[b], u_cache.beta[b], i_cache.alpha[b],
-                           i_cache.beta[b]) for b in range(len(u_cache.owners))]
-
-
 def forward(user: int, item: int, user_store, item_store, params: ModelParams,
             exclude_target: bool = False, ablation: AblationSpec = FULL_ATTENTION):
-    """Score one (user, item) pair as a batch of one; returns (rating, AttentionTrace)."""
+    """Score one (user, item) pair as a batch of one; returns (rating, user
+    cache, item cache), whose row 0 holds the pair's attention weights."""
     preds, u_cache, i_cache = predict_batch(params, user_store, item_store, [user], [item],
                                             exclude_target, ablation)
-    return float(preds[0]), attention_traces(u_cache, i_cache)[0]
+    return float(preds[0]), u_cache, i_cache

@@ -141,9 +141,6 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
     user_store, item_store = stores
     preds, u_cache, i_cache = M.predict_batch(params, user_store, item_store,
                                               users, items, exclude_target, ablation)
-    if not np.all(np.isfinite(preds)):
-        params.assert_finite("parameter")
-        raise FloatingPointError("non-finite predictions in forward pass")
     res = preds - ratings
     nb = len(batch)
 
@@ -244,7 +241,9 @@ def train(config: TrainConfig, dataset, stores,
 
     Returns (best_params, history). Shuffling is seed-deterministic and the
     whole run is single-threaded, so identical config + dataset reproduce the
-    identical history and parameters.
+    identical history and parameters. A non-finite loss, or a non-finite
+    prediction in a batch or in an epoch's validation, raises TrainingDiverged
+    naming where.
     """
     config.validate()
     dims = config.dims(len(dataset.vocab), dataset.n_users, dataset.n_items)
@@ -262,22 +261,22 @@ def train(config: TrainConfig, dataset, stores,
     for epoch in range(1, config.max_epochs + 1):
         shuffle_rng.shuffle(train_set)
         total = 0.0
-        for batch_idx, lo in enumerate(range(0, len(train_set), config.batch_size)):
-            batch = train_set[lo:lo + config.batch_size]
-            where = f"epoch {epoch}, batch {batch_idx}"
-            try:
+        try:
+            for batch_idx, lo in enumerate(range(0, len(train_set), config.batch_size)):
+                batch = train_set[lo:lo + config.batch_size]
+                where = f"epoch {epoch}, batch {batch_idx}"
                 value, _ = backward(batch, params, stores, config.l2_weight, ablation,
                                     grads=grads)
-            except FloatingPointError as exc:
-                raise TrainingDiverged(f"training diverged at {where}: {exc}") from exc
-            if not np.isfinite(value):
-                raise TrainingDiverged(f"training diverged at {where}: non-finite loss")
-            adam_step(params, grads, state, config.learning_rate)
-            total += value * len(batch)
+                if not np.isfinite(value):
+                    raise FloatingPointError("non-finite loss")
+                adam_step(params, grads, state, config.learning_rate)
+                total += value * len(batch)
+            where = f"epoch {epoch}, validation"
+            val_mse = evaluate(params, dataset.split.validation, stores, ablation,
+                               exclude_target=config.exclude_target)
+        except FloatingPointError as exc:
+            raise TrainingDiverged(f"training diverged at {where}: {exc}") from exc
         train_loss = total / len(train_set)
-
-        val_mse = evaluate(params, dataset.split.validation, stores, ablation,
-                           exclude_target=config.exclude_target)
         history.append(EpochRecord(epoch, train_loss, val_mse))
 
         if val_mse < best_val:

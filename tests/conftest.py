@@ -1,3 +1,7 @@
+# nrpa before numpy: importing nrpa pins BLAS to one thread only if numpy has
+# not loaded yet, and the in-process goldens are one-thread bits
+import nrpa  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

@@ -73,8 +73,8 @@ def test_criterion_2_scalar_oracle_equivalence():
     for exclude in (False, True):
         for user in (1, 2):
             for item in (1, 2):
-                got, _ = M.forward(user, item, stores[0], stores[1], params,
-                                   exclude_target=exclude)
+                got, _, _ = M.forward(user, item, stores[0], stores[1], params,
+                                      exclude_target=exclude)
                 want = scalar_forward(params, user, item, stores[0], stores[1],
                                       exclude_target=exclude)
                 worst = max(worst, abs(got - want))

@@ -6,15 +6,19 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import nrpa
 from nrpa import BLAS_THREAD_VARS, cli
-from nrpa.checkpoint import save_params
+from nrpa.checkpoint import load_params, save_params
 from nrpa.cli import main, parse_ablation, load_config, UsageError
 from nrpa.data import ProfileStore, load_prepared
 from nrpa.evaluation import ABLATION_VARIANTS, make_synthetic_corpus
@@ -262,8 +266,8 @@ def test_train_divergence_exits_3(workspace, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_train_nan_names_epoch_batch_and_tensor(workspace, tmp_path, capsys,
-                                                 monkeypatch):
+def poison_adam_step(monkeypatch, step):
+    """Makes Adam step number `step` (from 1) write a NaN into item.review_attn."""
     from nrpa import training
     real_step = training.adam_step
     steps = []
@@ -271,16 +275,77 @@ def test_train_nan_names_epoch_batch_and_tensor(workspace, tmp_path, capsys,
     def poisoned_step(params, grads, state, lr):
         real_step(params, grads, state, lr)
         steps.append(lr)
-        if len(steps) == 2:  # batches 0 and 1 done; batch 2 reads the NaN
+        if len(steps) == step:
             params.item.review_attn[0, 0] = np.nan
 
     monkeypatch.setattr(training, "adam_step", poisoned_step)
+
+
+def test_train_nan_names_epoch_batch_and_tensor(workspace, tmp_path, capsys,
+                                                 monkeypatch):
+    poison_adam_step(monkeypatch, 2)  # batches 0 and 1 done; batch 2 reads the NaN
     code = main(["train", "--data", str(workspace["data"]), "--config",
                  str(workspace["config"]), "--out", str(tmp_path / "o")])
     assert code == 3
     err = capsys.readouterr().err
     assert "epoch 1, batch 2" in err
     assert "parameter item.review_attn" in err
+
+
+def test_train_nan_read_first_by_validation_names_it_and_saves_nothing(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A NaN written by the last Adam step of the run is first read by the
+    epoch's validation, which names it instead of recording val_mse nan and
+    saving the initial parameters."""
+    cfg = tmp_path / "one-epoch.cfg"
+    cfg.write_text(TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1"))
+    n_batches = -(-len(load_prepared(workspace["data"]).split.train)
+                  // load_config(cfg).batch_size)
+    poison_adam_step(monkeypatch, n_batches)
+    out = tmp_path / "o"
+    code = main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 1, validation" in err
+    assert "parameter item.review_attn" in err
+    assert not (out / "checkpoint.nrpa").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_non_finite_checkpoint_exits_3_naming_the_tensor(workspace, tmp_path, capsys,
+                                                         command):
+    params, meta = load_params(workspace["run"] / "checkpoint.nrpa")
+    params.user.conv_w[0, 0] = np.nan
+    ckpt = tmp_path / "nan.nrpa"
+    save_params(params, ckpt, meta)
+    ds = load_prepared(workspace["data"])
+    inter = ds.split.validation[0]
+    extra = (["--split", "val"] if command == "eval" else
+             ["--user", ds.user_keys[inter.user], "--item", ds.item_keys[inter.item]])
+    code = main([command, "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                 *extra])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "parameter user.conv_w" in captured.err
+    assert "mse=" not in captured.out and "prediction" not in captured.out
+    assert not (tmp_path / "eval_val.csv").exists()
+
+
+def test_manifest_blas_threads_is_null_where_numpy_loaded_first(workspace, tmp_path):
+    """BLAS reads its thread count when numpy loads, so in a program that
+    imports numpy before nrpa the pin never reaches it, and train records the
+    unset variables as null rather than the pin's 1."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(nrpa.__file__).parent.parent)
+    for first, want in (("numpy", None), ("nrpa", "1")):
+        out = tmp_path / f"{first}-first"
+        script = f"import {first}, sys\nfrom nrpa.cli import main\nsys.exit(main(sys.argv[1:]))"
+        subprocess.run([sys.executable, "-c", script, "train", "--data",
+                        str(workspace["data"]), "--config", str(workspace["config"]),
+                        "--out", str(out)], env=env, capture_output=True, check=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, want), first
 
 
 def test_eval_truncated_checkpoint_exits_2_naming_it(workspace, tmp_path, capsys):

@@ -25,55 +25,55 @@ def amazon_line(user="A1", item="B1", rating=5.0, text="great"):
 
 
 def test_parse_amazon_json_field_mapping():
-    records, skipped = parse_reviews(io.StringIO(amazon_line()), "amazon-json")
+    records, skipped = parse_reviews(io.BytesIO(amazon_line().encode()), "amazon-json")
     assert skipped == 0
     assert records == [RawRecord("A1", "B1", 5.0, "great")]
 
 
 def test_parse_empty_stream():
-    records, skipped = parse_reviews(io.StringIO(""), "amazon-json")
+    records, skipped = parse_reviews(io.BytesIO(b""), "amazon-json")
     assert records == [] and skipped == 0
 
 
 def test_parse_skips_bad_lines_and_counts():
-    stream = io.StringIO("\n".join([
+    stream = io.BytesIO("\n".join([
         amazon_line("A1", "B1", 4.0, "ok"),
         "{not json at all",
         amazon_line("A2", "B2", 3.0, "fine"),
-    ]))
+    ]).encode())
     records, skipped = parse_reviews(stream, "amazon-json")
     assert len(records) == 2 and skipped == 1
 
 
 def test_parse_skips_out_of_range_ratings():
-    stream = io.StringIO("\n".join([
-        amazon_line(rating=0.0), amazon_line(rating=6.0), amazon_line(rating=1.0)]))
+    stream = io.BytesIO("\n".join([
+        amazon_line(rating=0.0), amazon_line(rating=6.0), amazon_line(rating=1.0)]).encode())
     records, skipped = parse_reviews(stream, "amazon-json")
     assert len(records) == 1 and skipped == 2
 
 
 def test_parse_skips_records_missing_fields():
-    stream = io.StringIO(json.dumps({"reviewerID": "A1", "overall": 4.0}) + "\n"
-                         + amazon_line())
+    stream = io.BytesIO((json.dumps({"reviewerID": "A1", "overall": 4.0}) + "\n"
+                          + amazon_line()).encode())
     records, skipped = parse_reviews(stream, "amazon-json")
     assert len(records) == 1 and skipped == 1
 
 
 def test_parse_skips_non_string_review_text():
-    stream = io.StringIO("\n".join([
+    stream = io.BytesIO("\n".join([
         amazon_line(text=None), amazon_line(text=17), amazon_line(text=["a"]),
-        amazon_line(text="kept")]))
+        amazon_line(text="kept")]).encode())
     records, skipped = parse_reviews(stream, "amazon-json")
     assert skipped == 3
     assert records == [RawRecord("A1", "B1", 5.0, "kept")]
 
 
 def test_parse_skips_keys_that_are_not_text_and_boolean_ratings():
-    stream = io.StringIO("\n".join([
+    stream = io.BytesIO("\n".join([
         amazon_line(user=None), amazon_line(user=["x"]), amazon_line(item=7),
         amazon_line(item={"a": "b"}), amazon_line(user="a\ud800"),
         amazon_line(item="\udfff"), amazon_line(rating=True), amazon_line(rating=False),
-        amazon_line(text="kept")]))
+        amazon_line(text="kept")]).encode())
     records, skipped = parse_reviews(stream, "amazon-json")
     assert skipped == 8
     assert records == [RawRecord("A1", "B1", 5.0, "kept")]
@@ -93,7 +93,7 @@ def test_parse_leaves_a_byte_stream_open_and_leaks_no_wrapper(tmp_path):
 
 
 def test_parse_csv_with_quoted_commas():
-    stream = io.StringIO('u1,i1,4.0,"good, cheap"\nu2,i2,bad,text\nu3,i3,2.0,meh\n')
+    stream = io.BytesIO(b'u1,i1,4.0,"good, cheap"\nu2,i2,bad,text\nu3,i3,2.0,meh\n')
     records, skipped = parse_reviews(stream, "csv")
     assert skipped == 1
     assert records[0].text == "good, cheap"
@@ -103,9 +103,9 @@ def test_parse_csv_with_quoted_commas():
 def test_parse_skips_keys_with_tab_or_line_break():
     lines = [amazon_line(user="a\tb"), amazon_line(item="b\nc"),
              amazon_line(user="c\rd"), amazon_line(user="kept")]
-    records, skipped = parse_reviews(io.StringIO("\n".join(lines)), "amazon-json")
+    records, skipped = parse_reviews(io.BytesIO("\n".join(lines).encode()), "amazon-json")
     assert skipped == 3 and [r.user_key for r in records] == ["kept"]
-    stream = io.StringIO('"a\tb",i1,4.0,x\nu1,"i\n1",4.0,x\nu2,i2,4.0,x\n')
+    stream = io.BytesIO(b'"a\tb",i1,4.0,x\nu1,"i\n1",4.0,x\nu2,i2,4.0,x\n')
     records, skipped = parse_reviews(stream, "csv")
     assert skipped == 2 and records == [RawRecord("u2", "i2", 4.0, "x")]
 
@@ -151,7 +151,7 @@ def test_parse_accepts_byte_streams():
 
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
-        parse_reviews(io.StringIO(""), "tsv")
+        parse_reviews(io.BytesIO(b""), "tsv")
 
 
 def test_tokenize_rules():

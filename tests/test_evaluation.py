@@ -85,14 +85,14 @@ def test_uniform_word_ablation_is_user_independent(tiny_dataset, tiny_stores):
     params = trained_toy(tiny_dataset, tiny_stores)
     no_att = M.AblationSpec(word_level="uniform", review_level="uniform")
     item = 1
-    traces = []
+    caches = []
     for user in range(1, 11):
-        _, trace = M.forward(user, item, tiny_stores[0], tiny_stores[1], params,
-                             ablation=no_att)
-        traces.append(trace)
-    for t in traces[1:]:
-        assert np.array_equal(t.item_alpha, traces[0].item_alpha)
-        assert np.array_equal(t.item_beta, traces[0].item_beta)
+        _, _, i_cache = M.forward(user, item, tiny_stores[0], tiny_stores[1], params,
+                                  ablation=no_att)
+        caches.append(i_cache)
+    for c in caches[1:]:
+        assert np.array_equal(c.alpha[0], caches[0].alpha[0])
+        assert np.array_equal(c.beta[0], caches[0].beta[0])
 
 
 def test_personalized_weights_do_depend_on_user(tiny_dataset, tiny_stores):

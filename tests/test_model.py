@@ -113,10 +113,12 @@ def test_params_reject_wrong_buffer():
 
 
 def test_nan_attention_parameter_gives_non_finite_ratings(toy_params):
+    """The non-finite ratings are never returned: predict_batch raises,
+    naming the parameter."""
     users, items = toy_stores()
     toy_params.item.review_attn[0, 0] = np.nan
-    preds, _, _ = M.predict_batch(toy_params, users, items, [1, 2], [1, 2])
-    assert not np.isfinite(preds).any()
+    with pytest.raises(FloatingPointError, match="parameter item.review_attn$"):
+        M.predict_batch(toy_params, users, items, [1, 2], [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +500,17 @@ def test_forward_bits_are_golden(toy_params):
 
 def test_forward_deterministic(toy_params):
     users, items = toy_stores()
-    r1, t1 = M.forward(1, 2, users, items, toy_params)
-    r2, t2 = M.forward(1, 2, users, items, toy_params)
+    r1, u1, _ = M.forward(1, 2, users, items, toy_params)
+    r2, u2, _ = M.forward(1, 2, users, items, toy_params)
     assert r1 == r2
-    assert np.array_equal(t1.user_alpha, t2.user_alpha)
+    assert np.array_equal(u1.alpha[0], u2.alpha[0])
 
 
 def test_forward_all_pad_profile_still_finite(toy_params):
     users, items = toy_stores()
-    rating, trace = M.forward(0, 1, users, items, toy_params)  # owner 0 is empty
+    rating, u_cache, _ = M.forward(0, 1, users, items, toy_params)  # owner 0 is empty
     assert math.isfinite(rating)
-    assert not trace.user_beta.any()
+    assert not u_cache.beta[0].any()
     # the empty side contributes a zero text feature
     empty = user_cache(toy_params, [0], users)
     assert not empty.pooled.any()
@@ -524,7 +526,7 @@ def test_forward_batch_equals_single_composition(toy_params):
     preds, _, _ = M.predict_batch(toy_params, users, items,
                                   [b.user for b in batch], [b.item for b in batch])
     for pred, inter in zip(preds, batch):
-        single, _ = M.forward(inter.user, inter.item, users, items, toy_params)
+        single, _, _ = M.forward(inter.user, inter.item, users, items, toy_params)
         assert pred == pytest.approx(single, abs=1e-12)
 
 
@@ -535,8 +537,8 @@ def test_forward_batch_exclude_target_matches_single(toy_params):
                                   [b.user for b in batch], [b.item for b in batch],
                                   exclude_target=True)
     for pred, inter in zip(preds, batch):
-        single, _ = M.forward(inter.user, inter.item, users, items, toy_params,
-                              exclude_target=True)
+        single, _, _ = M.forward(inter.user, inter.item, users, items, toy_params,
+                                 exclude_target=True)
         assert pred == pytest.approx(single, abs=1e-12)
     base, _, _ = M.predict_batch(toy_params, users, items,
                                  [b.user for b in batch], [b.item for b in batch])
@@ -545,18 +547,20 @@ def test_forward_batch_exclude_target_matches_single(toy_params):
 
 def test_forward_trace_weights_normalized(toy_params):
     users, items = toy_stores()
-    _, trace = M.forward(2, 1, users, items, toy_params)
+    _, u_cache, _ = M.forward(2, 1, users, items, toy_params)
+    alpha, beta = u_cache.alpha[0], u_cache.beta[0]
     rmask = users.partner[2] >= 0
-    assert trace.user_beta[rmask].sum() == pytest.approx(1.0, abs=1e-9)
+    assert beta[rmask].sum() == pytest.approx(1.0, abs=1e-9)
     for j in np.where(rmask)[0]:
         tmask = users.tokens[2, j] != PAD_ID
-        assert trace.user_alpha[j][tmask].sum() == pytest.approx(1.0, abs=1e-9)
-        assert not trace.user_alpha[j][~tmask].any()
+        assert alpha[j][tmask].sum() == pytest.approx(1.0, abs=1e-9)
+        assert not alpha[j][~tmask].any()
 
 
 def test_pooled_vectors_inside_convex_hull(toy_params):
     cache = user_cache(toy_params, [2])
-    atoms = cache.d_vecs[0][cache.review_mask[0]]  # the per-review encodings
+    review_mask = toy_stores()[0].gather(np.array([2]))[2]
+    atoms = cache.d_vecs[0][review_mask[0]]  # the per-review encodings
     assert len(atoms) == 3
     assert np.all(cache.pooled[0] >= atoms.min(axis=0) - 1e-12)
     assert np.all(cache.pooled[0] <= atoms.max(axis=0) + 1e-12)
@@ -590,7 +594,7 @@ def test_forward_finite_for_random_finite_params(seed):
     params.user.word_attn *= rng.uniform(0, 50)
     for u in (0, 1, 2):
         for i in (1, 2):
-            rating, _ = M.forward(u, i, users, items, params)
+            rating, _, _ = M.forward(u, i, users, items, params)
             assert math.isfinite(rating)
 
 

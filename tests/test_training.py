@@ -85,7 +85,7 @@ def test_backward_loss_value_equals_loss(toy_params):
 
 def test_backward_zero_residual_means_zero_bias_gradient(toy_params):
     stores = toy_stores()
-    pred, _ = M.forward(1, 1, stores[0], stores[1], toy_params)
+    pred, _, _ = M.forward(1, 1, stores[0], stores[1], toy_params)
     batch = [Interaction(1, 1, pred, None)]
     _, grads = T.backward(batch, toy_params, stores, l2_weight=0.0)
     assert grads.fm.bias == 0.0
