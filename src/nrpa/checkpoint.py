@@ -66,9 +66,8 @@ def load_params(path):
         _, version, *dim_values, meta_len = _HEADER.unpack(head)
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
-        dims = Dims(*dim_values)
         try:
-            dims.validate()
+            dims = Dims(*dim_values)
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad header dims: {exc}") from exc
         size = param_count(dims)

@@ -31,9 +31,9 @@ class UsageError(Exception):
 
 def load_config(path) -> TrainConfig:
     """Flat `key = value` config file; unknown and repeated keys are hard errors."""
-    cfg = TrainConfig()
     known = {f.name: f for f in dataclasses.fields(TrainConfig)}
     seen = {}
+    values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -70,12 +70,11 @@ def load_config(path) -> TrainConfig:
                 value = raw
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        setattr(cfg, key, value)
+        values[key] = value
     try:
-        cfg.validate()
+        return TrainConfig(**values)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-    return cfg
 
 
 # files are hashed in blocks of this many bytes, so memory stays flat

@@ -3,7 +3,7 @@
 Predictions go through the batched forward path (model.predict_batch) in
 fixed-size chunks taken in index order, so scores are bit-reproducible and
 depend on no setting of the caller, and a non-finite prediction raises
-FloatingPointError there.
+FloatingPointError there; so does a non-finite MSE, in mse().
 """
 
 import json
@@ -27,6 +27,8 @@ ABLATION_VARIANTS = (
 
 
 def mse(predictions, truths) -> float:
+    """Mean squared error; a non-finite result, which finite inputs give when
+    the squares overflow, raises FloatingPointError."""
     predictions = np.asarray(predictions, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if predictions.shape != truths.shape:
@@ -34,7 +36,10 @@ def mse(predictions, truths) -> float:
     if predictions.size == 0:
         raise ValueError("mse of empty inputs")
     diff = predictions - truths
-    return float(np.mean(diff * diff))
+    value = float(np.mean(diff * diff))
+    if not np.isfinite(value):
+        raise FloatingPointError(f"non-finite mse {value}")
+    return value
 
 
 def evaluate(params: M.ModelParams, interactions, stores,

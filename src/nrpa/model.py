@@ -40,6 +40,7 @@ ACTIVATIONS = ("relu", "tanh")
 
 @dataclass(frozen=True)
 class Dims:
+    """A model's sizes, each >= 1 with an odd window, or ValueError when built."""
     vocab_size: int
     n_users: int
     n_items: int
@@ -51,6 +52,9 @@ class Dims:
     fm_dim: int
     review_len: int
     num_reviews: int
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         for name, val in self.__dict__.items():
@@ -106,6 +110,8 @@ class ModelParams:
                 and flat.flags.c_contiguous):
             raise ValueError(f"parameter buffer must be a contiguous float64 vector of "
                              f"{size} values, got {flat.dtype} of shape {flat.shape}")
+        if conv_activation not in ACTIVATIONS:
+            raise ValueError(f"conv_activation must be relu|tanh, got {conv_activation!r}")
         self.dims = dims
         self.flat = flat
         self.conv_activation = conv_activation
@@ -184,9 +190,6 @@ def _glorot(rng: SplitMix64, shape) -> np.ndarray:
 def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelParams:
     """Seed-deterministic init, drawn in layout order: [-0.1, 0.1) embeddings
     with the PAD row zeroed, zero biases, fan-scaled uniform weights."""
-    dims.validate()
-    if conv_activation not in ACTIVATIONS:
-        raise ValueError(f"conv_activation must be relu|tanh, got {conv_activation!r}")
     rng = SplitMix64(seed)
     params = ModelParams(dims, np.zeros(param_count(dims)), conv_activation)
     for name, arr in params.tensors():
@@ -299,8 +302,6 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
     k, taps = conv_w.shape
     window = taps // word_dim
     half = (window - 1) // 2
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
 
     ids, inv = np.unique(tokens, return_inverse=True)
     proj = np.zeros((ids.size + 1, window, k))

@@ -1,13 +1,14 @@
 """The objective, Adam, and the early-stopping training loop.
 
-backward() is the squared-error objective with selective L2: it takes the
-residual and hands d loss / d predictions to model.backward_batch, which
-accumulates the exact gradients of the whole network into a second
-ModelParams, one flat buffer laid out like the parameters. The L2 value, the
-L2 gradient and the finiteness check are one blocked walk of the flat buffers
-after that. Adam keeps its moments as flat buffers and updates every
-parameter in one in-place pass. train() allocates no whole-model temporary:
-it holds PARAM_BUFFERS parameter-sized buffers for the whole run.
+backward() is the squared-error objective, evaluation.mse of the
+predictions, with selective L2: it hands d loss / d predictions to
+model.backward_batch, which accumulates the exact gradients of the whole
+network into a second ModelParams, one flat buffer laid out like the
+parameters. The L2 value, the L2 gradient and the finiteness check are one
+blocked walk of the flat buffers after that. Adam keeps its moments as flat
+buffers and updates every parameter in one in-place pass. train() allocates
+no whole-model temporary: it holds PARAM_BUFFERS parameter-sized buffers for
+the whole run.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .evaluation import evaluate
+from .evaluation import evaluate, mse
 from .rng import SplitMix64
 
 
@@ -24,8 +25,9 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Model and training settings; an invalid one raises ValueError when built."""
     word_dim: int = 300
     id_dim: int = 32
     num_filters: int = 80
@@ -43,10 +45,12 @@ class TrainConfig:
     exclude_target: bool = True
     conv_activation: str = "relu"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
-        for name in ("word_dim", "id_dim", "num_filters", "attn_dim", "window",
-                     "fm_dim", "review_len", "num_reviews", "batch_size",
-                     "max_epochs", "patience"):
+        self.dims(1, 1, 1)  # the model dims follow Dims' rule
+        for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         # written so that NaN, which compares false, fails too
@@ -56,8 +60,6 @@ class TrainConfig:
         if not (0 <= self.l2_weight < math.inf):
             raise ValueError(f"l2_weight must be finite and non-negative, got "
                              f"{self.l2_weight}")
-        if self.window % 2 == 0:
-            raise ValueError("window must be odd")
         if self.conv_activation not in M.ACTIVATIONS:
             raise ValueError(f"conv_activation must be relu|tanh, got {self.conv_activation!r}")
 
@@ -141,16 +143,14 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
     user_store, item_store = stores
     preds, u_cache, i_cache = M.predict_batch(params, user_store, item_store,
                                               users, items, exclude_target, ablation)
-    res = preds - ratings
-    nb = len(batch)
+    data_term = mse(preds, ratings)
 
     if grads is None:
         grads = params.zeros_like()
     else:
         grads.flat.fill(0.0)
-    M.backward_batch(params, u_cache, i_cache, 2.0 * res / nb, grads)
-    value = float(np.mean(res * res)) + _dense_pass(params, l2_weight, ablation, grads)
-    return value, grads
+    M.backward_batch(params, u_cache, i_cache, 2.0 * (preds - ratings) / len(batch), grads)
+    return data_term + _dense_pass(params, l2_weight, ablation, grads), grads
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +242,9 @@ def train(config: TrainConfig, dataset, stores,
     Returns (best_params, history). Shuffling is seed-deterministic and the
     whole run is single-threaded, so identical config + dataset reproduce the
     identical history and parameters. A non-finite loss, or a non-finite
-    prediction in a batch or in an epoch's validation, raises TrainingDiverged
-    naming where.
+    prediction or MSE in a batch or in an epoch's validation, raises
+    TrainingDiverged naming where.
     """
-    config.validate()
     dims = config.dims(len(dataset.vocab), dataset.n_users, dataset.n_items)
     params = M.init_params(dims, config.seed, config.conv_activation)
     state = AdamState.for_params(params)

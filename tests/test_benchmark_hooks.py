@@ -1,14 +1,30 @@
-"""The benchmark traces the package from outside, by replacing its public
-functions by name (perfbench/spans.py). The benchmark's own tests are not
-part of this suite, so a rename here that breaks every traced run would go
-unnoticed without this check."""
+"""The benchmark calls the package from outside: its runs call public
+functions and settings types by name, and its traced runs replace functions
+by name (perfbench/spans.py). The benchmark's own tests are not part of this
+suite, so a change here that breaks every run would go unnoticed without
+these checks."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from nrpa import checkpoint, data, evaluation, model, training
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+
+
+@pytest.mark.parametrize("name", ["synthetic", "wide-vocab"])
+def test_benchmark_smoke_run_passes_every_check(name, monkeypatch, tmp_path):
+    """The untraced run, the one whose metrics the benchmark reports, on the
+    workload shrunk to run in about a second."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+    import workloads
+    result = bench.run(workloads.smoke(workloads.WORKLOADS[name]), 3, 0.0, False, tmp_path)
+    assert result["failures"] == []
+    assert set(result["metrics"]) == set(bench.END_TO_END_UNITS)
 
 
 def test_benchmark_tracer_patches_every_name_and_restores_it():

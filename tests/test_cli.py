@@ -266,8 +266,9 @@ def test_train_divergence_exits_3(workspace, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def poison_adam_step(monkeypatch, step):
-    """Makes Adam step number `step` (from 1) write a NaN into item.review_attn."""
+def poison_adam_step(monkeypatch, step, tensor="item.review_attn", value=np.nan):
+    """Makes Adam step number `step` (from 1) write `value` into the first
+    element of the parameter tensor named `tensor`."""
     from nrpa import training
     real_step = training.adam_step
     steps = []
@@ -276,7 +277,7 @@ def poison_adam_step(monkeypatch, step):
         real_step(params, grads, state, lr)
         steps.append(lr)
         if len(steps) == step:
-            params.item.review_attn[0, 0] = np.nan
+            dict(params.tensors())[tensor].flat[0] = value
 
     monkeypatch.setattr(training, "adam_step", poisoned_step)
 
@@ -310,6 +311,42 @@ def test_train_nan_read_first_by_validation_names_it_and_saves_nothing(
     assert "epoch 1, validation" in err
     assert "parameter item.review_attn" in err
     assert not (out / "checkpoint.nrpa").exists()
+
+
+def test_train_overflowing_validation_mse_exits_3_and_saves_nothing(
+        workspace, tmp_path, capsys, monkeypatch):
+    """A bias of 1e200 written by the last Adam step gives finite validation
+    predictions whose squared errors overflow: the epoch's validation names
+    the infinite MSE instead of recording it and saving the initial
+    parameters, which an infinite val_mse never beats."""
+    cfg = tmp_path / "one-epoch.cfg"
+    cfg.write_text(TINY_CONFIG.replace("max_epochs = 2", "max_epochs = 1"))
+    n_batches = -(-len(load_prepared(workspace["data"]).split.train)
+                  // load_config(cfg).batch_size)
+    poison_adam_step(monkeypatch, n_batches, "fm.bias", 1e200)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        code = main(["train", "--data", str(workspace["data"]), "--config", str(cfg),
+                     "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 1, validation" in err and "non-finite mse" in err
+    assert not (out / "checkpoint.nrpa").exists()
+
+
+def test_eval_overflowing_mse_exits_3_and_writes_no_csv(workspace, tmp_path, capsys):
+    params, meta = load_params(workspace["run"] / "checkpoint.nrpa")
+    params.fm.bias[...] = 1e200  # finite predictions, infinite squared errors
+    ckpt = tmp_path / "huge.nrpa"
+    save_params(params, ckpt, meta)
+    with np.errstate(over="ignore"):
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                     "--split", "val"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "non-finite mse" in captured.err
+    assert "mse=" not in captured.out
+    assert not (tmp_path / "eval_val.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "inspect"])
@@ -767,6 +804,9 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(cfg_file)
     cfg_file.write_text("window = 4\n")
     with pytest.raises(UsageError, match="window"):
+        load_config(cfg_file)
+    cfg_file.write_text("word_dim = 0\n")  # a dim is rejected by Dims' rule, with the file
+    with pytest.raises(UsageError, match=rf"^{re.escape(str(cfg_file))}: .*word_dim"):
         load_config(cfg_file)
 
 

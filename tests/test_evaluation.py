@@ -23,6 +23,8 @@ def test_mse_rejects_bad_inputs():
         mse([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         mse([], [])
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="mse inf"):
+        mse([1e200, 3.0], [1.0, 2.0])  # finite inputs whose squares overflow
 
 
 def test_global_mean_predictor_equals_variance_oracle(tiny_dataset):

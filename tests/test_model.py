@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from types import SimpleNamespace
@@ -50,8 +51,14 @@ def test_init_respects_fan_based_bounds():
 
 
 def test_init_rejects_zero_dims():
-    with pytest.raises(ValueError):
-        M.init_params(M.Dims(0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), seed=0)
+    """A dim below 1 or an even window is rejected when the Dims is built, so
+    init_params never sees one."""
+    good = dataclasses.asdict(TOY_DIMS)
+    for name in good:
+        with pytest.raises(ValueError, match=name):
+            M.Dims(**{**good, name: 0})
+    with pytest.raises(ValueError, match="window"):
+        M.Dims(**{**good, "window": 4})
 
 
 def test_init_pins_pad_row():
@@ -110,6 +117,8 @@ def test_params_reject_wrong_buffer():
                 np.zeros(n, dtype=np.float32), np.zeros(2 * n)[::2]):
         with pytest.raises(ValueError, match=str(n)):
             M.ModelParams(TOY_DIMS, bad)
+    with pytest.raises(ValueError, match="sigmoid"):
+        M.ModelParams(TOY_DIMS, np.zeros(n), "sigmoid")
 
 
 def test_nan_attention_parameter_gives_non_finite_ratings(toy_params):

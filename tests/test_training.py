@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -436,3 +437,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(patience=0).validate()
     small_config().validate()
+    # checked when built, model dims by Dims' rule, and never changed after
+    with pytest.raises(ValueError, match="word_dim"):
+        small_config(word_dim=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_config().window = 2
