@@ -201,19 +201,24 @@ class ProfileStore:
         return n_owners * num_reviews * (review_len + 1) * 4
 
     def gather(self, owners: np.ndarray, exclude_partner=None):
-        """Profiles for a batch of owners: (tokens, token_mask, review_mask).
-
-        With exclude_partner set (one id per owner), reviews whose partner
-        matches are masked off in review_mask only: the target review keeps
-        its words and gets review weight 0, and the grid keeps its shape.
-        """
+        """Profiles for a batch of owners: (tokens, token_mask, review_mask),
+        the last as review_mask() gives it."""
         owners = np.asarray(owners)
         toks = self.tokens[owners]
-        partner = self.partner[owners]
+        return toks, toks != PAD_ID, self.review_mask(owners, exclude_partner)
+
+    def review_mask(self, owners: np.ndarray, exclude_partner=None) -> np.ndarray:
+        """(B, N) real review slots for a batch of owners.
+
+        With exclude_partner set (one id per owner), reviews whose partner
+        matches are masked off here only: the target review keeps its words
+        and gets review weight 0, and the grid keeps its shape.
+        """
+        partner = self.partner[np.asarray(owners)]
         rmask = partner >= 0
         if exclude_partner is not None:
             rmask &= partner != np.asarray(exclude_partner).reshape(-1, 1)
-        return toks, toks != PAD_ID, rmask
+        return rmask
 
 
 def build_profiles(train_interactions, review_len: int, num_reviews: int,

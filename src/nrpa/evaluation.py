@@ -36,7 +36,8 @@ def mse(predictions, truths) -> float:
     if predictions.size == 0:
         raise ValueError("mse of empty inputs")
     diff = predictions - truths
-    value = float(np.mean(diff * diff))
+    with np.errstate(over="ignore"):  # an overflow is reported below, as inf
+        value = float(np.mean(diff * diff))
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite mse {value}")
     return value
@@ -62,14 +63,15 @@ def evaluate(params: M.ModelParams, interactions, stores,
         scored.append(preds)
         if trace_sink is None:
             continue
+        u_alpha, i_alpha = u_cache.alpha, i_cache.alpha
         for b, (inter, pred) in enumerate(zip(chunk, preds)):
             trace_sink.write(json.dumps({
                 "user": int(inter.user),
                 "item": int(inter.item),
                 "prediction": float(pred),
-                "user_alpha": u_cache.alpha[b].tolist(),
+                "user_alpha": u_alpha[b].tolist(),
                 "user_beta": u_cache.beta[b].tolist(),
-                "item_alpha": i_cache.alpha[b].tolist(),
+                "item_alpha": i_alpha[b].tolist(),
                 "item_beta": i_cache.beta[b].tolist(),
             }, sort_keys=True) + "\n")
     return mse(np.concatenate(scored), [i.rating for i in interactions])

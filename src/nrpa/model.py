@@ -17,6 +17,16 @@ encode_side_backward() and backward_batch() compose them in reverse, so the
 exact gradient of any loss of the predictions is one backward_batch() call
 given d loss / d predictions.
 
+A side of a batch of B pairs with U distinct owners, N reviews of T tokens
+and K filters runs in two stages. The owner stage reads only the owner's id
+and profile, so it runs once per distinct owner: the id queries (U, K), the
+conv feature maps (U*N, T, K), the word weights (U, N, T) and the review
+encodings (U, N, K). The pair stage indexes the encodings by pair, (B, N, K),
+and pools them with each pair's own review mask, which is where the scored
+pair's own review is dropped: review weights (B, N), pooled (B, K). Backward
+sums the pair stage's gradients over each owner's pairs before the owner
+stage runs.
+
 Conventions:
   reviews are embedded time-major, (review_len, word_dim) per review;
   conv filters are stored flattened as (num_filters, window*word_dim) where
@@ -355,81 +365,109 @@ def conv_backward(d_features: np.ndarray, features: np.ndarray, ids: np.ndarray,
 
 @dataclass
 class SideCache:
-    """Everything encode_side_backward() needs for one side of one batch;
-    alpha and beta are also the attention traces that `eval --trace` and
-    `inspect` report, row j aligned with the owner's j-th profile slot."""
-    owners: np.ndarray       # (B,)
-    uid: np.ndarray          # (B, id_dim)
-    features: np.ndarray     # (B*N, T, K) conv features, review b*N + j
-    ids: np.ndarray          # (U,) the batch's distinct tokens, as conv() returns them
-    pos: np.ndarray          # (B*N, T + window - 1) projection rows, as conv() returns them
-    pre_qw: np.ndarray       # (B, attn_dim) or None when word level is uniform
-    a_q: np.ndarray          # (B, K) pairing-transformed word query, or None
-    alpha: np.ndarray        # (B, N, T)
-    d_vecs: np.ndarray       # (B, N, K)
-    pre_qr: np.ndarray       # (B, attn_dim) or None when review level is uniform
-    a_r: np.ndarray          # (B, K) or None
+    """Everything encode_side_backward() needs for one side of one batch of
+    B pairs, U of whose owners are distinct; alpha and beta are also the
+    attention traces that `eval --trace` and `inspect` report, row j aligned
+    with the owner's j-th profile slot."""
+    owners: np.ndarray       # (U,) the batch's distinct owners, sorted
+    inverse: np.ndarray      # (B,) each pair's row in owners
+    uid: np.ndarray          # (U, id_dim)
+    features: np.ndarray     # (U*N, T, K) conv features, review u*N + j
+    ids: np.ndarray          # the batch's distinct tokens, as conv() returns them
+    pos: np.ndarray          # (U*N, T + window - 1) projection rows, as conv() returns them
+    pre_qw: np.ndarray       # (U, attn_dim) or None when word level is uniform
+    a_q: np.ndarray          # (U, K) pairing-transformed word query, or None
+    owner_alpha: np.ndarray  # (U, N, T) word weights
+    d_vecs: np.ndarray       # (B, N, K) each pair's review encodings
+    pre_qr: np.ndarray       # (U, attn_dim) or None when review level is uniform
+    a_r: np.ndarray          # (B, K) each pair's owner's review query, or None
     beta: np.ndarray         # (B, N)
     pooled: np.ndarray       # (B, K)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """(B, N, T) word weights of each pair's owner."""
+        return self.owner_alpha[self.inverse]
 
 
 def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.ndarray,
                       exclude_partner=None, ablation: AblationSpec = FULL_ATTENTION) -> SideCache:
-    """Vectorized profile encoding for a batch of owners on one side."""
+    """Vectorized profile encoding for a batch of owners on one side.
+
+    The owner stage runs the id queries, conv and word attention once per
+    distinct owner: they read only the owner's id and profile. The pair stage
+    pools each pair's review encodings with its own review mask, which drops
+    the pair's own review when exclude_partner is set.
+    """
     side = params.side(side_name)
     id_emb = getattr(params, f"{side_name}_id_emb")
 
-    tokens, token_mask, review_mask = store.gather(owners, exclude_partner)
-    b, n, t = tokens.shape
-    uid = id_emb[owners]  # (B, id_dim)
+    distinct, inverse = np.unique(owners, return_inverse=True)
+    tokens, token_mask, _ = store.gather(distinct)
+    u, n, t = tokens.shape
+    uid = id_emb[distinct]  # (U, id_dim)
 
     pre_qw = a_q = a_q_rep = None
     if not ablation.uniform(side_name, "word"):
         pre_qw, a_q = query(uid, side.word_query_w, side.word_query_b, side.word_attn)
-        a_q_rep = np.repeat(a_q, n, axis=0)  # (B*N, K)
-    features, ids, pos = conv(tokens.reshape(b * n, t), side.conv_w, side.conv_b,
+        a_q_rep = np.repeat(a_q, n, axis=0)  # (U*N, K)
+    features, ids, pos = conv(tokens.reshape(u * n, t), side.conv_w, side.conv_b,
                               params.word_emb, params.conv_activation)
-    alpha, d_vecs = attention_pool(features, a_q_rep, token_mask.reshape(b * n, t))
+    alpha, d_vecs = attention_pool(features, a_q_rep, token_mask.reshape(u * n, t))
 
     pre_qr = a_r = None
     if not ablation.uniform(side_name, "review"):
         pre_qr, a_r = query(uid, side.review_query_w, side.review_query_b, side.review_attn)
-    d_vecs = d_vecs.reshape(b, n, -1)
-    beta, pooled = attention_pool(d_vecs, a_r, review_mask)       # (B, N), (B, K)
+        a_r = a_r[inverse]                                           # (B, K)
+    d_vecs = d_vecs.reshape(u, n, -1)[inverse]                       # (B, N, K)
+    beta, pooled = attention_pool(d_vecs, a_r, store.review_mask(owners, exclude_partner))
 
-    return SideCache(owners, uid, features, ids, pos, pre_qw, a_q,
-                     alpha.reshape(b, n, t), d_vecs, pre_qr, a_r, beta, pooled)
+    return SideCache(distinct, inverse, uid, features, ids, pos, pre_qw, a_q,
+                     alpha.reshape(u, n, t), d_vecs, pre_qr, a_r, beta, pooled)
+
+
+def _owner_sum(pair_rows: np.ndarray, inverse: np.ndarray, n_owners: int) -> np.ndarray:
+    """Sums (B, ...) per-pair rows into (U, ...) rows of their owners, in
+    pair order: one bincount over (owner, column) cells."""
+    cols = pair_rows[0].size
+    cells = (inverse * cols)[:, None] + np.arange(cols)
+    return np.bincount(cells.ravel(), pair_rows.ravel(), n_owners * cols) \
+        .reshape((n_owners,) + pair_rows.shape[1:])
 
 
 def encode_side_backward(params: ModelParams, side_name: str, cache: SideCache,
                          d_pooled: np.ndarray, grads: ModelParams):
     """Adds one side's gradients given d loss / d pooled (B, K) into grads:
     its tower, its owners' id embedding rows and its tokens' word embedding
-    rows. encode_side_batch's stages in reverse."""
+    rows. encode_side_batch's stages in reverse: the pair stage's gradients
+    are summed over each owner's pairs, then the owner stage runs once per
+    distinct owner."""
     side, g_side = params.side(side_name), grads.side(side_name)
-    b, n, t = cache.alpha.shape
+    u, n, t = cache.owner_alpha.shape
     k = d_pooled.shape[1]
 
     d_d, da_r = attention_pool_backward(cache.d_vecs, cache.a_r, cache.beta, d_pooled)
+    d_d = _owner_sum(d_d, cache.inverse, u)                         # (U, N, K)
     duid = np.zeros_like(cache.uid)
     if da_r is not None:
-        duid += query_backward(cache.uid, cache.pre_qr, da_r, side.review_query_w,
-                               side.review_attn, g_side.review_query_w,
-                               g_side.review_query_b, g_side.review_attn)
+        duid += query_backward(cache.uid, cache.pre_qr, _owner_sum(da_r, cache.inverse, u),
+                               side.review_query_w, side.review_attn,
+                               g_side.review_query_w, g_side.review_query_b,
+                               g_side.review_attn)
 
     a_q_rep = None if cache.a_q is None else np.repeat(cache.a_q, n, axis=0)
     d_features, da_q = attention_pool_backward(cache.features, a_q_rep,
-                                               cache.alpha.reshape(b * n, t),
-                                               d_d.reshape(b * n, k))
+                                               cache.owner_alpha.reshape(u * n, t),
+                                               d_d.reshape(u * n, k))
     conv_backward(d_features, cache.features, cache.ids, cache.pos, side.conv_w,
                   params.word_emb, params.conv_activation, g_side.conv_w, g_side.conv_b,
                   grads.word_emb)
     if da_q is not None:
-        duid += query_backward(cache.uid, cache.pre_qw, da_q.reshape(b, n, k).sum(axis=1),
+        duid += query_backward(cache.uid, cache.pre_qw, da_q.reshape(u, n, k).sum(axis=1),
                                side.word_query_w, side.word_attn, g_side.word_query_w,
                                g_side.word_query_b, g_side.word_attn)
 
-    np.add.at(getattr(grads, f"{side_name}_id_emb"), cache.owners, duid)
+    getattr(grads, f"{side_name}_id_emb")[cache.owners] += duid  # owners are distinct
 
 
 def fm_predict_batch(fm, features: np.ndarray) -> np.ndarray:

@@ -27,6 +27,18 @@ def test_benchmark_smoke_run_passes_every_check(name, monkeypatch, tmp_path):
     assert set(result["metrics"]) == set(bench.END_TO_END_UNITS)
 
 
+@pytest.mark.parametrize("name", ["synthetic", "wide-vocab"])
+def test_benchmark_traced_smoke_run_passes_every_check(name, monkeypatch, tmp_path):
+    """The traced run, which replaces model functions by name and reads every
+    gather's (tokens, token_mask, review_mask) back from its proxy stores."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+    import workloads
+    result = bench.run(workloads.smoke(workloads.WORKLOADS[name]), 3, 0.0, True, tmp_path)
+    assert result["failures"] == []
+    assert set(result["metrics"]) == set(bench.PER_LAYER_UNITS)
+
+
 def test_benchmark_tracer_patches_every_name_and_restores_it():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +24,11 @@ def test_mse_rejects_bad_inputs():
         mse([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         mse([], [])
-    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="mse inf"):
-        mse([1e200, 3.0], [1.0, 2.0])  # finite inputs whose squares overflow
+    # finite inputs whose squares overflow: the FloatingPointError and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="mse inf"):
+            mse([1e200, 3.0], [1.0, 2.0])
 
 
 def test_global_mean_predictor_equals_variance_oracle(tiny_dataset):

@@ -5,9 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrpa import model as M
 from nrpa.data import PAD_ID, Interaction, build_profiles
+from nrpa.evaluation import ABLATION_VARIANTS
 from conftest import TOY_DIMS, toy_batch, toy_stores
 from gradcheck import grad_check
 
@@ -552,6 +555,39 @@ def test_forward_batch_exclude_target_matches_single(toy_params):
     base, _, _ = M.predict_batch(toy_params, users, items,
                                  [b.user for b in batch], [b.item for b in batch])
     assert not np.allclose(preds, base)  # exclusion changes the encoding
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, TOY_DIMS.n_users - 1),
+                                st.integers(0, TOY_DIMS.n_items - 1)),
+                      min_size=4, max_size=9),
+       exclude=st.booleans(),
+       variant=st.sampled_from([name for name, _ in ABLATION_VARIANTS]))
+def test_repeated_owners_match_batches_of_one(pairs, exclude, variant):
+    """Four or more pairs over the three owners of a side, owner 0's empty
+    profile included, repeat an owner on both sides, in any order; each pair
+    scores and traces as if alone, and without exclusion one owner's pairs
+    share bits."""
+    params = M.init_params(TOY_DIMS, seed=7)
+    stores = toy_stores()
+    ablation = dict(ABLATION_VARIANTS)[variant]
+    users, items = (np.array(col) for col in zip(*pairs))
+    preds, u_cache, i_cache = M.predict_batch(params, *stores, users, items, exclude,
+                                              ablation)
+    for b, (user, item) in enumerate(pairs):
+        single, u_one, i_one = M.predict_batch(params, *stores, [user], [item], exclude,
+                                               ablation)
+        assert preds[b] == pytest.approx(single[0], abs=1e-12)
+        for cache, one in ((u_cache, u_one), (i_cache, i_one)):
+            assert cache.alpha[b] == pytest.approx(one.alpha[0], abs=1e-12)
+            assert cache.beta[b] == pytest.approx(one.beta[0], abs=1e-12)
+    if exclude:
+        return
+    for cache, owners in ((u_cache, users), (i_cache, items)):
+        for b in range(len(pairs)):
+            first = int(np.argmax(owners == owners[b]))
+            assert np.array_equal(cache.alpha[b], cache.alpha[first])
+            assert np.array_equal(cache.beta[b], cache.beta[first])
 
 
 def test_forward_trace_weights_normalized(toy_params):
