@@ -1,8 +1,9 @@
 """Command-line surface: prepare, train, eval, ablate, sweep, inspect.
 
 Exit codes are a stable scripting contract: 0 success, 2 usage/input error,
-3 runtime or numeric failure. All randomness flows from the seed in the
-config or the --seed flag; no command reads ambient entropy.
+3 runtime or numeric failure, running out of memory included. All randomness
+flows from the seed in the config or the --seed flag; no command reads
+ambient entropy.
 """
 
 import argparse
@@ -419,6 +420,9 @@ def main(argv=None) -> int:
         return 2
     except (TrainingDiverged, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

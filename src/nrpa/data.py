@@ -331,14 +331,15 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     _write_index_file(out / "users.tsv", ds.user_keys)
     _write_index_file(out / "items.tsv", ds.item_keys)
 
-    n = len(ds.interactions)
+    inters = ds.interactions
+    n = len(inters)
     recs = np.zeros(n, dtype=_record_dtype(ds.review_len))
-    for i, inter in enumerate(ds.interactions):
-        recs[i]["user"] = inter.user
-        recs[i]["item"] = inter.item
-        recs[i]["ntok"] = len(inter.tokens)
-        recs[i]["rating"] = inter.rating
-        recs[i]["tokens"][:len(inter.tokens)] = inter.tokens
+    recs["user"] = [inter.user for inter in inters]
+    recs["item"] = [inter.item for inter in inters]
+    recs["ntok"] = [len(inter.tokens) for inter in inters]
+    recs["rating"] = [inter.rating for inter in inters]
+    for row, inter in zip(recs["tokens"], inters):
+        row[:len(inter.tokens)] = inter.tokens
     header = np.array([n, ds.n_users, ds.n_items, ds.review_len], dtype=_HEADER_DTYPE)
     with open(out / "interactions.bin", "wb") as fh:
         fh.write(header.tobytes())

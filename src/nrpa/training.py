@@ -6,9 +6,10 @@ model.backward_batch, which accumulates the exact gradients of the whole
 network into a second ModelParams, one flat buffer laid out like the
 parameters. The L2 value, the L2 gradient and the finiteness check are one
 blocked walk of the flat buffers after that. Adam keeps its moments as flat
-buffers and updates every parameter in one in-place pass. train() allocates
-no whole-model temporary: it holds PARAM_BUFFERS parameter-sized buffers for
-the whole run.
+buffers and updates every parameter in one in-place pass. Each training step
+allocates a fresh gradient buffer and drops it before the next step, so
+train() holds PARAM_BUFFERS parameter-sized buffers for the whole run and no
+whole-model temporary.
 """
 
 import math
@@ -91,15 +92,14 @@ def _l2_ranges(dims: M.Dims, ablation: M.AblationSpec):
 
 
 def _dense_pass(params: M.ModelParams, l2_weight: float, ablation: M.AblationSpec,
-                grads: M.ModelParams = None) -> float:
-    """The L2 value, l2_weight * sum(p^2) over the regularized ranges; given
-    grads, the same walk adds the L2 gradient 2 l2_weight p into them and
-    raises FloatingPointError naming the first non-finite tensor.
+                grads: M.ModelParams) -> float:
+    """The L2 value, l2_weight * sum(p^2) over the regularized ranges; the
+    same walk adds the L2 gradient 2 l2_weight p into grads and raises
+    FloatingPointError naming the first non-finite tensor.
 
     One walk of the flat buffers in _ADAM_BLOCK slices with one block-sized
     scratch row, like adam_step. The square sums are np.vdot per (block,
-    range) piece, added in address order, so the value alone (grads None) is
-    exactly the value backward returns.
+    range) piece, added in address order.
     """
     ranges = _l2_ranges(params.dims, ablation) if l2_weight else []
     size = params.flat.size
@@ -113,10 +113,9 @@ def _dense_pass(params: M.ModelParams, l2_weight: float, ablation: M.AblationSpe
                 continue
             p = params.flat[a:b]
             total += float(np.vdot(p, p))
-            if grads is not None:
-                np.multiply(p, 2.0 * l2_weight, out=scratch[:b - a])
-                grads.flat[a:b] += scratch[:b - a]
-        if grads is not None and not np.isfinite(grads.flat[lo:hi]).all():
+            np.multiply(p, 2.0 * l2_weight, out=scratch[:b - a])
+            grads.flat[a:b] += scratch[:b - a]
+        if not np.isfinite(grads.flat[lo:hi]).all():
             params.assert_finite("parameter")  # a non-finite parameter is the cause
             grads.assert_finite("gradient")
     return l2_weight * total
@@ -133,22 +132,16 @@ def _batch_arrays(batch):
 
 def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
              ablation: M.AblationSpec = M.FULL_ATTENTION,
-             exclude_target: bool = False, *, grads: M.ModelParams = None):
-    """Loss and its exact gradients w.r.t. every parameter tensor.
-
-    The gradients go into grads, zeroed first, when it is given, and into a
-    fresh buffer otherwise; either way the buffer is returned.
-    """
+             exclude_target: bool = False):
+    """Loss and its exact gradients w.r.t. every parameter tensor, in a fresh
+    buffer laid out like the parameters."""
     users, items, ratings = _batch_arrays(batch)
     user_store, item_store = stores
     preds, u_cache, i_cache = M.predict_batch(params, user_store, item_store,
                                               users, items, exclude_target, ablation)
     data_term = mse(preds, ratings)
 
-    if grads is None:
-        grads = params.zeros_like()
-    else:
-        grads.flat.fill(0.0)
+    grads = params.zeros_like()
     M.backward_batch(params, u_cache, i_cache, 2.0 * (preds - ratings) / len(batch), grads)
     return data_term + _dense_pass(params, l2_weight, ablation, grads), grads
 
@@ -222,9 +215,8 @@ def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState,
 # training loop
 # ---------------------------------------------------------------------------
 
-# the parameter-sized float64 buffers train() holds: the parameters, one
-# gradient buffer reused by every step, Adam's m and v, and the best
-# parameters so far
+# the parameter-sized float64 buffers train() holds: the parameters, the
+# step's gradient buffer, Adam's m and v, and the best parameters so far
 PARAM_BUFFERS = 5
 
 
@@ -254,7 +246,6 @@ def train(config: TrainConfig, dataset, stores,
     history = []
     best_val = np.inf
     best_params = params.copy()
-    grads = params.zeros_like()
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -264,11 +255,11 @@ def train(config: TrainConfig, dataset, stores,
             for batch_idx, lo in enumerate(range(0, len(train_set), config.batch_size)):
                 batch = train_set[lo:lo + config.batch_size]
                 where = f"epoch {epoch}, batch {batch_idx}"
-                value, _ = backward(batch, params, stores, config.l2_weight, ablation,
-                                    grads=grads)
+                value, grads = backward(batch, params, stores, config.l2_weight, ablation)
                 if not np.isfinite(value):
                     raise FloatingPointError("non-finite loss")
                 adam_step(params, grads, state, config.learning_rate)
+                del grads  # else it outlives this step beside the next step's buffer
                 total += value * len(batch)
             where = f"epoch {epoch}, validation"
             val_mse = evaluate(params, dataset.split.validation, stores, ablation,

@@ -13,13 +13,15 @@ from nrpa import training as T
 def loss(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
          ablation: M.AblationSpec = M.FULL_ATTENTION,
          exclude_target: bool = False) -> float:
-    """Mean squared residual over the batch plus the L2 penalty."""
+    """Mean squared residual over the batch plus the L2 penalty, taken by
+    backward's own L2 walk, whose gradient goes to a scratch buffer."""
     users, items, ratings = T._batch_arrays(batch)
     user_store, item_store = stores
     preds, _, _ = M.predict_batch(params, user_store, item_store, users, items,
                                   exclude_target, ablation)
     res = preds - ratings
-    return float(np.mean(res * res)) + T._dense_pass(params, l2_weight, ablation)
+    return float(np.mean(res * res)) + T._dense_pass(params, l2_weight, ablation,
+                                                       params.zeros_like())
 
 
 def grad_check(

@@ -349,6 +349,42 @@ def test_eval_overflowing_mse_exits_3_and_writes_no_csv(workspace, tmp_path, cap
     assert not (tmp_path / "eval_val.csv").exists()
 
 
+def out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                      "(1000000000000,) and data type float64")
+
+
+def test_train_out_of_memory_exits_3_and_saves_nothing(workspace, tmp_path, capsys,
+                                                      monkeypatch):
+    from nrpa import training
+    monkeypatch.setattr(training, "backward", out_of_memory)
+    out = tmp_path / "o"
+    code = main(["train", "--data", str(workspace["data"]), "--config",
+                 str(workspace["config"]), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "out of memory: Unable to allocate 7.28 TiB" in err
+    assert "Traceback" not in err
+    assert not (out / "checkpoint.nrpa").exists()
+    assert not (out / "history.csv").exists()
+
+
+def test_eval_out_of_memory_exits_3_and_writes_no_csv(workspace, tmp_path, capsys,
+                                                     monkeypatch):
+    from nrpa import model
+    monkeypatch.setattr(model, "predict_batch", out_of_memory)
+    out_csv = tmp_path / "eval.csv"
+    code = main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                 "--data", str(workspace["data"]), "--split", "val",
+                 "--out", str(out_csv)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "out of memory: Unable to allocate 7.28 TiB" in captured.err
+    assert "Traceback" not in captured.err
+    assert "mse=" not in captured.out
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "inspect"])
 def test_non_finite_checkpoint_exits_3_naming_the_tensor(workspace, tmp_path, capsys,
                                                          command):

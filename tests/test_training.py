@@ -157,20 +157,6 @@ def test_gradients_match_with_exclude_target(toy_params):
 
 
 @pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
-def test_backward_into_a_garbage_buffer_matches_a_fresh_call(toy_params, variant):
-    ablation = dict(ABLATION_VARIANTS)[variant]
-    stores = toy_stores()
-    value, fresh = T.backward(toy_batch(), toy_params, stores, 1e-3, ablation)
-    buf = toy_params.zeros_like()
-    buf.flat[:] = np.random.default_rng(0).normal(size=buf.flat.size)
-    buf.flat[::5] = np.nan
-    got_value, got = T.backward(toy_batch(), toy_params, stores, 1e-3, ablation,
-                                grads=buf)
-    assert got is buf
-    assert got_value == value and np.array_equal(got.flat, fresh.flat)
-
-
-@pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
 def test_l2_walk_in_blocks_splitting_tensors_is_bit_identical(toy_params,
                                                               monkeypatch, variant):
     """Blocks of 7 cut tensors and merged ranges; the L2 gradient is still
