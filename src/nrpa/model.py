@@ -259,14 +259,16 @@ def attention_pool(features: np.ndarray, query, mask: np.ndarray):
 def attention_pool_backward(features: np.ndarray, query, weights: np.ndarray,
                             d_pooled: np.ndarray):
     """attention_pool's gradients given d loss / d pooled (R, K): returns
-    (d_features (R, L, K), d_query (R, K)), d_query None when query is None."""
-    d_features = weights[:, :, None] * d_pooled[:, None, :]
+    (d_features (R, L, K), d_query (R, K)), d_query None when query is None.
+    With a query, d_features = weights (x) d_pooled + d_logits (x) query is
+    written once, by one matmul with inner dimension 2; masked positions stay 0."""
     if query is None:
-        return d_features, None
+        return weights[:, :, None] * d_pooled[:, None, :], None
     d_weights = np.matmul(features, d_pooled[:, :, None])[:, :, 0]    # (R, L)
     inner = np.sum(weights * d_weights, axis=1, keepdims=True)
     d_logits = weights * (d_weights - inner)                          # masked stay 0
-    d_features += d_logits[:, :, None] * query[:, None, :]
+    d_features = np.matmul(np.stack([weights, d_logits], axis=2),
+                           np.stack([d_pooled, query], axis=1))       # (R, L, K)
     return d_features, np.matmul(d_logits[:, None, :], features)[:, 0, :]
 
 
@@ -304,8 +306,9 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
     ids (sorted), is projected through every filter tap once. pos (R,
     T + window - 1) holds, at every zero-padded position, the projection row
     it reads: the token's index in ids, or len(ids), a zero row, at the
-    edges and at PAD tokens. Feature (r, j) is conv_b plus tap c at
-    pos[r, j + c], added in offset order c = 0, 1, ...
+    edges and at PAD tokens. conv_b is added to tap 0's rows, the zero row's
+    included, so feature (r, j) is (tap 0 at pos[r, j] + conv_b) plus tap c
+    at pos[r, j + c], added in offset order c = 1, 2, ...
     """
     r, t = tokens.shape
     word_dim = word_emb.shape[1]
@@ -319,9 +322,9 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
               out=proj[:-1].reshape(ids.size, window * k))
     pos = np.full((r, t + 2 * half), ids.size)
     pos[:, half:half + t] = np.where(tokens == PAD_ID, ids.size, inv.reshape(r, t))
+    proj[:, 0] += conv_b
 
     features = proj[pos[:, 0:t], 0]
-    features += conv_b
     for c in range(1, window):
         features += proj[pos[:, c:c + t], c]
     if activation == "relu":
@@ -345,17 +348,19 @@ def conv_backward(d_features: np.ndarray, features: np.ndarray, ids: np.ndarray,
         d_pre *= features > 0
     else:
         d_pre *= 1.0 - features * features
-    g_conv_b += d_pre.sum(axis=(0, 1))
 
     # d_proj[u, c] sums d_pre over the positions whose tap c reads row u:
-    # one bincount per tap over (row, filter) cells; the zero row's are dropped
+    # one bincount per tap over (row, filter) cells. Every position reads one
+    # row at tap 0, which carries conv_b, so tap 0's rows, the zero row's
+    # included, sum to g_conv_b; then the zero row is dropped.
     cells = np.empty((r, t, k), dtype=np.intp)
-    d_proj = np.empty((ids.size, window, k))
+    d_proj = np.empty((ids.size + 1, window, k))
     for c in range(window):
         np.add((pos[:, c:c + t] * k)[:, :, None], np.arange(k), out=cells)
         d_proj[:, c] = np.bincount(cells.ravel(), d_pre.ravel(),
-                                   (ids.size + 1) * k)[:-k].reshape(ids.size, k)
-    d_proj = d_proj.reshape(ids.size, window * k)
+                                   (ids.size + 1) * k).reshape(ids.size + 1, k)
+    g_conv_b += d_proj[:, 0].sum(axis=0)
+    d_proj = d_proj[:-1].reshape(ids.size, window * k)
 
     emb = word_emb[ids]
     g_conv_w += (emb.T @ d_proj).reshape(word_dim, window, k) \

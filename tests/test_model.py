@@ -250,6 +250,42 @@ def test_conv_backward_matches_finite_differences(activation, window):
     assert not grads[2][M.PAD_ID].any()  # PAD reads the zero row, not its embedding
 
 
+@pytest.mark.parametrize("window", [1, 3, 5])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_conv_sums_each_position_in_offset_order(activation, window):
+    """Each feature is exactly (tap 0 + conv_b) + tap 1 + ... in offset order,
+    then the activation: the forward's bits rest on this order."""
+    rng = np.random.default_rng(window + 10 * (activation == "tanh"))
+    r, t, k, word_dim, vocab = 4, 6, 3, 2, 7
+    tokens = rng.integers(0, vocab, size=(r, t))
+    tokens[0] = M.PAD_ID                   # an all-PAD review
+    tokens[1, 2] = tokens[2, -1] = M.PAD_ID
+    conv_w = rng.normal(size=(k, window * word_dim))
+    conv_b = rng.normal(size=k)
+    word_emb = rng.normal(size=(vocab, word_dim))  # a PAD row that is not zero
+    features, ids, _ = M.conv(tokens, conv_w, conv_b, word_emb, activation)
+
+    proj = (word_emb[ids] @ M._stacked_filters(conv_w, word_dim)).reshape(ids.size, window, k)
+    half = (window - 1) // 2
+
+    def tap(row, j, c):
+        """Tap c of the token at padded position j + c: zero at an edge or PAD."""
+        s = j + c - half
+        if s < 0 or s >= t or tokens[row, s] == M.PAD_ID:
+            return np.zeros(k)
+        return proj[np.searchsorted(ids, tokens[row, s]), c]
+
+    pre = np.empty((r, t, k))
+    for row in range(r):
+        for j in range(t):
+            acc = tap(row, j, 0) + conv_b
+            for c in range(1, window):
+                acc = acc + tap(row, j, c)
+            pre[row, j] = acc
+    expected = np.maximum(pre, 0.0) if activation == "relu" else np.tanh(pre)
+    assert features.tobytes() == expected.tobytes()
+
+
 def test_conv_rejects_even_window():
     with pytest.raises(ValueError, match="window"):
         M.init_params(M.Dims(20, 3, 3, 5, 4, 6, 6, 2, 2, 7, 3), seed=0)
@@ -411,6 +447,33 @@ def test_attention_pool_backward_matches_finite_differences(seed, with_query):
         return float(np.sum(M.attention_pool(features, flat.reshape(q.shape), mask)[1] * g))
     assert grad_check(f_query, q.ravel().copy(), d_query) < 1e-6
     assert not d_query[0].any()
+
+
+@pytest.mark.parametrize("with_query", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_attention_pool_backward_is_the_elementwise_formula(seed, with_query):
+    """d_features is w (x) g + d_logits (x) q to rounding (the finite-difference
+    test only sees 1e-6), and exactly 0 at every masked position, including
+    those of a partly masked row."""
+    rng = np.random.default_rng(100 + seed)
+    r, length, k = 4, 6, 5
+    features = rng.normal(size=(r, length, k))
+    mask = rng.random((r, length)) < 0.6
+    mask[0] = False                                   # fully masked
+    mask[1] = np.arange(length) % 2 == 0              # partly masked
+    mask[2] = True
+    q = rng.normal(size=(r, k)) if with_query else None
+    g = rng.normal(size=(r, k))
+    w, _ = M.attention_pool(features, q, mask)
+    d_features, _ = M.attention_pool_backward(features, q, w, g)
+
+    assert (d_features[~mask] == 0.0).all()
+    reference = w[..., None] * g[:, None]
+    if q is not None:
+        d_w = np.einsum("rlk,rk->rl", features, g)
+        d_logits = w * (d_w - np.sum(w * d_w, axis=1, keepdims=True))
+        reference = reference + d_logits[..., None] * q[:, None]
+    np.testing.assert_allclose(d_features, reference, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
