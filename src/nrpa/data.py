@@ -3,14 +3,18 @@
 A prepared dataset is corpus-order list of interactions plus an 80/10/10
 split, a train-only vocabulary, and per-owner fixed-shape review profiles
 (num_reviews x review_len token grids) for the user and item sides.
+prepare_dataset tokenizes each review once: the vocabulary is counted, ranked
+and looked up in numpy over one stream of token-type numbers.
 """
 
 import csv
 import io
 import json
 import re
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +140,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.id_to_token)
 
-    def encode(self, tokens, limit: int) -> np.ndarray:
-        """Ids of the first `limit` tokens; unknown tokens map to UNK."""
-        get = self.token_to_id.get
-        return np.asarray([get(t, UNK_ID) for t in tokens[:limit]], dtype=np.int32)
-
     def save(self, path):
         _write_index_file(path, self.id_to_token)
 
@@ -150,20 +149,6 @@ class Vocabulary:
         if ordered[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ValueError(f"vocabulary at {path} is missing PAD/UNK header entries")
         return cls(ordered[2:])
-
-
-def build_vocabulary(texts, min_count: int = 1) -> Vocabulary:
-    """Vocabulary over tokenized texts; built from the train split only.
-
-    Tokens with frequency >= min_count get ids from 2 in descending-frequency
-    order, ties broken lexicographically; everything else maps to UNK.
-    """
-    counts = Counter()
-    for text in texts:
-        counts.update(tokenize(text))
-    kept = [t for t, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept)
 
 
 def split_dataset(interactions: list, seed: int) -> DatasetSplit:
@@ -287,9 +272,13 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     """Full in-memory pipeline: split raw records, build vocab on train, encode.
 
     The split is decided on raw records so no validation/test text can leak
-    into the vocabulary.
+    into the vocabulary. One pass tokenizes train, then validation and test,
+    into type numbers, so one bincount of a prefix counts every train token.
+    Types counted at least min_count times get ids from 2 by descending count,
+    ties broken lexicographically; the rest map to UNK. Each interaction's
+    tokens are its first review_len ids, a view of one read-only int32 buffer.
     """
-    raw_split = split_dataset(records, seed)
+    raw = split_dataset(records, seed)
 
     # owners in order of first appearance from index 1; 0 is the unknown owner
     user_keys = [UNK_TOKEN, *dict.fromkeys(r.user_key for r in records)]
@@ -297,15 +286,39 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     user_index = {key: i for i, key in enumerate(user_keys[1:], start=1)}
     item_index = {key: i for i, key in enumerate(item_keys[1:], start=1)}
 
-    vocab = build_vocabulary((r.text for r in raw_split.train), min_count)
+    number = defaultdict(count().__next__)  # token -> type number
+    stream, ends = array("i"), array("q")
+    for r in (*raw.train, *raw.validation, *raw.test):
+        stream.extend(map(number.__getitem__, tokenize(r.text)))
+        ends.append(len(stream))
+    ids, ends = np.frombuffer(stream, np.int32), np.frombuffer(ends, np.int64)
+    counts = np.bincount(ids[:ends[len(raw.train) - 1]], minlength=len(number))
 
+    types = list(number)
+    kept = np.flatnonzero(counts >= max(min_count, 1)).tolist()
+    kept.sort(key=types.__getitem__)
+    kept.sort(key=counts.tolist().__getitem__, reverse=True)
+    rank = np.full(len(types), UNK_ID, dtype=np.int32)
+    rank[kept] = np.arange(2, len(kept) + 2)
+    vocab = Vocabulary([types[t] for t in kept])
+
+    # each review's first review_len ids, gathered into corpus order
+    lens = np.diff(ends, prepend=0)
+    at = np.empty(len(records), dtype=np.intp)  # record -> position in the pass
+    at[raw.train_idx + raw.val_idx + raw.test_idx] = np.arange(len(records))
+    kept_lens = np.minimum(lens, review_len)[at]
+    bounds = np.concatenate(([0], np.cumsum(kept_lens)))
+    take = np.repeat((ends - lens)[at] - bounds[:-1], kept_lens) + np.arange(bounds[-1])
+    tokens = rank[ids[take]]
+    tokens.flags.writeable = False
+
+    bounds = bounds.tolist()
     interactions = [
         Interaction(user_index[r.user_key], item_index[r.item_key], r.rating,
-                    vocab.encode(tokenize(r.text), review_len))
-        for r in records
+                    tokens[lo:hi])
+        for r, lo, hi in zip(records, bounds, bounds[1:])
     ]
-    split = DatasetSplit(interactions, seed, raw_split.train_idx, raw_split.val_idx,
-                         raw_split.test_idx)
+    split = DatasetSplit(interactions, seed, raw.train_idx, raw.val_idx, raw.test_idx)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)
 
 

@@ -21,8 +21,8 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 
-# uniform() mixes this many words at a time, so its uint64 temporaries stay
-# small whatever the size of the array it fills
+# uniform() and shuffle() mix this many words at a time, so their uint64
+# temporaries stay small whatever the number of words they draw
 _UNIFORM_BLOCK = 1 << 16
 
 
@@ -51,34 +51,41 @@ class SplitMix64:
             raise ValueError(f"bound must be positive, got {n}")
         return self.next_u64() % n
 
-    def uniform(self, lo: float, hi: float, shape) -> np.ndarray:
-        """Array of uniforms in [lo, hi), consuming one word per element.
-
-        Produces exactly the same stream as repeated next_float() calls but
-        runs the mixing function vectorized in numpy uint64 arithmetic, one
-        block of _UNIFORM_BLOCK words at a time.
-        """
-        n = int(np.prod(shape)) if shape else 1
-        out = np.empty(n, dtype=np.float64)
+    def _words(self, n: int):
+        """(offset, words) for the next n next_u64() outputs, _UNIFORM_BLOCK at
+        a time, mixed in vectorized uint64 arithmetic."""
         idx = np.arange(1, min(n, _UNIFORM_BLOCK) + 1, dtype=np.uint64)
         for start in range(0, n, _UNIFORM_BLOCK):
             k = min(_UNIFORM_BLOCK, n - start)
             z = np.uint64(self.state) + np.uint64(_GAMMA) * idx[:k]  # wraps mod 2^64
             z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
             self.state = (self.state + _GAMMA * k) & _MASK
+            yield start, z ^ (z >> np.uint64(31))
+
+    def uniform(self, lo: float, hi: float, shape) -> np.ndarray:
+        """Array of uniforms in [lo, hi), consuming one word per element.
+
+        Produces exactly the same stream as repeated next_float() calls, the
+        words drawn in blocks by _words.
+        """
+        n = int(np.prod(shape)) if shape else 1
+        out = np.empty(n, dtype=np.float64)
+        for start, z in self._words(n):
             top53 = (z >> np.uint64(11)).astype(np.float64)
-            out[start:start + k] = top53 * (1.0 / (1 << 53))
+            out[start:start + len(z)] = top53 * (1.0 / (1 << 53))
         out *= hi - lo
         out += lo
         return out.reshape(shape)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, back to front."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle, back to front: item i swaps with
+        next_below(i + 1), the words drawn and reduced a block at a time."""
+        i = len(items) - 1
+        for _, z in self._words(max(i, 0)):
+            for j in (z % np.arange(i + 1, i + 1 - len(z), -1, dtype=np.uint64)).tolist():
+                items[i], items[j] = items[j], items[i]
+                i -= 1
 
     def derive(self, tag: int) -> "SplitMix64":
         """Independent child stream; used to decouple init from shuffling."""

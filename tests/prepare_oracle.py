@@ -1,0 +1,60 @@
+"""Two-pass reference for `data.prepare_dataset`.
+
+The straightforward pipeline: split the raw records with a scalar
+Fisher-Yates loop, count the train texts' tokens with a `Counter`, sort the
+kept tokens by (-count, token), then tokenize every text again and look each
+token up in the vocabulary's dict. It shares only the tokenizer and the
+container types with the package, so it can serve as an oracle for the
+one-pass numpy pipeline.
+"""
+
+from collections import Counter
+
+import numpy as np
+
+from nrpa.data import (UNK_ID, UNK_TOKEN, DatasetSplit, Interaction, PreparedDataset,
+                       Vocabulary, tokenize)
+from nrpa.rng import SplitMix64
+
+
+def split_indices(n: int, seed: int):
+    """(train, validation, test) index lists of the 80/10/10 split."""
+    order = list(range(n))
+    rng = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    n_train, n_val = int(0.8 * n), int(0.1 * n)
+    return (sorted(order[:n_train]), sorted(order[n_train:n_train + n_val]),
+            sorted(order[n_train + n_val:]))
+
+
+def build_vocabulary(texts, min_count: int) -> Vocabulary:
+    counts = Counter()
+    for text in texts:
+        counts.update(tokenize(text))
+    kept = [t for t, c in counts.items() if c >= min_count]
+    kept.sort(key=lambda t: (-counts[t], t))
+    return Vocabulary(kept)
+
+
+def encode(vocab: Vocabulary, tokens, limit: int) -> np.ndarray:
+    get = vocab.token_to_id.get
+    return np.asarray([get(t, UNK_ID) for t in tokens[:limit]], dtype=np.int32)
+
+
+def prepare_dataset(records, seed: int, min_count: int = 1,
+                    review_len: int = 100) -> PreparedDataset:
+    train_idx, val_idx, test_idx = split_indices(len(records), seed)
+    user_keys = [UNK_TOKEN, *dict.fromkeys(r.user_key for r in records)]
+    item_keys = [UNK_TOKEN, *dict.fromkeys(r.item_key for r in records)]
+    user_index = {key: i for i, key in enumerate(user_keys[1:], start=1)}
+    item_index = {key: i for i, key in enumerate(item_keys[1:], start=1)}
+    vocab = build_vocabulary((records[i].text for i in train_idx), min_count)
+    interactions = [
+        Interaction(user_index[r.user_key], item_index[r.item_key], r.rating,
+                    encode(vocab, tokenize(r.text), review_len))
+        for r in records
+    ]
+    split = DatasetSplit(interactions, seed, train_idx, val_idx, test_idx)
+    return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)

@@ -5,7 +5,9 @@ import io
 import json
 import shutil
 import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrpa.data import (PAD_ID, UNK_ID, UNK_TOKEN, Interaction, ProfileStore, RawRecord,
-                       Vocabulary, build_profiles, build_vocabulary, load_prepared,
+                       Vocabulary, build_profiles, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
                        split_dataset, tokenize, _record_dtype)
 from nrpa.evaluation import make_synthetic_corpus
+
+import prepare_oracle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def amazon_line(user="A1", item="B1", rating=5.0, text="great"):
@@ -163,36 +169,44 @@ def test_tokenize_rules():
 
 
 def token_id(vocab, token):
-    return int(vocab.encode([token], 1)[0])
+    return vocab.token_to_id.get(token, UNK_ID)
+
+
+def vocab_of(text, min_count, n=10):
+    """Vocabulary prepared from n records that all hold `text`, so the 8
+    train records count each of its tokens 8 times its count in `text`."""
+    records = [RawRecord(f"u{i}", f"i{i}", 3.0, text) for i in range(n)]
+    return prepare_dataset(records, seed=0, min_count=min_count).vocab
 
 
 def test_vocabulary_min_count_threshold():
-    vocab = build_vocabulary(["a a b"], min_count=2)
+    # a is counted 16 times in train, b 8 times
+    vocab = vocab_of("a a b", min_count=9)
     assert token_id(vocab, "a") == 2
     assert token_id(vocab, "b") == UNK_ID
 
 
 def test_vocabulary_min_count_one():
-    vocab = build_vocabulary(["x"], min_count=1)
+    vocab = vocab_of("x", min_count=1)
     assert token_id(vocab, "x") == 2
 
 
 def test_vocabulary_frequency_then_lexicographic_order():
-    # beta and alpha tie at 2; gamma wins with 3
-    vocab = build_vocabulary(["gamma beta alpha", "gamma beta alpha", "gamma"], 1)
+    # beta and alpha tie; gamma is counted twice as often
+    vocab = vocab_of("gamma beta alpha gamma", 1)
     assert token_id(vocab, "gamma") == 2
     assert token_id(vocab, "alpha") == 3
     assert token_id(vocab, "beta") == 4
 
 
 def test_vocabulary_empty_corpus_keeps_specials():
-    vocab = build_vocabulary([], min_count=1)
+    vocab = vocab_of("", min_count=1)
     assert len(vocab) == 2
     assert vocab.id_to_token == ["<pad>", "<unk>"]
 
 
 def test_vocabulary_save_load_roundtrip(tmp_path):
-    vocab = build_vocabulary(["one two two three three three"], 1)
+    vocab = vocab_of("one two two three three three", 1)
     vocab.save(tmp_path / "v.tsv")
     back = Vocabulary.load(tmp_path / "v.tsv")
     assert back.id_to_token == vocab.id_to_token
@@ -357,6 +371,98 @@ def test_prepared_directory_bytes_are_golden(tmp_path, tiny_dataset):
     save_prepared(tiny_dataset, tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == PREPARED_GOLDEN
+
+
+# sha256 of each file save_prepared writes for the benchmark's wide-vocab smoke
+# corpus at seed 11: a Zipf tail full of count ties, so it pins the
+# lexicographic tie-break at scale
+WIDE_VOCAB_SMOKE_GOLDEN = {
+    "interactions.bin": "b4d8cfc2b361860939d871acdc171f66fe88441fa5f4a811afbb3eaf54684481",
+    "items.tsv": "2672c3049d131465581cb3199dbff75950db4bc4ec96f0484a98d1f899707d13",
+    "split.json": "3fa75f5b2fb216401e8deba2596619478f6d22163c7000955edf542bdd2f65f3",
+    "users.tsv": "1cb882640b5eebc892c046b94bfbaa567afab7920b7ef3a6a1303fb6f1159687",
+    "vocab.tsv": "ddb69c4c1768186d674b9af58f3c21b73850ae6176e9188863e96998ad1bc817",
+}
+
+
+def test_wide_vocab_smoke_corpus_prepares_to_golden_bytes(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import corpus
+    import workloads
+    spec = workloads.smoke(workloads.WORKLOADS["wide-vocab"]).corpus
+    records, skipped = parse_reviews(io.BytesIO(corpus.generate_csv(spec, 11)), "csv")
+    assert skipped == 0
+    save_prepared(prepare_dataset(records, seed=11), tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == WIDE_VOCAB_SMOKE_GOLDEN
+
+
+_PIECES = ["alpha", "Alpha", "ALPHA", "beta", "Beta!", "gamma", "g4mma", "x", "X",
+           "mp3", "...", "?!", "-", "", " ", "high-price", "zeta.eta"]
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
+    st.text(alphabet="abcABC019 .,!-", max_size=40),
+)
+_RECORDS = st.lists(
+    st.builds(RawRecord, st.sampled_from(["u1", "u2", "u3", UNK_TOKEN]),
+              st.sampled_from(["i1", "i2", "i3"]), st.sampled_from([1.0, 2.5, 5.0]),
+              _TEXTS),
+    min_size=10, max_size=40)
+
+
+def _prepared_files(ds) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        save_prepared(ds, tmp)
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+
+
+@given(records=_RECORDS, seed=st.integers(0, 2**64 - 1), min_count=st.integers(-1, 3),
+       review_len=st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_prepare_equals_the_two_pass_oracle(records, seed, min_count, review_len):
+    """Mixed case, punctuation-only and empty texts, tokens seen only outside
+    train, truncation and count ties, against tests/prepare_oracle.py."""
+    got = prepare_dataset(records, seed, min_count, review_len)
+    want = prepare_oracle.prepare_dataset(records, seed, min_count, review_len)
+    assert got.vocab.id_to_token == want.vocab.id_to_token
+    assert (got.user_keys, got.item_keys) == (want.user_keys, want.item_keys)
+    for g, w in zip(got.interactions, want.interactions, strict=True):
+        assert (g.user, g.item, g.rating) == (w.user, w.item, w.rating)
+        assert g.tokens.dtype == np.int32 and g.tokens.tolist() == w.tokens.tolist()
+    assert (got.split.seed, got.split.train_idx, got.split.val_idx, got.split.test_idx) \
+        == (want.split.seed, want.split.train_idx, want.split.val_idx, want.split.test_idx)
+    assert _prepared_files(got) == _prepared_files(want)
+
+
+# bytes the two-pass prepare (tests/prepare_oracle.py's pipeline) left
+# allocated on the corpus below: per-review token arrays, interactions,
+# vocabulary, owner keys and split lists
+TWO_PASS_RETAINED = 753_722
+
+
+def test_prepare_memory_retained_and_peak():
+    """2000 records of 200 tokens over 500 types, review_len 20. Retained:
+    no more than the two-pass prepare, give or take 1 KiB for the small
+    blocks numpy keeps cached. Transient: under 16 bytes per corpus token,
+    so no pass may hold a token string per token or an int64 array of the
+    whole corpus beside the stream."""
+    words = [f"w{k}" for k in range(500)]
+    draws = np.random.default_rng(0).integers(0, 500, (2000, 200))
+    records = [RawRecord(f"u{i % 300}", f"i{i % 120}", 1.0 + i % 5,
+                         " ".join(words[t] for t in row)) for i, row in enumerate(draws)]
+    prepare_dataset(records, 1, 1, 20)  # fills module and numpy caches untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = prepare_dataset(records, 1, 1, 20)
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds.interactions) == 2000
+    assert current - before <= TWO_PASS_RETAINED + 1024
+    assert peak - current < 16 * draws.size
 
 
 def test_literal_unk_key_keeps_its_own_index():

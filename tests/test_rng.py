@@ -59,3 +59,24 @@ def test_derive_gives_independent_stream():
     base = SplitMix64(11)
     child = base.derive(0)
     assert child.next_u64() != SplitMix64(11).next_u64()
+
+
+def scalar_shuffle(rng: SplitMix64, items: list) -> None:
+    """Reference Fisher-Yates: back to front, one next_below per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, rng_module._UNIFORM_BLOCK - 1,
+                               rng_module._UNIFORM_BLOCK + 1,
+                               3 * rng_module._UNIFORM_BLOCK + 5])
+def test_blocked_shuffle_equals_scalar_loop(n, seed):
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    want, got = list(range(n)), list(range(n))
+    scalar_shuffle(a, want)
+    b.shuffle(got)
+    assert got == want
+    assert b.state == a.state
+    assert b.derive(3).next_u64() == a.derive(3).next_u64()
