@@ -131,11 +131,10 @@ def tokenize(text: str) -> list:
 
 
 class Vocabulary:
-    """token<->id map with PAD=0 and UNK=1 always present."""
+    """Tokens by id, with PAD=0 and UNK=1 always present."""
 
     def __init__(self, tokens_by_rank=()):
         self.id_to_token = [PAD_TOKEN, UNK_TOKEN] + list(tokens_by_rank)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     def __len__(self):
         return len(self.id_to_token)
@@ -454,7 +453,10 @@ def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
 def load_prepared(in_dir) -> PreparedDataset:
     """Reads a save_prepared directory. Every index and id is checked against
     the sizes it refers to, so a corrupt or hand-edited file raises ValueError
-    naming the file and the problem instead of failing later in training."""
+    naming the file and the problem instead of failing later in training.
+
+    Each interaction's tokens are a view of one read-only int32 buffer that
+    holds every record's first ntok tokens in corpus order."""
     src = Path(in_dir)
     vocab = Vocabulary.load(src / "vocab.tsv")
     user_keys = _read_index_file(src / "users.tsv")
@@ -481,10 +483,14 @@ def load_prepared(in_dir) -> PreparedDataset:
                          f"users.tsv/items.tsv hold {len(user_keys)} and {len(item_keys)}")
     _check_records(path, recs, n_users, n_items, len(vocab), review_len)
 
+    ntok = recs["ntok"]
+    tokens = recs["tokens"][np.arange(review_len) < ntok[:, None]].astype(np.int32)
+    tokens.flags.writeable = False
+    bounds = np.concatenate(([0], np.cumsum(ntok, dtype=np.int64))).tolist()
     interactions = [
-        Interaction(int(r["user"]), int(r["item"]), float(r["rating"]),
-                    r["tokens"][:int(r["ntok"])].astype(np.int32))
-        for r in recs
+        Interaction(user, item, rating, tokens[lo:hi])
+        for user, item, rating, lo, hi in zip(recs["user"].tolist(), recs["item"].tolist(),
+                                              recs["rating"].tolist(), bounds, bounds[1:])
     ]
     split = _load_split(src / "split.json", interactions)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)

@@ -190,23 +190,26 @@ class AblationSpec:
 FULL_ATTENTION = AblationSpec()
 
 
-def _glorot(rng: SplitMix64, shape) -> np.ndarray:
-    """Uniform in +-sqrt(6 / (fan_in + fan_out)); a vector counts as one column."""
+def _glorot(rng: SplitMix64, out: np.ndarray) -> None:
+    """Draws `out` uniform in +-sqrt(6 / (fan_in + fan_out)); a vector counts
+    as one column."""
+    shape = out.shape
     fans = shape[0] + (shape[1] if len(shape) == 2 else 1)
     limit = np.sqrt(6.0 / fans)
-    return rng.uniform(-limit, limit, shape)
+    rng.uniform(-limit, limit, shape, out=out)
 
 
 def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelParams:
-    """Seed-deterministic init, drawn in layout order: [-0.1, 0.1) embeddings
-    with the PAD row zeroed, zero biases, fan-scaled uniform weights."""
+    """Seed-deterministic init, drawn in layout order straight into each
+    tensor's view of the flat buffer: [-0.1, 0.1) embeddings with the PAD row
+    zeroed after its words are drawn, zero biases, fan-scaled uniform weights."""
     rng = SplitMix64(seed)
     params = ModelParams(dims, np.zeros(param_count(dims)), conv_activation)
     for name, arr in params.tensors():
         if name.endswith("_emb"):
-            arr[...] = rng.uniform(-0.1, 0.1, arr.shape)
+            rng.uniform(-0.1, 0.1, arr.shape, out=arr)
         elif not name.endswith(("_b", ".bias")):
-            arr[...] = _glorot(rng, arr.shape)
+            _glorot(rng, arr)
     params.word_emb[PAD_ID] = 0.0
     return params
 

@@ -14,6 +14,8 @@ Uniform doubles take the top 53 bits of one output word, giving values in
 bound below 2^24 and reproducibility, not uniformity, is what matters here).
 """
 
+import math
+
 import numpy as np
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -53,30 +55,51 @@ class SplitMix64:
 
     def _words(self, n: int):
         """(offset, words) for the next n next_u64() outputs, _UNIFORM_BLOCK at
-        a time, mixed in vectorized uint64 arithmetic."""
-        idx = np.arange(1, min(n, _UNIFORM_BLOCK) + 1, dtype=np.uint64)
+        a time, mixed in place in vectorized uint64 arithmetic.
+
+        Every block is the same reused uint64 buffer, so a yielded block is
+        only valid until the next one is drawn; the caller may overwrite it.
+        """
+        m = min(n, _UNIFORM_BLOCK)
+        steps = np.uint64(_GAMMA) * np.arange(1, m + 1, dtype=np.uint64)  # wraps mod 2^64
+        z, t = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
         for start in range(0, n, _UNIFORM_BLOCK):
             k = min(_UNIFORM_BLOCK, n - start)
-            z = np.uint64(self.state) + np.uint64(_GAMMA) * idx[:k]  # wraps mod 2^64
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            w, s = z[:k], t[:k]
+            np.add(steps[:k], np.uint64(self.state), out=w)
+            w ^= np.right_shift(w, np.uint64(30), out=s)
+            w *= np.uint64(_MIX1)
+            w ^= np.right_shift(w, np.uint64(27), out=s)
+            w *= np.uint64(_MIX2)
+            w ^= np.right_shift(w, np.uint64(31), out=s)
             self.state = (self.state + _GAMMA * k) & _MASK
-            yield start, z ^ (z >> np.uint64(31))
+            yield start, w
 
-    def uniform(self, lo: float, hi: float, shape) -> np.ndarray:
-        """Array of uniforms in [lo, hi), consuming one word per element.
+    def uniform(self, lo: float, hi: float, shape, out=None) -> np.ndarray:
+        """Array of uniforms in [lo, hi) of `shape` (an int or a tuple),
+        consuming one word per element: 0 and (0,) draw none, () draws one.
 
         Produces exactly the same stream as repeated next_float() calls, the
-        words drawn in blocks by _words.
+        words drawn in blocks by _words. With `out`, a writeable C-contiguous
+        float64 array of `shape`, the values are written into it and it is
+        returned; any other `out` raises ValueError before a word is drawn.
         """
-        n = int(np.prod(shape)) if shape else 1
-        out = np.empty(n, dtype=np.float64)
-        for start, z in self._words(n):
-            top53 = (z >> np.uint64(11)).astype(np.float64)
-            out[start:start + len(z)] = top53 * (1.0 / (1 << 53))
-        out *= hi - lo
-        out += lo
-        return out.reshape(shape)
+        shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+        if out is None:
+            out = np.empty(shape)
+        elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                  and out.shape == shape and out.flags.c_contiguous
+                  and out.flags.writeable):
+            raise ValueError(f"out must be a writeable C-contiguous float64 array of "
+                             f"shape {shape}")
+        flat = out.reshape(-1)  # a view, as out is C-contiguous
+        scale = hi - lo
+        for start, z in self._words(math.prod(shape)):
+            dst = flat[start:start + len(z)]
+            np.multiply(np.right_shift(z, np.uint64(11), out=z), 1.0 / (1 << 53), out=dst)
+            dst *= scale
+            dst += lo
+        return out
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, back to front: item i swaps with

@@ -38,8 +38,8 @@ def build_vocabulary(texts, min_count: int) -> Vocabulary:
     return Vocabulary(kept)
 
 
-def encode(vocab: Vocabulary, tokens, limit: int) -> np.ndarray:
-    get = vocab.token_to_id.get
+def encode(token_to_id: dict, tokens, limit: int) -> np.ndarray:
+    get = token_to_id.get
     return np.asarray([get(t, UNK_ID) for t in tokens[:limit]], dtype=np.int32)
 
 
@@ -51,9 +51,10 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     user_index = {key: i for i, key in enumerate(user_keys[1:], start=1)}
     item_index = {key: i for i, key in enumerate(item_keys[1:], start=1)}
     vocab = build_vocabulary((records[i].text for i in train_idx), min_count)
+    token_to_id = {t: i for i, t in enumerate(vocab.id_to_token)}
     interactions = [
         Interaction(user_index[r.user_key], item_index[r.item_key], r.rating,
-                    encode(vocab, tokenize(r.text), review_len))
+                    encode(token_to_id, tokenize(r.text), review_len))
         for r in records
     ]
     split = DatasetSplit(interactions, seed, train_idx, val_idx, test_idx)

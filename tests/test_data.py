@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
@@ -18,7 +19,10 @@ from nrpa.data import (PAD_ID, UNK_ID, UNK_TOKEN, Interaction, ProfileStore, Raw
                        Vocabulary, build_profiles, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
                        split_dataset, tokenize, _record_dtype)
+from nrpa.cli import load_config
 from nrpa.evaluation import make_synthetic_corpus
+from nrpa.model import init_params
+from nrpa.rng import _UNIFORM_BLOCK
 
 import prepare_oracle
 
@@ -169,7 +173,7 @@ def test_tokenize_rules():
 
 
 def token_id(vocab, token):
-    return vocab.token_to_id.get(token, UNK_ID)
+    return {t: i for i, t in enumerate(vocab.id_to_token)}.get(token, UNK_ID)
 
 
 def vocab_of(text, min_count, n=10):
@@ -385,16 +389,51 @@ WIDE_VOCAB_SMOKE_GOLDEN = {
 }
 
 
-def test_wide_vocab_smoke_corpus_prepares_to_golden_bytes(monkeypatch, tmp_path):
+def _wide_vocab_smoke(monkeypatch, out_dir):
+    """The benchmark's wide-vocab smoke workload, its seed-11 corpus prepared
+    into out_dir; perfbench/ is imported, not changed."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import corpus
     import workloads
-    spec = workloads.smoke(workloads.WORKLOADS["wide-vocab"]).corpus
-    records, skipped = parse_reviews(io.BytesIO(corpus.generate_csv(spec, 11)), "csv")
+    w = workloads.smoke(workloads.WORKLOADS["wide-vocab"])
+    records, skipped = parse_reviews(io.BytesIO(corpus.generate_csv(w.corpus, 11)), "csv")
     assert skipped == 0
-    save_prepared(prepare_dataset(records, seed=11), tmp_path)
+    save_prepared(prepare_dataset(records, seed=11), out_dir)
+    return w
+
+
+def test_wide_vocab_smoke_corpus_prepares_to_golden_bytes(monkeypatch, tmp_path):
+    _wide_vocab_smoke(monkeypatch, tmp_path)
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == WIDE_VOCAB_SMOKE_GOLDEN
+
+
+# sha256 of set-up's outputs on that corpus loaded back from disk, at
+# configs/full.cfg dims with the workload's overrides: the initial parameters
+# (a word_emb of about five of the generator's blocks) and both profile stores
+WIDE_VOCAB_SMOKE_SETUP_GOLDEN = {
+    "params": "4a0e0e5f3a2f90419923c6978725e7a3e7c1f6e4a12a4de1b436fcea448c6491",
+    "user.tokens": "a832908fe947f413e35da71b5d4112af875fce910ac99cc8408904922ce07f00",
+    "user.partner": "d7f99d022f94487776786b31ab44cc0873933705751610325ae91793cc308356",
+    "item.tokens": "3abef285addf1174719b71925fbed240e166d845b4afb73fb9ca085a2339c47c",
+    "item.partner": "2bc7889e27cf8ce8d00628e8780d71de9ef9ffbfb251ac7f50658b512a4f4970",
+}
+
+
+def test_wide_vocab_smoke_setup_is_golden(monkeypatch, tmp_path):
+    w = _wide_vocab_smoke(monkeypatch, tmp_path)
+    ds = load_prepared(tmp_path)
+    cfg = dataclasses.replace(load_config(PERFBENCH.parent / w.config), **dict(w.overrides))
+    users, items = build_profiles(ds.split.train, cfg.review_len, cfg.num_reviews,
+                                  ds.n_users, ds.n_items)
+    dims = cfg.dims(len(ds.vocab), ds.n_users, ds.n_items)
+    assert dims.vocab_size * dims.word_dim > 3 * _UNIFORM_BLOCK
+    params = init_params(dims, cfg.seed, cfg.conv_activation)
+    got = {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in (
+        ("params", params.flat), ("user.tokens", users.tokens),
+        ("user.partner", users.partner), ("item.tokens", items.tokens),
+        ("item.partner", items.partner))}
+    assert got == WIDE_VOCAB_SMOKE_SETUP_GOLDEN
 
 
 _PIECES = ["alpha", "Alpha", "ALPHA", "beta", "Beta!", "gamma", "g4mma", "x", "X",
@@ -432,6 +471,31 @@ def test_prepare_equals_the_two_pass_oracle(records, seed, min_count, review_len
     assert (got.split.seed, got.split.train_idx, got.split.val_idx, got.split.test_idx) \
         == (want.split.seed, want.split.train_idx, want.split.val_idx, want.split.test_idx)
     assert _prepared_files(got) == _prepared_files(want)
+
+
+@given(records=_RECORDS, seed=st.integers(0, 2**64 - 1), review_len=st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_prepare_save_load_gives_back_the_interactions(records, seed, review_len):
+    """Empty and punctuation-only texts (ntok 0) and reviews longer than
+    review_len: the loaded interactions are the prepared ones, their tokens
+    views of one read-only int32 buffer, and give the same profiles."""
+    ds = prepare_dataset(records, seed, 1, review_len)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_prepared(ds, tmp)
+        back = load_prepared(tmp)
+    for g, w in zip(back.interactions, ds.interactions, strict=True):
+        assert (type(g.user), type(g.item), type(g.rating)) == (int, int, float)
+        assert (g.user, g.item, g.rating) == (w.user, w.item, w.rating)
+        assert g.tokens.dtype == np.int32 and not g.tokens.flags.writeable
+        assert g.tokens.tolist() == w.tokens.tolist()
+    bases = {id(i.tokens.base) for i in back.interactions}
+    assert len(bases) == 1 and back.interactions[0].tokens.base is not None
+    for got, want in zip(build_profiles(back.split.train, review_len, 3, back.n_users,
+                                        back.n_items),
+                         build_profiles(ds.split.train, review_len, 3, ds.n_users,
+                                        ds.n_items)):
+        assert got.tokens.tobytes() == want.tokens.tobytes()
+        assert got.partner.tobytes() == want.partner.tobytes()
 
 
 # bytes the two-pass prepare (tests/prepare_oracle.py's pipeline) left

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +68,24 @@ def test_init_rejects_zero_dims():
 def test_init_pins_pad_row():
     p = M.init_params(TOY_DIMS, seed=2)
     assert not p.word_emb[0].any()
+
+
+def test_init_draws_into_the_buffer_without_a_tensor_sized_temporary():
+    """At a 48 MB word_emb, the heap above the returned buffer peaks under
+    4 MB: the draw is written straight into params.flat, a block at a time."""
+    dims = M.Dims(vocab_size=20000, n_users=5, n_items=5, word_dim=300, id_dim=4,
+                  num_filters=4, attn_dim=4, window=1, fm_dim=2, review_len=3,
+                  num_reviews=2)
+    assert dims.vocab_size * dims.word_dim * 8 >= 40 * 2**20
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        params = M.init_params(dims, seed=7)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current - before >= params.flat.nbytes
+    assert peak - current < 4 * 2**20
 
 
 def test_views_write_through_to_flat(toy_params):

@@ -80,3 +80,60 @@ def test_blocked_shuffle_equals_scalar_loop(n, seed):
     assert got == want
     assert b.state == a.state
     assert b.derive(3).next_u64() == a.derive(3).next_u64()
+
+
+@pytest.mark.parametrize("n", [0, 1, rng_module._UNIFORM_BLOCK - 1, rng_module._UNIFORM_BLOCK,
+                               rng_module._UNIFORM_BLOCK + 1,
+                               3 * rng_module._UNIFORM_BLOCK + 5])
+def test_uniform_into_out_equals_uniform_and_scalar_stream(n):
+    a, b, c = SplitMix64(31), SplitMix64(31), SplitMix64(31)
+    scalars = np.array([-0.5 + 1.25 * a.next_float() for _ in range(n)])
+    fresh = b.uniform(-0.5, 0.75, (n,))
+    out = np.full(n, np.nan)
+    assert c.uniform(-0.5, 0.75, (n,), out=out) is out
+    assert np.array_equal(fresh, scalars) and np.array_equal(out, scalars)
+    assert a.state == b.state == c.state
+
+
+@pytest.mark.parametrize("shape, words", [(0, 0), ((0,), 0), ((3, 0), 0), ((), 1), (5, 5)])
+def test_uniform_draws_one_word_per_element_of_the_shape(shape, words):
+    a, b = SplitMix64(8), SplitMix64(8)
+    want = [a.next_float() for _ in range(words)]
+    got = b.uniform(0.0, 1.0, shape)
+    assert got.shape == np.empty(shape).shape
+    assert got.ravel().tolist() == want
+    assert b.state == a.state
+
+
+def test_uniform_into_a_view_leaves_its_neighbours_alone():
+    n = rng_module._UNIFORM_BLOCK + 3
+    buf = np.full(n + 20, -7.0)
+    SplitMix64(4).uniform(1.0, 2.0, (n,), out=buf[10:10 + n])
+    assert np.array_equal(buf[10:10 + n], SplitMix64(4).uniform(1.0, 2.0, (n,)))
+    assert (buf[:10] == -7.0).all() and (buf[10 + n:] == -7.0).all()
+    grid = np.full(40, -7.0)
+    SplitMix64(4).uniform(1.0, 2.0, (3, 4), out=grid[5:17].reshape(3, 4))
+    assert np.array_equal(grid[5:17], SplitMix64(4).uniform(1.0, 2.0, 12))
+    assert (grid[:5] == -7.0).all() and (grid[17:] == -7.0).all()
+
+
+def _read_only(shape):
+    arr = np.zeros(shape)
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((3, 4), dtype=np.float32),
+    np.zeros((4, 3)),
+    np.zeros(12),
+    np.zeros((3, 8))[:, ::2],
+    np.zeros((3, 4), order="F"),
+    _read_only((3, 4)),
+    [[0.0] * 4] * 3,
+], ids=["float32", "transposed-shape", "flat", "strided", "fortran", "read-only", "list"])
+def test_uniform_rejects_a_bad_out_before_drawing(out):
+    rng = SplitMix64(6)
+    with pytest.raises(ValueError):
+        rng.uniform(0.0, 1.0, (3, 4), out=out)
+    assert rng.state == SplitMix64(6).state
