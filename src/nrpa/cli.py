@@ -31,12 +31,13 @@ class UsageError(Exception):
 
 
 def load_config(path) -> TrainConfig:
-    """Flat `key = value` config file; unknown and repeated keys are hard errors."""
+    """Flat `key = value` config file in UTF-8, with a leading byte-order mark
+    dropped; unknown and repeated keys are hard errors."""
     known = {f.name: f for f in dataclasses.fields(TrainConfig)}
     seen = {}
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -186,8 +187,12 @@ def _make_out_dir(path):
 
 def _check_out_file(path):
     """Rejects, before any work is done, an output file path that is a
-    directory or whose directory does not exist."""
-    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+    directory, whose directory does not exist, or that the OS cannot stat."""
+    try:
+        writable = path is None or (not Path(path).is_dir() and Path(path).parent.is_dir())
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+    if not writable:
         raise UsageError(f"cannot write {path}: it is a directory or its directory "
                          f"does not exist")
 

@@ -75,11 +75,12 @@ def parse_reviews(stream, format: str):
     Malformed lines, user or item keys or review text that are not JSON
     strings (e.g. null), a boolean overall, ratings outside [1, 5] and user
     or item keys holding a tab, newline, carriage return or lone surrogate
-    are skipped and counted. The stream is read as UTF-8 and left open.
+    are skipped and counted. The stream is read as UTF-8, with a leading
+    byte-order mark dropped, and left open.
     """
     if format not in ("amazon-json", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    text = io.TextIOWrapper(stream, encoding="utf-8")
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig")
     try:
         return _parse_text(text, format)
     finally:
@@ -138,16 +139,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.id_to_token)
-
-    def save(self, path):
-        _write_index_file(path, self.id_to_token)
-
-    @classmethod
-    def load(cls, path):
-        ordered = _read_index_file(path)
-        if ordered[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            raise ValueError(f"vocabulary at {path} is missing PAD/UNK header entries")
-        return cls(ordered[2:])
 
 
 def split_dataset(interactions: list, seed: int) -> DatasetSplit:
@@ -335,11 +326,17 @@ def _record_dtype(review_len: int) -> np.dtype:
     ])
 
 
+def _in_review(recs) -> np.ndarray:
+    """(n, review_len) mask of each record's first ntok token cells, which
+    hold its review; the cells after them hold PAD."""
+    return np.arange(recs["tokens"].shape[1]) < recs["ntok"][:, None]
+
+
 def save_prepared(ds: PreparedDataset, out_dir) -> None:
     """vocab.tsv, users.tsv, items.tsv, interactions.bin, split.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds.vocab.save(out / "vocab.tsv")
+    _write_index_file(out / "vocab.tsv", ds.vocab.id_to_token)
     _write_index_file(out / "users.tsv", ds.user_keys)
     _write_index_file(out / "items.tsv", ds.item_keys)
 
@@ -350,8 +347,7 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     recs["item"] = [inter.item for inter in inters]
     recs["ntok"] = [len(inter.tokens) for inter in inters]
     recs["rating"] = [inter.rating for inter in inters]
-    for row, inter in zip(recs["tokens"], inters):
-        row[:len(inter.tokens)] = inter.tokens
+    recs["tokens"][_in_review(recs)] = np.concatenate([inter.tokens for inter in inters])
     header = np.array([n, ds.n_users, ds.n_items, ds.review_len], dtype=_HEADER_DTYPE)
     with open(out / "interactions.bin", "wb") as fh:
         fh.write(header.tobytes())
@@ -375,24 +371,20 @@ def _write_index_file(path, names) -> None:
 
 
 def _read_index_file(path) -> list:
-    """Names of a `name<TAB>index` file (vocab.tsv, users.tsv, items.tsv) in
-    index order; the indices must be 0..n-1, each once."""
-    entries = []
+    """Names of an index file (vocab.tsv, users.tsv, items.tsv), whose line k
+    must read `name<TAB>k`, as _write_index_file writes it."""
+    names = []
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    name, idx = line.rstrip("\n").split("\t")
-                    entries.append((int(idx), name))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: expected `name<TAB>index`, "
-                                     f"got {line!r}") from None
+            for k, line in enumerate(fh):
+                name, _, idx = line.rstrip("\n").partition("\t")
+                if idx != str(k):
+                    raise ValueError(f"{path}:{k + 1}: expected `name<TAB>{k}`, as "
+                                     f"indices run 0..n-1 in line order, got {line!r}")
+                names.append(name)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None
-    entries.sort()
-    if [i for i, _ in entries] != list(range(len(entries))):
-        raise ValueError(f"{path}: indices are not 0..{len(entries) - 1}, each once")
-    return [name for _, name in entries]
+    return names
 
 
 def _load_split(path, interactions: list) -> DatasetSplit:
@@ -432,7 +424,6 @@ def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
     as padding."""
     rating = recs["rating"]
     tokens = recs["tokens"]
-    in_review = np.arange(review_len) < recs["ntok"][:, None]
     checks = (
         ((recs["user"] < 1) | (recs["user"] >= n_users),
          f"a user id outside 1..{n_users - 1}"),
@@ -442,7 +433,7 @@ def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
         (~((rating >= 1.0) & (rating <= 5.0)), "a rating that is not a number in [1, 5]"),
         ((tokens >= vocab_size).any(axis=1),
          f"a token id not below the vocabulary size {vocab_size}"),
-        ((in_review & (tokens == PAD_ID)).any(axis=1),
+        ((_in_review(recs) & (tokens == PAD_ID)).any(axis=1),
          f"the PAD id {PAD_ID} among its first ntok tokens"),
     )
     for bad, what in checks:
@@ -458,7 +449,11 @@ def load_prepared(in_dir) -> PreparedDataset:
     Each interaction's tokens are a view of one read-only int32 buffer that
     holds every record's first ntok tokens in corpus order."""
     src = Path(in_dir)
-    vocab = Vocabulary.load(src / "vocab.tsv")
+    id_to_token = _read_index_file(src / "vocab.tsv")
+    if id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
+        raise ValueError(f"{src / 'vocab.tsv'}: indices 0 and 1 must name {PAD_TOKEN} "
+                         f"and {UNK_TOKEN}, got {id_to_token[:2]!r}")
+    vocab = Vocabulary(id_to_token[2:])
     user_keys = _read_index_file(src / "users.tsv")
     item_keys = _read_index_file(src / "items.tsv")
 
@@ -483,10 +478,9 @@ def load_prepared(in_dir) -> PreparedDataset:
                          f"users.tsv/items.tsv hold {len(user_keys)} and {len(item_keys)}")
     _check_records(path, recs, n_users, n_items, len(vocab), review_len)
 
-    ntok = recs["ntok"]
-    tokens = recs["tokens"][np.arange(review_len) < ntok[:, None]].astype(np.int32)
+    tokens = recs["tokens"][_in_review(recs)].astype(np.int32)
     tokens.flags.writeable = False
-    bounds = np.concatenate(([0], np.cumsum(ntok, dtype=np.int64))).tolist()
+    bounds = np.concatenate(([0], np.cumsum(recs["ntok"], dtype=np.int64))).tolist()
     interactions = [
         Interaction(user, item, rating, tokens[lo:hi])
         for user, item, rating, lo, hi in zip(recs["user"].tolist(), recs["item"].tolist(),

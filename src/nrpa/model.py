@@ -163,7 +163,7 @@ class ModelParams:
                 raise FloatingPointError(f"non-finite values in {kind} {name}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationSpec:
     """Which attention sites run personalized vs uniform (plain averaging).
 

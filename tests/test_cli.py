@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -675,7 +676,8 @@ def test_out_naming_a_file_exits_2_naming_it(workspace, tmp_path, capsys, comman
     assert out.read_text() == "not a directory\n"
 
 
-@pytest.mark.parametrize("target", ["missing/out.csv", "."])
+@pytest.mark.parametrize("target", ["missing/out.csv", ".",
+                                    pytest.param("n" * 300, id="name-over-255-bytes")])
 @pytest.mark.parametrize("command,flag", [("eval", "--out"), ("eval", "--trace"),
                                           ("ablate", "--out"), ("sweep", "--out")])
 def test_output_in_missing_directory_or_at_a_directory_exits_2_naming_it(
@@ -686,7 +688,8 @@ def test_output_in_missing_directory_or_at_a_directory_exits_2_naming_it(
     if command == "sweep":
         args += ["--dims", "4"]
     assert main([command, "--data", str(workspace["data"]), *args, flag, str(target)]) == 2
-    assert str(target) in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert str(target) in err and out == ""  # nothing was scored or trained
 
 
 def test_fingerprint_streams_to_the_whole_file_digest(tmp_path):
@@ -825,12 +828,14 @@ def test_parse_ablation_spec():
 
 def test_load_config_types(tmp_path):
     cfg_file = tmp_path / "c.cfg"
-    cfg_file.write_text("seed = 7\nlearning_rate = 0.25\nexclude_target = false\n"
-                        "conv_activation = tanh\n")
+    text = b"seed = 7\nlearning_rate = 0.25\nexclude_target = false\nconv_activation = tanh\n"
+    cfg_file.write_bytes(text)
     cfg = load_config(cfg_file)
     assert cfg.seed == 7 and cfg.learning_rate == 0.25
     assert cfg.exclude_target is False
     assert cfg.conv_activation == "tanh"
+    cfg_file.write_bytes(codecs.BOM_UTF8 + text)  # a leading byte-order mark is dropped
+    assert load_config(cfg_file) == cfg
 
 
 def test_load_config_rejects_bad_values(tmp_path):

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import gc
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nrpa.data import (PAD_ID, UNK_ID, UNK_TOKEN, Interaction, ProfileStore, RawRecord,
-                       Vocabulary, build_profiles, load_prepared,
+                       build_profiles, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
                        split_dataset, tokenize, _record_dtype)
 from nrpa.cli import load_config
@@ -46,13 +47,15 @@ def test_parse_empty_stream():
 
 
 def test_parse_skips_bad_lines_and_counts():
-    stream = io.BytesIO("\n".join([
+    blob = "\n".join([
         amazon_line("A1", "B1", 4.0, "ok"),
         "{not json at all",
         amazon_line("A2", "B2", 3.0, "fine"),
-    ]).encode())
-    records, skipped = parse_reviews(stream, "amazon-json")
+    ]).encode()
+    records, skipped = parse_reviews(io.BytesIO(blob), "amazon-json")
     assert len(records) == 2 and skipped == 1
+    # a leading byte-order mark is dropped, not read as the first line's text
+    assert parse_reviews(io.BytesIO(codecs.BOM_UTF8 + blob), "amazon-json") == (records, 1)
 
 
 def test_parse_skips_out_of_range_ratings():
@@ -103,11 +106,13 @@ def test_parse_leaves_a_byte_stream_open_and_leaks_no_wrapper(tmp_path):
 
 
 def test_parse_csv_with_quoted_commas():
-    stream = io.BytesIO(b'u1,i1,4.0,"good, cheap"\nu2,i2,bad,text\nu3,i3,2.0,meh\n')
-    records, skipped = parse_reviews(stream, "csv")
+    blob = b'u1,i1,4.0,"good, cheap"\nu2,i2,bad,text\nu3,i3,2.0,meh\n'
+    records, skipped = parse_reviews(io.BytesIO(blob), "csv")
     assert skipped == 1
     assert records[0].text == "good, cheap"
     assert records[1] == RawRecord("u3", "i3", 2.0, "meh")
+    # a leading byte-order mark is dropped, not read into the first user key
+    assert parse_reviews(io.BytesIO(codecs.BOM_UTF8 + blob), "csv") == (records, 1)
 
 
 def test_parse_skips_keys_with_tab_or_line_break():
@@ -207,13 +212,6 @@ def test_vocabulary_empty_corpus_keeps_specials():
     vocab = vocab_of("", min_count=1)
     assert len(vocab) == 2
     assert vocab.id_to_token == ["<pad>", "<unk>"]
-
-
-def test_vocabulary_save_load_roundtrip(tmp_path):
-    vocab = vocab_of("one two two three three three", 1)
-    vocab.save(tmp_path / "v.tsv")
-    back = Vocabulary.load(tmp_path / "v.tsv")
-    assert back.id_to_token == vocab.id_to_token
 
 
 def _interactions(n):
@@ -554,6 +552,12 @@ def test_prepared_roundtrip_bytes_and_content(tmp_path, tiny_dataset):
     for name in ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin",
                  "split.json"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
+    # index files with CRLF line ends load the same, as text mode reads them
+    for name in ("vocab.tsv", "users.tsv", "items.tsv"):
+        (out2 / name).write_bytes((out / name).read_bytes().replace(b"\n", b"\r\n"))
+    crlf = load_prepared(out2)
+    assert crlf.vocab.id_to_token == back.vocab.id_to_token
+    assert (crlf.user_keys, crlf.item_keys) == (back.user_keys, back.item_keys)
 
 
 # ---------------------------------------------------------------------------
@@ -670,12 +674,25 @@ def test_rating_not_in_range_rejected(prepared_dir, tmp_path, rating):
 
 @pytest.mark.parametrize("name", ["users.tsv", "items.tsv", "vocab.tsv"])
 def test_key_file_indices_must_be_each_index_once(prepared_dir, tmp_path, name):
-    prep = copy_prepared(prepared_dir, tmp_path / "p")
-    lines = (prep / name).read_text().splitlines(keepends=True)
+    """Line k must read `name<TAB>k`: a repeated index is rejected, and so is
+    a swap of two lines, though its indices are still 0..n-1, each once."""
+    lines = (prepared_dir / name).read_text().splitlines(keepends=True)
     key, _ = lines[2].split("\t")
-    lines[2] = f"{key}\t1\n"  # index 1 twice, index 2 missing
-    (prep / name).write_text("".join(lines))
-    load_rejects(prep, name, "indices")
+    repeated = [*lines[:2], f"{key}\t1\n", *lines[3:]]  # index 1 twice, 2 missing
+    swapped = [*lines[:2], lines[3], lines[2], *lines[4:]]
+    for edited in (repeated, swapped):
+        prep = copy_prepared(prepared_dir, tmp_path / "p")
+        (prep / name).write_text("".join(edited))
+        load_rejects(prep, f"{name}:3", "indices")
+
+
+@pytest.mark.parametrize("line,name", [(0, "<unk>"), (1, "<pad>"), (1, "zebra")])
+def test_vocab_must_start_with_pad_and_unk(prepared_dir, tmp_path, line, name):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    lines = (prep / "vocab.tsv").read_text().splitlines(keepends=True)
+    lines[line] = f"{name}\t{line}\n"
+    (prep / "vocab.tsv").write_text("".join(lines))
+    load_rejects(prep, "vocab.tsv", "<pad>", "<unk>")
 
 
 def loads_in_range_or_rejects(prep, file):

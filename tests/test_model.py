@@ -731,3 +731,10 @@ def test_ablation_spec_validation():
     spec = M.AblationSpec(user_attention="uniform")
     assert spec.uniform("user", "word") and spec.uniform("user", "review")
     assert not spec.uniform("item", "word")
+
+
+def test_ablation_spec_is_frozen():
+    """FULL_ATTENTION is a shared default argument: setting a field on it
+    would change every later call that relies on the default."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        M.FULL_ATTENTION.word_level = "uniform"
