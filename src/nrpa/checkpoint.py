@@ -80,7 +80,7 @@ def load_params(path):
             raise CheckpointError(f"{path}: {actual - expected} trailing bytes")
         try:
             meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"{path}: unreadable metadata: {exc}") from exc
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: metadata is not a JSON object")

@@ -72,11 +72,12 @@ def parse_reviews(stream, format: str):
 
     amazon-json: one JSON object per line with reviewerID/asin/overall/reviewText.
     csv: headerless rows user,item,rating,text (quoting per the csv module).
-    Malformed lines, user or item keys or review text that are not JSON
-    strings (e.g. null), a boolean overall, ratings outside [1, 5] and user
-    or item keys holding a tab, newline, carriage return or lone surrogate
-    are skipped and counted. The stream is read as UTF-8, with a leading
-    byte-order mark dropped, and left open.
+    Malformed or too deeply nested lines, user or item keys or review text
+    that are not JSON strings (e.g. null), a boolean overall, one too large
+    for a float, ratings outside [1, 5] and user or item keys holding a tab,
+    newline, carriage return or lone surrogate are skipped and counted. The
+    stream is read as UTF-8, with a leading byte-order mark dropped, and left
+    open.
     """
     if format not in ("amazon-json", "csv"):
         raise ValueError(f"unknown format {format!r}")
@@ -98,7 +99,7 @@ def _parse_text(text, format: str):
                 obj = json.loads(line)
                 rec = RawRecord(obj["reviewerID"], obj["asin"], float(obj["overall"]),
                                 obj["reviewText"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
                 skipped += 1
                 continue
             if not all(isinstance(v, str) for v in (rec.user_key, rec.item_key, rec.text)) \
@@ -393,7 +394,7 @@ def _load_split(path, interactions: list) -> DatasetSplit:
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or malformed JSON
+    except (ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON
         raise ValueError(f"{path}: unreadable: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: not a JSON object")

@@ -79,8 +79,8 @@ def param_layout(dims: Dims):
 
     The one place that names and shapes a parameter: ModelParams lays its
     flat buffer out by it and exposes "group.field" names as attribute groups,
-    init_params draws in its order, the L2 rule walks it and the checkpoint
-    format writes it.
+    init_params draws in its order, training's L2 walk follows it and the
+    checkpoint format writes it.
     """
     d = dims
     yield "word_emb", (d.vocab_size, d.word_dim)  # row PAD_ID is never read
@@ -154,13 +154,13 @@ class ModelParams:
     def zeros_like(self) -> "ModelParams":
         return ModelParams(self.dims, np.zeros(self.flat.size), self.conv_activation)
 
-    def assert_finite(self, kind: str = "tensor"):
-        """Raises FloatingPointError naming the first non-finite tensor."""
+    def assert_finite(self):
+        """Raises FloatingPointError naming the first non-finite parameter tensor."""
         if np.isfinite(self.flat).all():
             return
         for name, arr in self.tensors():
             if not np.isfinite(arr).all():
-                raise FloatingPointError(f"non-finite values in {kind} {name}")
+                raise FloatingPointError(f"non-finite values in parameter {name}")
 
 
 @dataclass(frozen=True)
@@ -199,6 +199,10 @@ def _glorot(rng: SplitMix64, out: np.ndarray) -> None:
     rng.uniform(-limit, limit, shape, out=out)
 
 
+# the name suffixes of the bias tensors, which start at zero and take no L2
+_BIASES = ("_b", ".bias")
+
+
 def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelParams:
     """Seed-deterministic init, drawn in layout order straight into each
     tensor's view of the flat buffer: [-0.1, 0.1) embeddings with the PAD row
@@ -208,10 +212,19 @@ def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelPa
     for name, arr in params.tensors():
         if name.endswith("_emb"):
             rng.uniform(-0.1, 0.1, arr.shape, out=arr)
-        elif not name.endswith(("_b", ".bias")):
+        elif not name.endswith(_BIASES):
             _glorot(rng, arr)
     params.word_emb[PAD_ID] = 0.0
     return params
+
+
+def regularized(name: str, ablation: AblationSpec) -> bool:
+    """Whether the selective L2 term covers the tensor `name`: every weight
+    except the biases and the query MLP weights and pairing matrices of the
+    sites `ablation` makes uniform, which are unused and untrained."""
+    side, _, field = name.rpartition(".")
+    return not (name.endswith(_BIASES) or (field.endswith(("_query_w", "_attn"))
+                and ablation.uniform(side, field.partition("_")[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +527,7 @@ def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray
     features = np.concatenate([u_cache.pooled, i_cache.pooled], axis=1)
     preds = fm_predict_batch(params.fm, features)
     if not np.isfinite(preds).all():
-        params.assert_finite("parameter")
+        params.assert_finite()
         raise FloatingPointError("non-finite predictions in forward pass")
     return preds, u_cache, i_cache
 

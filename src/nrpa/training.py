@@ -5,11 +5,12 @@ predictions, with selective L2: it hands d loss / d predictions to
 model.backward_batch, which accumulates the exact gradients of the whole
 network into a second ModelParams, one flat buffer laid out like the
 parameters. The L2 value, the L2 gradient and the finiteness check are one
-blocked walk of the flat buffers after that. Adam keeps its moments as flat
-buffers and updates every parameter in one in-place pass. Each training step
-allocates a fresh gradient buffer and drops it before the next step, so
-train() holds PARAM_BUFFERS parameter-sized buffers for the whole run and no
-whole-model temporary.
+walk after that, tensor by tensor in 64k-element blocks, so a failure names
+its tensor. Adam keeps its moments as flat buffers and updates every
+parameter in one in-place pass over the flat buffers, in the same blocks.
+Each training step allocates a fresh gradient buffer and drops it before the
+next step, so train() holds PARAM_BUFFERS parameter-sized buffers for the
+whole run and no whole-model temporary.
 """
 
 import math
@@ -70,54 +71,29 @@ class TrainConfig:
                       self.review_len, self.num_reviews)
 
 
-def _l2_ranges(dims: M.Dims, ablation: M.AblationSpec):
-    """[lo, hi) offsets into the flat buffer of the weights under L2, in layout
-    order, adjacent tensors merged into one range: everything except biases
-    and the query MLP weights and pairing matrices of sites ablated to
-    uniform."""
-    ranges = []
-    hi = 0
-    for name, shape in M.param_layout(dims):
-        lo, hi = hi, hi + math.prod(shape)
-        side, _, field = name.rpartition(".")
-        if name.endswith(("_b", ".bias")):
-            continue
-        if field.endswith(("_query_w", "_attn")) and \
-                ablation.uniform(side, field.partition("_")[0]):
-            continue
-        if ranges and ranges[-1][1] == lo:
-            lo = ranges.pop()[0]
-        ranges.append((lo, hi))
-    return ranges
-
-
 def _dense_pass(params: M.ModelParams, l2_weight: float, ablation: M.AblationSpec,
                 grads: M.ModelParams) -> float:
-    """The L2 value, l2_weight * sum(p^2) over the regularized ranges; the
-    same walk adds the L2 gradient 2 l2_weight p into grads and raises
-    FloatingPointError naming the first non-finite tensor.
+    """The L2 value, l2_weight * sum(p^2) over the tensors model.regularized
+    names; the same walk adds the L2 gradient 2 l2_weight p into grads and
+    raises FloatingPointError naming the first non-finite tensor.
 
-    One walk of the flat buffers in _ADAM_BLOCK slices with one block-sized
-    scratch row, like adam_step. The square sums are np.vdot per (block,
-    range) piece, added in address order.
+    One walk of the tensors in layout order, each in _ADAM_BLOCK slices with
+    one block-sized scratch row, like adam_step. The square sums are np.vdot
+    per (tensor, block) piece, added in walk order.
     """
-    ranges = _l2_ranges(params.dims, ablation) if l2_weight else []
-    size = params.flat.size
-    scratch = np.empty(min(size, _ADAM_BLOCK))
+    scratch = np.empty(min(params.flat.size, _ADAM_BLOCK))
     total = 0.0
-    for lo in range(0, size, _ADAM_BLOCK):
-        hi = min(lo + _ADAM_BLOCK, size)
-        for a, b in ranges:
-            a, b = max(a, lo), min(b, hi)
-            if a >= b:
-                continue
-            p = params.flat[a:b]
-            total += float(np.vdot(p, p))
-            np.multiply(p, 2.0 * l2_weight, out=scratch[:b - a])
-            grads.flat[a:b] += scratch[:b - a]
-        if not np.isfinite(grads.flat[lo:hi]).all():
-            params.assert_finite("parameter")  # a non-finite parameter is the cause
-            grads.assert_finite("gradient")
+    for (name, p_all), (_, g_all) in zip(params.tensors(), grads.tensors()):
+        p_all, g_all = p_all.reshape(-1), g_all.reshape(-1)
+        l2 = l2_weight and M.regularized(name, ablation)
+        for lo in range(0, p_all.size, _ADAM_BLOCK):
+            p, g = p_all[lo:lo + _ADAM_BLOCK], g_all[lo:lo + _ADAM_BLOCK]
+            if l2:
+                total += float(np.vdot(p, p))
+                g += np.multiply(p, 2.0 * l2_weight, out=scratch[:p.size])
+            if not np.isfinite(g).all():
+                params.assert_finite()  # a non-finite parameter is the cause
+                raise FloatingPointError(f"non-finite values in gradient {name}")
     return l2_weight * total
 
 
@@ -155,9 +131,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-# adam_step and _dense_pass walk the flat buffers in blocks of this many
-# elements: each block's slices stay in cache, and block-sized scratch rows are
-# all a step allocates, where whole-model temporaries would raise peak memory
+# adam_step walks the flat buffers, and _dense_pass each tensor, in blocks of
+# this many elements: each block's slices stay in cache, and block-sized
+# scratch rows are all a step allocates, where whole-model temporaries would
+# raise peak memory
 _ADAM_BLOCK = 1 << 16
 
 

@@ -172,6 +172,19 @@ def test_malformed_metadata_config_rejected(tmp_path, toy_params, config):
     assert load_params(path)[1]["config"]["exclude_target"] is False
 
 
+def test_too_deeply_nested_metadata_rejected(tmp_path, toy_params):
+    """json.dumps cannot write metadata this deep, so its bytes are spliced
+    in by hand, with the header's metadata length at offset 52."""
+    path = tmp_path / "deep.nrpa"
+    save_params(toy_params, path)
+    blob = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", blob, 52)
+    deep = b"[" * 200_000 + b"]" * 200_000
+    path.write_bytes(blob[:52] + struct.pack("<I", len(deep)) + deep + blob[56 + meta_len:])
+    with pytest.raises(CheckpointError, match="deep.nrpa: unreadable metadata"):
+        load_params(path)
+
+
 def test_magic_bytes_spell_format_name(tmp_path, toy_params):
     path = tmp_path / "m.nrpa"
     save_params(toy_params, path)

@@ -50,12 +50,14 @@ def test_parse_skips_bad_lines_and_counts():
     blob = "\n".join([
         amazon_line("A1", "B1", 4.0, "ok"),
         "{not json at all",
+        amazon_line(rating=5.0).replace("5.0", "1" + "0" * 400),  # overflows a float
+        "[" * 200_000 + "]" * 200_000,  # nested past the parser's recursion limit
         amazon_line("A2", "B2", 3.0, "fine"),
     ]).encode()
     records, skipped = parse_reviews(io.BytesIO(blob), "amazon-json")
-    assert len(records) == 2 and skipped == 1
+    assert len(records) == 2 and skipped == 3
     # a leading byte-order mark is dropped, not read as the first line's text
-    assert parse_reviews(io.BytesIO(codecs.BOM_UTF8 + blob), "amazon-json") == (records, 1)
+    assert parse_reviews(io.BytesIO(codecs.BOM_UTF8 + blob), "amazon-json") == (records, 3)
 
 
 def test_parse_skips_out_of_range_ratings():
@@ -629,6 +631,8 @@ def test_split_missing_key_or_not_an_object_rejected(prepared_dir, tmp_path):
     load_rejects(prep, "split.json", "'test'")
     (prep / "split.json").write_text("[1, 2, 3]")
     load_rejects(prep, "split.json", "not a JSON object")
+    (prep / "split.json").write_text("[" * 200_000 + "]" * 200_000)
+    load_rejects(prep, "split.json", "unreadable")
 
 
 @pytest.mark.parametrize("field,value,words", [
