@@ -328,17 +328,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _owner_index(keys, key, side) -> int:
+    """key's index in keys, a users.tsv or items.tsv list; index 0 is
+    reserved, so a key is looked up from index 1."""
+    try:
+        return keys.index(key, 1)
+    except ValueError:
+        raise UsageError(f"unknown {side} {key!r}") from None
+
+
 def cmd_inspect(args) -> int:
     if args.top < 1:
         raise UsageError(f"--top must be >= 1, got {args.top}")
     ds = _load_dataset(args.data)
     params, exclude, stores = _load_checkpoint(args, ds)
-    user = ds.user_index(args.user)
-    item = ds.item_index(args.item)
-    if user == 0:
-        raise UsageError(f"unknown user {args.user!r}")
-    if item == 0:
-        raise UsageError(f"unknown item {args.item!r}")
+    user = _owner_index(ds.user_keys, args.user, "user")
+    item = _owner_index(ds.item_keys, args.item, "item")
     rating, u_cache, i_cache = forward(user, item, stores[0], stores[1], params,
                                        exclude_target=exclude)
     print(f"prediction: {rating!r}")

@@ -26,16 +26,16 @@ UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
-# index 0 of each id-embedding table is reserved for owners never seen at
-# prepare time (cold start); real users/items are indexed from 1
-UNK_OWNER = 0
-
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # users.tsv/items.tsv store one `key<TAB>index` line per owner in UTF-8, so a
 # key holding a tab or a line break could not be read back, and one holding a
 # lone surrogate (a JSON escape such as "\ud800") could not be written
 _KEY_BREAKERS = re.compile(r"[\t\n\r\ud800-\udfff]")
+
+# the largest field csv.reader may read, in characters: the largest value a
+# C long holds on every platform, so that a review of any length is read
+_CSV_FIELD_LIMIT = 2**31 - 1
 
 
 @dataclass
@@ -52,6 +52,26 @@ class Interaction:
     item: int
     rating: float
     tokens: np.ndarray  # int32 token ids, length <= review_len
+
+
+def batch_arrays(interactions):
+    """(users, items, ratings) of interactions as int64, int64 and float64
+    arrays, in their order."""
+    if len(interactions) == 0:
+        raise ValueError("no interactions")
+    users = np.array([b.user for b in interactions], dtype=np.int64)
+    items = np.array([b.item for b in interactions], dtype=np.int64)
+    ratings = np.array([b.rating for b in interactions], dtype=np.float64)
+    return users, items, ratings
+
+
+def _interactions(users, items, ratings, tokens: np.ndarray, bounds: np.ndarray) -> list:
+    """Interactions over one int32 token buffer, which is made read-only:
+    interaction k's tokens are the view tokens[bounds[k]:bounds[k + 1]]."""
+    tokens.flags.writeable = False
+    bounds = bounds.tolist()
+    return [Interaction(user, item, rating, tokens[lo:hi])
+            for user, item, rating, lo, hi in zip(users, items, ratings, bounds, bounds[1:])]
 
 
 class DatasetSplit:
@@ -72,59 +92,53 @@ def parse_reviews(stream, format: str):
 
     amazon-json: one JSON object per line with reviewerID/asin/overall/reviewText.
     csv: headerless rows user,item,rating,text (quoting per the csv module).
-    Malformed or too deeply nested lines, user or item keys or review text
-    that are not JSON strings (e.g. null), a boolean overall, one too large
-    for a float, ratings outside [1, 5] and user or item keys holding a tab,
-    newline, carriage return or lone surrogate are skipped and counted. The
-    stream is read as UTF-8, with a leading byte-order mark dropped, and left
-    open.
+    A line that does not split into those four fields (malformed, too
+    deeply nested, a key missing, a row of another width) is skipped and
+    counted, and so is one whose fields break the rule both formats share:
+    the keys and the text are strings, the rating is a number in [1, 5] and
+    not a boolean (a string that float() reads counts), and no key holds a
+    tab, newline, carriage return or lone surrogate. Blank lines are passed
+    over, and a field of any length is read. The stream is read as UTF-8,
+    with a leading byte-order mark dropped, and left open.
     """
     if format not in ("amazon-json", "csv"):
         raise ValueError(f"unknown format {format!r}")
     text = io.TextIOWrapper(stream, encoding="utf-8-sig")
+    field_limit = csv.field_size_limit(_CSV_FIELD_LIMIT)
     try:
-        return _parse_text(text, format)
+        # each non-blank line's fields, four unless the line does not split
+        lines = (filter(None, csv.reader(text)) if format == "csv"
+                 else map(_json_fields, filter(str.strip, text)))
+        records = []
+        skipped = 0
+        for fields in lines:
+            try:  # the rule the docstring states, for either format
+                user_key, item_key, rating, review = fields
+                if isinstance(rating, bool) or not (isinstance(user_key, str)
+                                                    and isinstance(item_key, str)
+                                                    and isinstance(review, str)):
+                    raise TypeError
+                rating = float(rating)
+                if not 1.0 <= rating <= 5.0 or _KEY_BREAKERS.search(user_key + item_key):
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                skipped += 1
+                continue
+            records.append(RawRecord(user_key, item_key, rating, review))
+        return records, skipped
     finally:
+        csv.field_size_limit(field_limit)
         text.detach()
 
 
-def _parse_text(text, format: str):
-    records = []
-    skipped = 0
-    if format == "amazon-json":
-        for line in text:
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                rec = RawRecord(obj["reviewerID"], obj["asin"], float(obj["overall"]),
-                                obj["reviewText"])
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-                skipped += 1
-                continue
-            if not all(isinstance(v, str) for v in (rec.user_key, rec.item_key, rec.text)) \
-                    or isinstance(obj["overall"], bool) or not 1.0 <= rec.rating <= 5.0 \
-                    or _KEY_BREAKERS.search(rec.user_key + rec.item_key):
-                skipped += 1
-                continue
-            records.append(rec)
-    else:
-        for row in csv.reader(text):
-            if not row:
-                continue
-            if len(row) != 4:
-                skipped += 1
-                continue
-            try:
-                rating = float(row[2])
-            except ValueError:
-                skipped += 1
-                continue
-            if not 1.0 <= rating <= 5.0 or _KEY_BREAKERS.search(row[0] + row[1]):
-                skipped += 1
-                continue
-            records.append(RawRecord(row[0], row[1], rating, row[3]))
-    return records, skipped
+def _json_fields(line: str) -> tuple:
+    """An amazon-json line's reviewerID, asin, overall and reviewText, or ()
+    for a line that does not split into them."""
+    try:
+        obj = json.loads(line)
+        return obj["reviewerID"], obj["asin"], obj["overall"], obj["reviewText"]
+    except (KeyError, TypeError, ValueError, RecursionError):
+        return ()
 
 
 def tokenize(text: str) -> list:
@@ -238,18 +252,6 @@ class PreparedDataset:
     def n_items(self):
         return len(self.item_keys)
 
-    def user_index(self, key: str) -> int:
-        try:
-            return self.user_keys.index(key, 1)
-        except ValueError:
-            return UNK_OWNER
-
-    def item_index(self, key: str) -> int:
-        try:
-            return self.item_keys.index(key, 1)
-        except ValueError:
-            return UNK_OWNER
-
     def stats(self) -> dict:
         ratings = len(self.interactions)
         users = len(self.user_keys) - 1
@@ -271,11 +273,11 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     """
     raw = split_dataset(records, seed)
 
-    # owners in order of first appearance from index 1; 0 is the unknown owner
-    user_keys = [UNK_TOKEN, *dict.fromkeys(r.user_key for r in records)]
-    item_keys = [UNK_TOKEN, *dict.fromkeys(r.item_key for r in records)]
-    user_index = {key: i for i, key in enumerate(user_keys[1:], start=1)}
-    item_index = {key: i for i, key in enumerate(item_keys[1:], start=1)}
+    # owners numbered in order of first appearance from 1; 0 is reserved
+    user_number = defaultdict(count(1).__next__)
+    item_number = defaultdict(count(1).__next__)
+    users = [user_number[r.user_key] for r in records]
+    items = [item_number[r.item_key] for r in records]
 
     number = defaultdict(count().__next__)  # token -> type number
     stream, ends = array("i"), array("q")
@@ -300,17 +302,11 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     kept_lens = np.minimum(lens, review_len)[at]
     bounds = np.concatenate(([0], np.cumsum(kept_lens)))
     take = np.repeat((ends - lens)[at] - bounds[:-1], kept_lens) + np.arange(bounds[-1])
-    tokens = rank[ids[take]]
-    tokens.flags.writeable = False
-
-    bounds = bounds.tolist()
-    interactions = [
-        Interaction(user_index[r.user_key], item_index[r.item_key], r.rating,
-                    tokens[lo:hi])
-        for r, lo, hi in zip(records, bounds, bounds[1:])
-    ]
+    interactions = _interactions(users, items, [r.rating for r in records],
+                                 rank[ids[take]], bounds)
     split = DatasetSplit(interactions, seed, raw.train_idx, raw.val_idx, raw.test_idx)
-    return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)
+    return PreparedDataset(vocab, interactions, split, [UNK_TOKEN, *user_number],
+                           [UNK_TOKEN, *item_number], review_len)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +340,8 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     inters = ds.interactions
     n = len(inters)
     recs = np.zeros(n, dtype=_record_dtype(ds.review_len))
-    recs["user"] = [inter.user for inter in inters]
-    recs["item"] = [inter.item for inter in inters]
+    recs["user"], recs["item"], recs["rating"] = batch_arrays(inters)
     recs["ntok"] = [len(inter.tokens) for inter in inters]
-    recs["rating"] = [inter.rating for inter in inters]
     recs["tokens"][_in_review(recs)] = np.concatenate([inter.tokens for inter in inters])
     header = np.array([n, ds.n_users, ds.n_items, ds.review_len], dtype=_HEADER_DTYPE)
     with open(out / "interactions.bin", "wb") as fh:
@@ -414,6 +408,9 @@ def _load_split(path, interactions: list) -> DatasetSplit:
         raise ValueError(f"{path}: train, validation and test do not partition the "
                          f"{n} interactions (an index is out of 0..{n - 1}, repeated "
                          f"or missing)")
+    for key, arr in zip(("train", "validation", "test"), parts):
+        if (np.diff(arr) < 0).any():  # with the partition, no index repeats
+            raise ValueError(f"{path}: {key!r} is not ascending")
     return DatasetSplit(interactions, manifest["seed"], manifest["train"],
                         manifest["validation"], manifest["test"])
 
@@ -479,13 +476,9 @@ def load_prepared(in_dir) -> PreparedDataset:
                          f"users.tsv/items.tsv hold {len(user_keys)} and {len(item_keys)}")
     _check_records(path, recs, n_users, n_items, len(vocab), review_len)
 
-    tokens = recs["tokens"][_in_review(recs)].astype(np.int32)
-    tokens.flags.writeable = False
-    bounds = np.concatenate(([0], np.cumsum(recs["ntok"], dtype=np.int64))).tolist()
-    interactions = [
-        Interaction(user, item, rating, tokens[lo:hi])
-        for user, item, rating, lo, hi in zip(recs["user"].tolist(), recs["item"].tolist(),
-                                              recs["rating"].tolist(), bounds, bounds[1:])
-    ]
+    interactions = _interactions(recs["user"].tolist(), recs["item"].tolist(),
+                                 recs["rating"].tolist(),
+                                 recs["tokens"][_in_review(recs)].astype(np.int32),
+                                 np.concatenate(([0], np.cumsum(recs["ntok"], dtype=np.int64))))
     split = _load_split(src / "split.json", interactions)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from . import model as M
-from .data import RawRecord
+from .data import RawRecord, batch_arrays
 from .rng import SplitMix64
 
 _EVAL_CHUNK = 64
@@ -49,32 +49,31 @@ def evaluate(params: M.ModelParams, interactions, stores,
              trace_sink=None) -> float:
     """MSE of the model over a split, scored in consecutive _EVAL_CHUNK-sized
     chunks and summed in fixed index order."""
-    if len(interactions) == 0:
-        raise ValueError("cannot evaluate an empty split")
+    users, items, ratings = batch_arrays(interactions)
     user_store, item_store = stores
     scored = []
-    for lo in range(0, len(interactions), _EVAL_CHUNK):
-        chunk = interactions[lo:lo + _EVAL_CHUNK]
+    for lo in range(0, len(users), _EVAL_CHUNK):
+        chunk = slice(lo, lo + _EVAL_CHUNK)
         preds, u_cache, i_cache = M.predict_batch(
-            params, user_store, item_store, [i.user for i in chunk],
-            [i.item for i in chunk], exclude_target, ablation)
+            params, user_store, item_store, users[chunk], items[chunk], exclude_target,
+            ablation)
         if clip:
             preds = np.clip(preds, 1.0, 5.0)
         scored.append(preds)
         if trace_sink is None:
             continue
         u_alpha, i_alpha = u_cache.alpha, i_cache.alpha
-        for b, (inter, pred) in enumerate(zip(chunk, preds)):
+        for b, (user, item, pred) in enumerate(zip(users[chunk], items[chunk], preds)):
             trace_sink.write(json.dumps({
-                "user": int(inter.user),
-                "item": int(inter.item),
+                "user": int(user),
+                "item": int(item),
                 "prediction": float(pred),
                 "user_alpha": u_alpha[b].tolist(),
                 "user_beta": u_cache.beta[b].tolist(),
                 "item_alpha": i_alpha[b].tolist(),
                 "item_beta": i_cache.beta[b].tolist(),
             }, sort_keys=True) + "\n")
-    return mse(np.concatenate(scored), [i.rating for i in interactions])
+    return mse(np.concatenate(scored), ratings)
 
 
 # ---------------------------------------------------------------------------

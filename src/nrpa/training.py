@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
+from .data import batch_arrays
 from .evaluation import evaluate, mse
 from .rng import SplitMix64
 
@@ -97,21 +98,12 @@ def _dense_pass(params: M.ModelParams, l2_weight: float, ablation: M.AblationSpe
     return l2_weight * total
 
 
-def _batch_arrays(batch):
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    users = np.array([b.user for b in batch], dtype=np.int64)
-    items = np.array([b.item for b in batch], dtype=np.int64)
-    ratings = np.array([b.rating for b in batch], dtype=np.float64)
-    return users, items, ratings
-
-
 def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
              ablation: M.AblationSpec = M.FULL_ATTENTION,
              exclude_target: bool = False):
     """Loss and its exact gradients w.r.t. every parameter tensor, in a fresh
     buffer laid out like the parameters."""
-    users, items, ratings = _batch_arrays(batch)
+    users, items, ratings = batch_arrays(batch)
     user_store, item_store = stores
     preds, u_cache, i_cache = M.predict_batch(params, user_store, item_store,
                                               users, items, exclude_target, ablation)

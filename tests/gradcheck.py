@@ -8,6 +8,7 @@ import numpy as np
 
 from nrpa import model as M
 from nrpa import training as T
+from nrpa.data import batch_arrays
 
 
 def loss(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
@@ -15,7 +16,7 @@ def loss(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
          exclude_target: bool = False) -> float:
     """Mean squared residual over the batch plus the L2 penalty, taken by
     backward's own L2 walk, whose gradient goes to a scratch buffer."""
-    users, items, ratings = T._batch_arrays(batch)
+    users, items, ratings = batch_arrays(batch)
     user_store, item_store = stores
     preds, _, _ = M.predict_batch(params, user_store, item_store, users, items,
                                   exclude_target, ablation)

@@ -21,7 +21,7 @@ import nrpa
 from nrpa import BLAS_THREAD_VARS, cli
 from nrpa.checkpoint import load_params, save_params
 from nrpa.cli import main, parse_ablation, load_config, UsageError
-from nrpa.data import ProfileStore, load_prepared
+from nrpa.data import UNK_ID, ProfileStore, load_prepared
 from nrpa.evaluation import ABLATION_VARIANTS, make_synthetic_corpus
 from nrpa.model import AblationSpec, Dims, init_params, param_count
 
@@ -171,12 +171,13 @@ def test_review_len_above_prepared_exits_2_naming_both(workspace, tmp_path, caps
 
 def with_empty_split(workspace, tmp_path, empty):
     """A copy of the prepared data whose split.json moves every index of the
-    split `empty` into another split, so the three still partition."""
+    split `empty` into another split, so the three still partition and
+    each stays ascending."""
     data = tmp_path / "prep"
     shutil.copytree(workspace["data"], data)
     split = json.loads((data / "split.json").read_text())
     other = "test" if empty != "test" else "train"
-    split[other] += split[empty]
+    split[other] = sorted(split[other] + split[empty])
     split[empty] = []
     (data / "split.json").write_text(json.dumps(split))
     return data
@@ -655,13 +656,22 @@ def test_non_utf8_corpus_exits_2_naming_it(workspace, tmp_path, capsys, fmt):
     assert str(corpus) in capsys.readouterr().err
 
 
-def test_csv_field_past_the_csv_module_limit_exits_2_naming_it(tmp_path, capsys):
+def test_csv_review_past_the_csv_module_limit_is_prepared(workspace, tmp_path):
+    """A review longer than the csv module's default field limit of 131,072
+    characters is read, like one in amazon-json."""
     corpus = tmp_path / "long.csv"
-    corpus.write_text("u1,i1,4.0," + "word " * 30000 + "\n")
-    code = main(["prepare", "--input", str(corpus), "--format", "csv",
-                 "--out", str(tmp_path / "o"), "--seed", "1"])
-    assert code == 2
-    assert str(corpus) in capsys.readouterr().err
+    corpus.write_text(workspace["corpus"].read_text() + "ulong,ilong,4.0,"
+                      + "word " * 30000 + "\n")
+    out = tmp_path / "o"
+    assert main(["prepare", "--input", str(corpus), "--format", "csv",
+                 "--out", str(out), "--seed", "1"]) == 0
+    ds = load_prepared(out)
+    long = ds.interactions[-1]
+    assert ds.user_keys[long.user] == "ulong" and ds.item_keys[long.item] == "ilong"
+    # "word" is in the vocabulary only if the record fell in the train split
+    tokens = ds.vocab.id_to_token
+    word = tokens.index("word") if "word" in tokens else UNK_ID
+    assert long.tokens.tolist() == [word] * 100
 
 
 @pytest.mark.parametrize("command", ["prepare", "train"])
@@ -773,12 +783,14 @@ def test_inspect_top_below_one_exits_2_before_loading(tmp_path, capsys, top):
     assert f"--top must be >= 1, got {top}" in capsys.readouterr().err
 
 
-def test_inspect_unknown_user_exits_2(workspace, capsys):
+@pytest.mark.parametrize("side", ["user", "item"])
+def test_inspect_unknown_user_exits_2(workspace, capsys, side):
+    keys = {"user": "u0", "item": "i0", side: "ghost"}
     code = main(["inspect", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
-                 "--data", str(workspace["data"]), "--user", "ghost",
-                 "--item", "i0"])
+                 "--data", str(workspace["data"]), "--user", keys["user"],
+                 "--item", keys["item"]])
     assert code == 2
-    assert "unknown user" in capsys.readouterr().err
+    assert f"unknown {side} 'ghost'" in capsys.readouterr().err
 
 
 def test_sweep_single_dim(workspace, tmp_path, capsys):

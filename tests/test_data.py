@@ -127,6 +127,40 @@ def test_parse_skips_keys_with_tab_or_line_break():
     assert skipped == 2 and records == [RawRecord("u2", "i2", 4.0, "x")]
 
 
+# any text a UTF-8 CSV file carries unchanged: no lone surrogate, which UTF-8
+# cannot hold, no carriage return, which text-mode reading turns into a line
+# feed, and no byte-order mark, which is dropped from the front of a stream
+_CSV_SAFE_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\r\ufeff"),
+                         max_size=8)
+
+
+@given(rows=st.lists(st.tuples(_CSV_SAFE_TEXT, _CSV_SAFE_TEXT,
+                               st.one_of(st.floats(1.0, 5.0).map(repr),
+                                         st.floats().map(repr), _CSV_SAFE_TEXT),
+                               _CSV_SAFE_TEXT), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_csv_row_and_amazon_json_line_of_the_same_fields_parse_alike(rows):
+    """One rule judges a line's four fields, whichever format split them; in
+    the JSON line the rating is a JSON string holding the CSV field's text."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    as_csv = parse_reviews(io.BytesIO(buf.getvalue().encode("utf-8")), "csv")
+    lines = "\n".join(json.dumps({"reviewerID": user, "asin": item, "overall": rating,
+                                  "reviewText": text}) for user, item, rating, text in rows)
+    assert parse_reviews(io.BytesIO(lines.encode("utf-8")), "amazon-json") == as_csv
+
+
+def test_parse_reads_a_csv_field_of_any_length_and_restores_the_module_limit():
+    before = csv.field_size_limit()
+    row = "u1,i1,4.0," + "word " * 30000 + "\n"
+    records, skipped = parse_reviews(io.BytesIO(row.encode()), "csv")
+    assert skipped == 0 and records[0].text == "word " * 30000
+    assert csv.field_size_limit() == before
+    with pytest.raises(UnicodeDecodeError):
+        parse_reviews(io.BytesIO(b"u1,i1,4.0,\xff\n"), "csv")
+    assert csv.field_size_limit() == before
+
+
 def _serialize(records, fmt) -> bytes:
     if fmt == "amazon-json":
         return "\n".join(amazon_line(r.user_key, r.item_key, r.rating, r.text)
@@ -269,7 +303,7 @@ def test_vocabulary_is_train_only():
     for seed in range(50):
         ds = prepare_dataset(records, seed=seed, min_count=1)
         held_out = ds.split.validation + ds.split.test
-        if any(inter.user == ds.user_index("u19") for inter in held_out):
+        if any(inter.user == ds.user_keys.index("u19") for inter in held_out):
             assert token_id(ds.vocab, "zzzunique") == UNK_ID
             return
     pytest.fail("no seed pushed the unique record out of train")
@@ -626,6 +660,9 @@ def test_split_negative_index_rejected(prepared_dir, tmp_path, tiny_dataset):
 def test_split_missing_key_or_not_an_object_rejected(prepared_dir, tmp_path):
     prep = copy_prepared(prepared_dir, tmp_path / "p")
     manifest = json.loads((prep / "split.json").read_text())
+    # the writer sorts each list, and the epoch shuffle starts from that order
+    (prep / "split.json").write_text(json.dumps({**manifest, "train": manifest["train"][::-1]}))
+    load_rejects(prep, "split.json", "'train'", "not ascending")
     del manifest["test"]
     (prep / "split.json").write_text(json.dumps(manifest))
     load_rejects(prep, "split.json", "'test'")
@@ -733,12 +770,6 @@ def test_corrupt_prepared_files_load_in_range_or_raise_value_error(prepared_dir,
         blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
     path.write_bytes(bytes(blob))
     loads_in_range_or_rejects(prep, file)
-
-
-def test_unknown_owner_maps_to_reserved_index(tiny_dataset):
-    assert tiny_dataset.user_index("never-seen") == 0
-    assert tiny_dataset.item_index("never-seen") == 0
-    assert tiny_dataset.user_index("u0") > 0
 
 
 def test_stats_counts_real_owners(tiny_dataset):
