@@ -22,8 +22,8 @@ import numpy as np
 from . import BLAS_THREADS, checkpoint, evaluation, training
 from .data import (ProfileStore, build_profiles, load_prepared, parse_reviews,
                    prepare_dataset, save_prepared)
-from .model import AblationSpec, Dims, forward, param_count
-from .training import TrainConfig, TrainingDiverged
+from .model import ATTENTION_MODES, AblationSpec, Dims, forward, param_count
+from .training import TrainConfig
 
 
 class UsageError(Exception):
@@ -162,7 +162,7 @@ def _load_checkpoint(args, ds):
 
 
 def parse_ablation(spec: str) -> AblationSpec:
-    """Comma list of user|item|word|review=uniform (or =personalized)."""
+    """Comma list of user|item|word|review=uniform (or =personalized), each site once."""
     sites = {"user": "user_attention", "item": "item_attention",
              "word": "word_level", "review": "review_level"}
     kwargs = {}
@@ -171,9 +171,11 @@ def parse_ablation(spec: str) -> AblationSpec:
         if not part:
             continue
         key, _, mode = part.partition("=")
-        if key not in sites or mode not in ("uniform", "personalized"):
+        if key not in sites or mode not in ATTENTION_MODES:
             raise UsageError(f"bad ablation term {part!r}; "
                              f"expected user|item|word|review=uniform")
+        if sites[key] in kwargs:
+            raise UsageError(f"ablation site {key!r} given twice in {spec!r}")
         kwargs[sites[key]] = mode
     return AblationSpec(**kwargs)
 
@@ -428,7 +430,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TrainingDiverged, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -26,6 +26,9 @@ UNK_ID = 1
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 
+# the closed range every rating lies in, as read, stored and clipped
+RATING_RANGE = (1.0, 5.0)
+
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # users.tsv/items.tsv store one `key<TAB>index` line per owner in UTF-8, so a
@@ -111,6 +114,7 @@ def parse_reviews(stream, format: str):
                  else map(_json_fields, filter(str.strip, text)))
         records = []
         skipped = 0
+        lo, hi = RATING_RANGE
         for fields in lines:
             try:  # the rule the docstring states, for either format
                 user_key, item_key, rating, review = fields
@@ -119,7 +123,7 @@ def parse_reviews(stream, format: str):
                                                     and isinstance(review, str)):
                     raise TypeError
                 rating = float(rating)
-                if not 1.0 <= rating <= 5.0 or _KEY_BREAKERS.search(user_key + item_key):
+                if not lo <= rating <= hi or _KEY_BREAKERS.search(user_key + item_key):
                     raise ValueError
             except (TypeError, ValueError, OverflowError):
                 skipped += 1
@@ -422,13 +426,15 @@ def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
     as padding."""
     rating = recs["rating"]
     tokens = recs["tokens"]
+    lo, hi = RATING_RANGE
     checks = (
         ((recs["user"] < 1) | (recs["user"] >= n_users),
          f"a user id outside 1..{n_users - 1}"),
         ((recs["item"] < 1) | (recs["item"] >= n_items),
          f"an item id outside 1..{n_items - 1}"),
         (recs["ntok"] > review_len, f"ntok above review_len {review_len}"),
-        (~((rating >= 1.0) & (rating <= 5.0)), "a rating that is not a number in [1, 5]"),
+        (~((rating >= lo) & (rating <= hi)),
+         f"a rating that is not a number in [{lo:g}, {hi:g}]"),
         ((tokens >= vocab_size).any(axis=1),
          f"a token id not below the vocabulary size {vocab_size}"),
         ((_in_review(recs) & (tokens == PAD_ID)).any(axis=1),

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from . import model as M
-from .data import RawRecord, batch_arrays
+from .data import RATING_RANGE, RawRecord, batch_arrays
 from .rng import SplitMix64
 
 _EVAL_CHUNK = 64
@@ -58,7 +58,7 @@ def evaluate(params: M.ModelParams, interactions, stores,
             params, user_store, item_store, users[chunk], items[chunk], exclude_target,
             ablation)
         if clip:
-            preds = np.clip(preds, 1.0, 5.0)
+            preds = np.clip(preds, *RATING_RANGE)
         scored.append(preds)
         if trace_sink is None:
             continue
@@ -127,7 +127,7 @@ def make_synthetic_corpus(seed: int, n_users: int, n_items: int,
             u1 = 1.0 - rng.next_float()
             u2 = rng.next_float()
             noise = 0.1 * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-            rating = float(np.clip(1.0 + 4.0 * score + noise, 1.0, 5.0))
+            rating = float(np.clip(1.0 + 4.0 * score + noise, *RATING_RANGE))
 
             words = _aspect_phrase("price", price[i])
             words += [_FILLER[rng.next_below(len(_FILLER))] for _ in range(3)]

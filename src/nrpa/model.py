@@ -64,9 +64,6 @@ class Dims:
     num_reviews: int
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         for name, val in self.__dict__.items():
             if val < 1:
                 raise ValueError(f"dim {name} must be >= 1, got {val}")
@@ -141,9 +138,6 @@ class ModelParams:
         for group, fields in groups.items():
             setattr(self, group, SimpleNamespace(**fields))
 
-    def side(self, which: str) -> SimpleNamespace:
-        return self.user if which == "user" else self.item
-
     def tensors(self):
         """(name, view) pairs in layout order."""
         return iter(self._views.items())
@@ -163,6 +157,10 @@ class ModelParams:
                 raise FloatingPointError(f"non-finite values in parameter {name}")
 
 
+# the ways an attention site can pool, by their config and CLI names
+ATTENTION_MODES = ("personalized", "uniform")
+
+
 @dataclass(frozen=True)
 class AblationSpec:
     """Which attention sites run personalized vs uniform (plain averaging).
@@ -177,8 +175,8 @@ class AblationSpec:
 
     def __post_init__(self):
         for name, val in self.__dict__.items():
-            if val not in ("personalized", "uniform"):
-                raise ValueError(f"{name} must be personalized|uniform, got {val!r}")
+            if val not in ATTENTION_MODES:
+                raise ValueError(f"{name} must be {'|'.join(ATTENTION_MODES)}, got {val!r}")
 
     def uniform(self, side: str, level: str) -> bool:
         """Whether the site of side "user"|"item" at level "word"|"review"
@@ -420,7 +418,7 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
     pools each pair's review encodings with its own review mask, which drops
     the pair's own review when exclude_partner is set.
     """
-    side = params.side(side_name)
+    side = getattr(params, side_name)
     id_emb = getattr(params, f"{side_name}_id_emb")
 
     distinct, inverse = np.unique(owners, return_inverse=True)
@@ -463,7 +461,7 @@ def encode_side_backward(params: ModelParams, side_name: str, cache: SideCache,
     rows. encode_side_batch's stages in reverse: the pair stage's gradients
     are summed over each owner's pairs, then the owner stage runs once per
     distinct owner."""
-    side, g_side = params.side(side_name), grads.side(side_name)
+    side, g_side = getattr(params, side_name), getattr(grads, side_name)
     u, n, t = cache.owner_alpha.shape
     k = d_pooled.shape[1]
 

@@ -24,10 +24,6 @@ from .evaluation import evaluate, mse
 from .rng import SplitMix64
 
 
-class TrainingDiverged(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Model and training settings; an invalid one raises ValueError when built."""
@@ -49,9 +45,6 @@ class TrainConfig:
     conv_activation: str = "relu"
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         self.dims(1, 1, 1)  # the model dims follow Dims' rule
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
@@ -204,7 +197,7 @@ def train(config: TrainConfig, dataset, stores,
     whole run is single-threaded, so identical config + dataset reproduce the
     identical history and parameters. A non-finite loss, or a non-finite
     prediction or MSE in a batch or in an epoch's validation, raises
-    TrainingDiverged naming where.
+    FloatingPointError naming where.
     """
     dims = config.dims(len(dataset.vocab), dataset.n_users, dataset.n_items)
     params = M.init_params(dims, config.seed, config.conv_activation)
@@ -234,7 +227,7 @@ def train(config: TrainConfig, dataset, stores,
             val_mse = evaluate(params, dataset.split.validation, stores, ablation,
                                exclude_target=config.exclude_target)
         except FloatingPointError as exc:
-            raise TrainingDiverged(f"training diverged at {where}: {exc}") from exc
+            raise FloatingPointError(f"training diverged at {where}: {exc}") from exc
         train_loss = total / len(train_set)
         history.append(EpochRecord(epoch, train_loss, val_mse))
 

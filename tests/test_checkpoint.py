@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import struct
 
@@ -224,5 +225,5 @@ def test_byte_flip_loads_or_raises_checkpoint_error(saved_checkpoint, data):
     except CheckpointError as exc:
         assert "flipped.nrpa" in str(exc)
     else:
-        params.dims.validate()
+        M.Dims(*dataclasses.astuple(params.dims))
         assert isinstance(meta, dict)

@@ -502,6 +502,16 @@ def test_eval_csv_quotes_a_multi_term_ablation(workspace, tmp_path, capsys):
     assert rows == [["split", "ablation", "mse"], ["test", spec, repr(score)]]
 
 
+def test_eval_repeated_ablation_site_exits_2(workspace, tmp_path, capsys):
+    out_csv = tmp_path / "eval.csv"
+    code = main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                 "--data", str(workspace["data"]), "--split", "test",
+                 "--ablation", "word=uniform,word=personalized", "--out", str(out_csv)])
+    assert code == 2
+    assert "'word' given twice" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_eval_dim_mismatch_exits_2(workspace, tmp_path, capsys):
     other_corpus = tmp_path / "other.csv"
     write_corpus(other_corpus, n_users=9, n_items=6, per_user=4, seed=8)
@@ -836,6 +846,8 @@ def test_parse_ablation_spec():
         parse_ablation("wurd=uniform")
     with pytest.raises(UsageError):
         parse_ablation("word=average")
+    with pytest.raises(UsageError, match="site 'word' given twice"):
+        parse_ablation("word=uniform,word=personalized")
 
 
 def test_load_config_types(tmp_path):

@@ -176,13 +176,15 @@ def _serialize(records, fmt) -> bytes:
 @settings(max_examples=200, deadline=None)
 def test_any_key_survives_prepare_save_load_or_is_skipped(key, fmt, side):
     records = [RawRecord(f"u{i}", f"i{i % 4}", 3.0, "fine text") for i in range(12)]
+    # not the first record: its key would open the stream, where a leading
+    # byte-order mark is dropped as the encoding's
     if side == "user":
-        records[0].user_key = key
+        records[1].user_key = key
     else:
-        records[0].item_key = key
+        records[1].item_key = key
     parsed, skipped = parse_reviews(io.BytesIO(_serialize(records, fmt)), fmt)
     if any(c in key for c in "\t\n\r"):
-        assert skipped == 1 and parsed == records[1:]
+        assert skipped == 1 and parsed == records[:1] + records[2:]
     else:
         assert skipped == 0 and parsed == records
     ds = prepare_dataset(parsed, seed=1)

@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nrpa
 from nrpa import model as M
-from nrpa.data import prepare_dataset
+from nrpa.data import parse_reviews, prepare_dataset
 from nrpa.evaluation import _EVAL_CHUNK, evaluate, make_synthetic_corpus, mse
 from nrpa.training import TrainConfig
 
@@ -180,3 +185,17 @@ def test_synthetic_pipeline_prepares(tmp_path):
     records = make_synthetic_corpus(seed=6, n_users=8, n_items=6, reviews_per_user=4)
     ds = prepare_dataset(records, seed=1)
     assert len(ds.interactions) == 32
+
+
+def test_synthetic_corpus_script_writes_the_corpus(tmp_path):
+    """The README experiment's first step: the script's CSV parses back to
+    make_synthetic_corpus's records, none skipped."""
+    out = tmp_path / "synth.csv"
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_corpus.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(nrpa.__file__).parent.parent)}
+    subprocess.run([sys.executable, str(script),
+                    "--out", str(out), "--seed", "101", "--users", "20", "--items", "10"],
+                   env=env, capture_output=True, check=True)
+    with open(out, "rb") as fh:
+        records, skipped = parse_reviews(fh, "csv")
+    assert records == make_synthetic_corpus(101, 20, 10) and skipped == 0
