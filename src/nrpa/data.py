@@ -317,24 +317,23 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
 # on-disk prepared-dataset directory
 # ---------------------------------------------------------------------------
 
-_HEADER_DTYPE = np.dtype("<u4")
+_U32 = np.dtype("<u4")
 
-
-def _record_dtype(review_len: int) -> np.dtype:
-    return np.dtype([
-        ("user", "<u4"), ("item", "<u4"), ("ntok", "<u4"),
-        ("rating", "<f8"), ("tokens", "<u4", (review_len,)),
-    ])
-
-
-def _in_review(recs) -> np.ndarray:
-    """(n, review_len) mask of each record's first ntok token cells, which
-    hold its review; the cells after them hold PAD."""
-    return np.arange(recs["tokens"].shape[1]) < recs["ntok"][:, None]
+# interactions.bin: a header of four u32s (records n, users, items,
+# review_len), then these columns of n values each in corpus order, then
+# every record's tokens back to back as u32s
+_COLUMNS = (("user", _U32), ("item", _U32), ("ntok", _U32), ("rating", np.dtype("<f8")))
+_HEADER_BYTES = 4 * _U32.itemsize
+_RECORD_BYTES = sum(dtype.itemsize for _, dtype in _COLUMNS)
 
 
 def save_prepared(ds: PreparedDataset, out_dir) -> None:
-    """vocab.tsv, users.tsv, items.tsv, interactions.bin, split.json."""
+    """vocab.tsv, users.tsv, items.tsv, interactions.bin, split.json.
+
+    interactions.bin holds the header (n, users, items, review_len), the
+    user, item and ntok u32 columns and the rating f64 column, then each
+    record's ntok token ids back to back, so it is 16 + 20*n + 4*sum(ntok)
+    bytes long and holds no PAD cell."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_index_file(out / "vocab.tsv", ds.vocab.id_to_token)
@@ -342,15 +341,13 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     _write_index_file(out / "items.tsv", ds.item_keys)
 
     inters = ds.interactions
-    n = len(inters)
-    recs = np.zeros(n, dtype=_record_dtype(ds.review_len))
-    recs["user"], recs["item"], recs["rating"] = batch_arrays(inters)
-    recs["ntok"] = [len(inter.tokens) for inter in inters]
-    recs["tokens"][_in_review(recs)] = np.concatenate([inter.tokens for inter in inters])
-    header = np.array([n, ds.n_users, ds.n_items, ds.review_len], dtype=_HEADER_DTYPE)
+    users, items, ratings = batch_arrays(inters)
+    cols = {"user": users, "item": items, "ntok": [len(inter.tokens) for inter in inters],
+            "rating": ratings}
+    header = np.array([len(inters), ds.n_users, ds.n_items, ds.review_len], dtype=_U32)
     with open(out / "interactions.bin", "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(recs.tobytes())
+        fh.writelines([header, *(np.asarray(cols[field], dtype) for field, dtype in _COLUMNS),
+                       np.concatenate([inter.tokens for inter in inters]).astype(_U32)])
 
     manifest = {
         "seed": ds.split.seed,
@@ -358,8 +355,8 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
         "validation": ds.split.val_idx,
         "test": ds.split.test_idx,
     }
-    with open(out / "split.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
+    (out / "split.json").write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")),
+                                    encoding="utf-8")
 
 
 def _write_index_file(path, names) -> None:
@@ -419,30 +416,34 @@ def _load_split(path, interactions: list) -> DatasetSplit:
                         manifest["validation"], manifest["test"])
 
 
-def _check_records(path, recs, n_users: int, n_items: int, vocab_size: int,
-                   review_len: int) -> None:
+def _check_records(path, cols: dict, tokens: np.ndarray, ends: np.ndarray, n_users: int,
+                   n_items: int, vocab_size: int, review_len: int) -> None:
     """Raises ValueError naming path and the first record with a field out of
     range, or with PAD among its tokens, which the profile masks would read
-    as padding."""
-    rating = recs["rating"]
-    tokens = recs["tokens"]
+    as padding. cols holds the user, item, ntok and rating columns; tokens
+    holds every record's tokens back to back, record k's ending at ends[k]."""
+    rating = cols["rating"]
     lo, hi = RATING_RANGE
-    checks = (
-        ((recs["user"] < 1) | (recs["user"] >= n_users),
+    per_record = (
+        ((cols["user"] < 1) | (cols["user"] >= n_users),
          f"a user id outside 1..{n_users - 1}"),
-        ((recs["item"] < 1) | (recs["item"] >= n_items),
+        ((cols["item"] < 1) | (cols["item"] >= n_items),
          f"an item id outside 1..{n_items - 1}"),
-        (recs["ntok"] > review_len, f"ntok above review_len {review_len}"),
+        (cols["ntok"] > review_len, f"ntok above review_len {review_len}"),
         (~((rating >= lo) & (rating <= hi)),
          f"a rating that is not a number in [{lo:g}, {hi:g}]"),
-        ((tokens >= vocab_size).any(axis=1),
-         f"a token id not below the vocabulary size {vocab_size}"),
-        ((_in_review(recs) & (tokens == PAD_ID)).any(axis=1),
-         f"the PAD id {PAD_ID} among its first ntok tokens"),
     )
-    for bad, what in checks:
+    for bad, what in per_record:
         if bad.any():
             raise ValueError(f"{path}: record {int(np.argmax(bad))} has {what}")
+    per_token = (
+        (tokens >= vocab_size, f"a token id not below the vocabulary size {vocab_size}"),
+        (tokens == PAD_ID, f"the PAD id {PAD_ID} among its first ntok tokens"),
+    )
+    for bad, what in per_token:
+        if bad.any():  # the record whose tokens hold the first bad one
+            record = int(np.searchsorted(ends, np.argmax(bad), side="right"))
+            raise ValueError(f"{path}: record {record} has {what}")
 
 
 def load_prepared(in_dir) -> PreparedDataset:
@@ -450,8 +451,10 @@ def load_prepared(in_dir) -> PreparedDataset:
     the sizes it refers to, so a corrupt or hand-edited file raises ValueError
     naming the file and the problem instead of failing later in training.
 
-    Each interaction's tokens are a view of one read-only int32 buffer that
-    holds every record's first ntok tokens in corpus order."""
+    interactions.bin must be exactly 16 + 20*n + 4*sum(ntok) bytes long, so a
+    truncated file, a stray byte or one in another layout is rejected with a
+    request to re-run `nrpa prepare`. Each interaction's tokens are a view of
+    one read-only int32 buffer, the file's token section."""
     src = Path(in_dir)
     id_to_token = _read_index_file(src / "vocab.tsv")
     if id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
@@ -462,29 +465,35 @@ def load_prepared(in_dir) -> PreparedDataset:
     item_keys = _read_index_file(src / "items.tsv")
 
     path = src / "interactions.bin"
-    with open(path, "rb") as fh:
-        head = fh.read(4 * _HEADER_DTYPE.itemsize)
-        body = fh.read()
-    if len(head) < 4 * _HEADER_DTYPE.itemsize:
+    blob = path.read_bytes()
+    if len(blob) < _HEADER_BYTES:
         raise ValueError(f"{path}: truncated header")
-    n, n_users, n_items, review_len = (int(x) for x in np.frombuffer(head, _HEADER_DTYPE))
+    n, n_users, n_items, review_len = (int(x) for x in np.frombuffer(blob, _U32, 4))
     if review_len < 1:
         raise ValueError(f"{path}: review_len {review_len} in the header")
-    try:
-        recs = np.frombuffer(body, dtype=_record_dtype(review_len))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {len(body)} record bytes do not hold records of "
-                         f"review_len {review_len}: {exc}") from None
-    if len(recs) != n:
-        raise ValueError(f"{path}: header says {n} records, found {len(recs)}")
+    rerun = "the file is truncated, extended or in another layout; re-run `nrpa prepare`"
+    if len(blob) < _HEADER_BYTES + _RECORD_BYTES * n:
+        raise ValueError(f"{path}: {len(blob)} bytes cannot hold the columns of the "
+                         f"header's {n} records: {rerun}")
+    cols, at = {}, _HEADER_BYTES
+    for field, dtype in _COLUMNS:
+        cols[field] = np.frombuffer(blob, dtype, n, at)
+        at += dtype.itemsize * n
+    bounds = np.concatenate(([0], np.cumsum(cols["ntok"], dtype=np.int64)))
+    n_tokens = int(bounds[-1])
+    if len(blob) != at + _U32.itemsize * n_tokens:
+        raise ValueError(f"{path}: {len(blob)} bytes, but the header's {n} records and "
+                         f"the {n_tokens} tokens their ntok column counts take "
+                         f"{at + _U32.itemsize * n_tokens}: {rerun}")
+    tokens = np.frombuffer(blob, _U32, n_tokens, at)
     if n_users != len(user_keys) or n_items != len(item_keys):
         raise ValueError(f"{path}: header says {n_users} users and {n_items} items, "
                          f"users.tsv/items.tsv hold {len(user_keys)} and {len(item_keys)}")
-    _check_records(path, recs, n_users, n_items, len(vocab), review_len)
+    _check_records(path, cols, tokens, bounds[1:], n_users, n_items, len(vocab), review_len)
 
-    interactions = _interactions(recs["user"].tolist(), recs["item"].tolist(),
-                                 recs["rating"].tolist(),
-                                 recs["tokens"][_in_review(recs)].astype(np.int32),
-                                 np.concatenate(([0], np.cumsum(recs["ntok"], dtype=np.int64))))
+    # every token is below the vocabulary size, so its u32 cell reads the same as int32
+    interactions = _interactions(cols["user"].tolist(), cols["item"].tolist(),
+                                 cols["rating"].tolist(),
+                                 tokens.view("<i4").astype(np.int32, copy=False), bounds)
     split = _load_split(src / "split.json", interactions)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)

@@ -13,14 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrpa.data import (PAD_ID, UNK_ID, UNK_TOKEN, Interaction, ProfileStore, RawRecord,
+from nrpa.data import (_COLUMNS, _HEADER_BYTES, PAD_ID, UNK_ID, UNK_TOKEN,
+                       DatasetSplit, Interaction, PreparedDataset, ProfileStore, RawRecord, Vocabulary,
                        build_profiles, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
-                       split_dataset, tokenize, _record_dtype)
-from nrpa.cli import load_config
+                       split_dataset, tokenize)
+from nrpa.cli import load_config, main
 from nrpa.evaluation import make_synthetic_corpus
 from nrpa.model import init_params
 from nrpa.rng import _UNIFORM_BLOCK
@@ -399,7 +400,7 @@ def test_exclude_target_removes_exactly_the_scored_pair():
 
 # sha256 of each file save_prepared writes for the tiny_dataset corpus
 PREPARED_GOLDEN = {
-    "interactions.bin": "8d01f68fcb9b58212c7fffab8d49a6f3405a58e1429bd2517bad6ef2c56f1fe0",
+    "interactions.bin": "a10bf62a3ea2ec742c9722b5facec1f32bc53fb7803834c1b8fd12de398ced40",
     "items.tsv": "c04409622c72482762ea71d59563cc1a7c4ad0984cdbac18f3a0a7f44db038ef",
     "split.json": "7330a32a343e8333a46d0fd00aebb0f08810d2d016c8d90ff5682cd1ef485e16",
     "users.tsv": "b6562d279c6e7389c26611eecacb630e5fb8134f601c54af2c007a790045ff03",
@@ -417,7 +418,7 @@ def test_prepared_directory_bytes_are_golden(tmp_path, tiny_dataset):
 # corpus at seed 11: a Zipf tail full of count ties, so it pins the
 # lexicographic tie-break at scale
 WIDE_VOCAB_SMOKE_GOLDEN = {
-    "interactions.bin": "b4d8cfc2b361860939d871acdc171f66fe88441fa5f4a811afbb3eaf54684481",
+    "interactions.bin": "538fa3e98e0f91d6dfd33b229857ec231d64686df28f5aef1fc4230829c05317",
     "items.tsv": "2672c3049d131465581cb3199dbff75950db4bc4ec96f0484a98d1f899707d13",
     "split.json": "3fa75f5b2fb216401e8deba2596619478f6d22163c7000955edf542bdd2f65f3",
     "users.tsv": "1cb882640b5eebc892c046b94bfbaa567afab7920b7ef3a6a1303fb6f1159687",
@@ -614,14 +615,34 @@ def copy_prepared(src, dst):
     return dst
 
 
-def edit_records(prep, field, row, value):
-    """Overwrites one field of one record in interactions.bin."""
-    path = prep / "interactions.bin"
+def read_interactions(path):
+    """(header, columns, each record's tokens) of an interactions.bin."""
     blob = path.read_bytes()
-    review_len = int(np.frombuffer(blob[:16], "<u4")[3])
-    recs = np.frombuffer(blob, _record_dtype(review_len), offset=16).copy()
-    recs[field][row] = value
-    path.write_bytes(blob[:16] + recs.tobytes())
+    header = np.frombuffer(blob, "<u4", 4)
+    n, at, cols = int(header[0]), _HEADER_BYTES, {}
+    for field, dtype in _COLUMNS:
+        cols[field] = np.frombuffer(blob, dtype, n, at).copy()
+        at += n * dtype.itemsize
+    tokens = np.frombuffer(blob, "<u4", offset=at)
+    return header, cols, np.split(tokens, np.cumsum(cols["ntok"])[:-1])
+
+
+def edit_records(prep, field, row, value):
+    """Overwrites one field of one record in interactions.bin, keeping the
+    file's length rule: `tokens` takes a value as a scalar or review_len
+    cells, of which the record's first ntok are written, and a new `ntok`
+    cuts the record's tokens or pads them with UNK."""
+    path = prep / "interactions.bin"
+    header, cols, reviews = read_interactions(path)
+    if field == "tokens":
+        ntok = len(reviews[row])
+        reviews[row] = np.broadcast_to(np.asarray(value, "<u4"), (int(header[3]),))[:ntok]
+    else:
+        cols[field][row] = value
+        if field == "ntok":
+            reviews[row] = np.concatenate([reviews[row], np.full(value, UNK_ID)])[:value]
+    path.write_bytes(b"".join([header.tobytes(), *(cols[f].tobytes() for f, _ in _COLUMNS),
+                               np.concatenate(reviews).astype("<u4").tobytes()]))
 
 
 def edit_split(prep, **changes):
@@ -715,6 +736,92 @@ def test_rating_not_in_range_rejected(prepared_dir, tmp_path, rating):
     load_rejects(prep, "interactions.bin", "record 7", "rating")
 
 
+@pytest.mark.parametrize("length", ["short", "long"])
+def test_token_section_of_another_length_rejected(prepared_dir, tmp_path, length):
+    """One u32 short of what the ntok column says, or one u32 past it."""
+    path = copy_prepared(prepared_dir, tmp_path / "p") / "interactions.bin"
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4] if length == "short" else blob + np.uint32(UNK_ID).tobytes())
+    load_rejects(path.parent, "interactions.bin", "nrpa prepare")
+
+
+def write_fixed_width(path, ds):
+    """interactions.bin in the fixed-width layout that came before the column
+    one: the same header, then n packed records of user, item and ntok u32,
+    rating f64 and review_len u32 token cells, PAD after the first ntok."""
+    recs = np.zeros(len(ds.interactions), [("user", "<u4"), ("item", "<u4"), ("ntok", "<u4"),
+                                           ("rating", "<f8"), ("tokens", "<u4", (ds.review_len,))])
+    for rec, inter in zip(recs, ds.interactions):
+        rec["user"], rec["item"], rec["rating"] = inter.user, inter.item, inter.rating
+        rec["ntok"] = len(inter.tokens)
+        rec["tokens"][:len(inter.tokens)] = inter.tokens
+    header = np.array([len(recs), ds.n_users, ds.n_items, ds.review_len], "<u4")
+    path.write_bytes(header.tobytes() + recs.tobytes())
+
+
+def test_fixed_width_directory_rejected(prepared_dir, tmp_path, tiny_dataset, capsys):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    write_fixed_width(prep / "interactions.bin", tiny_dataset)
+    load_rejects(prep, "interactions.bin", "nrpa prepare")
+    assert main(["train", "--data", str(prep), "--config",
+                 str(PERFBENCH.parent / "configs" / "synthetic.cfg"),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "interactions.bin" in err and "nrpa prepare" in err
+    assert not (tmp_path / "run").exists()
+
+
+@st.composite
+def _stored_datasets(draw):
+    """Datasets as save_prepared takes them, of 1 to 12 records whose reviews
+    run from no tokens to review_len tokens, each split part possibly empty."""
+    review_len = draw(st.integers(1, 6), label="review_len")
+    vocab = Vocabulary([f"w{k}" for k in range(draw(st.integers(0, 4), label="words"))])
+    n_users, n_items = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    n = draw(st.integers(1, 12), label="records")
+    inters = [Interaction(draw(st.integers(1, n_users - 1)), draw(st.integers(1, n_items - 1)),
+                          draw(st.floats(1.0, 5.0)),
+                          np.array(draw(st.lists(st.integers(1, len(vocab) - 1),
+                                                 max_size=review_len)), dtype=np.int32))
+              for _ in range(n)]
+    part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="parts")
+    split = DatasetSplit(inters, draw(st.integers(0, 2**64 - 1)),
+                         *([i for i in range(n) if part[i] == p] for p in range(3)))
+    return PreparedDataset(vocab, inters, split, [UNK_TOKEN, *(f"u{k}" for k in range(1, n_users))],
+                           [UNK_TOKEN, *(f"i{k}" for k in range(1, n_items))], review_len)
+
+
+def _dataset(review_len, reviews):
+    """A dataset of one user, one item and one record per review."""
+    inters = [Interaction(1, 1, 3.0, np.array(r, dtype=np.int32)) for r in reviews]
+    split = DatasetSplit(inters, 0, list(range(len(inters))), [], [])
+    return PreparedDataset(Vocabulary(["a", "b"]), inters, split, [UNK_TOKEN, "u"],
+                           [UNK_TOKEN, "i"], review_len)
+
+
+@given(ds=_stored_datasets())
+@example(ds=_dataset(3, [[], [2, 3, 1], [3]]))  # no tokens, then exactly review_len
+@example(ds=_dataset(2, [[1]]))  # a single record
+@settings(max_examples=150, deadline=None)
+def test_save_load_round_trip(ds):
+    """load_prepared gives back what save_prepared was given, from a file of
+    16 + 20*n + 4*sum(ntok) bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save_prepared(ds, tmp)
+        size = (Path(tmp) / "interactions.bin").stat().st_size
+        back = load_prepared(tmp)
+    n, ntok = len(ds.interactions), sum(len(i.tokens) for i in ds.interactions)
+    assert size == 16 + 20 * n + 4 * ntok
+    assert back.vocab.id_to_token == ds.vocab.id_to_token
+    assert (back.user_keys, back.item_keys, back.review_len) \
+        == (ds.user_keys, ds.item_keys, ds.review_len)
+    assert (back.split.seed, back.split.train_idx, back.split.val_idx, back.split.test_idx) \
+        == (ds.split.seed, ds.split.train_idx, ds.split.val_idx, ds.split.test_idx)
+    for g, w in zip(back.interactions, ds.interactions, strict=True):
+        assert (g.user, g.item, g.rating) == (w.user, w.item, w.rating)
+        assert g.tokens.dtype == np.int32 and g.tokens.tolist() == w.tokens.tolist()
+
+
 @pytest.mark.parametrize("name", ["users.tsv", "items.tsv", "vocab.tsv"])
 def test_key_file_indices_must_be_each_index_once(prepared_dir, tmp_path, name):
     """Line k must read `name<TAB>k`: a repeated index is rejected, and so is
@@ -766,9 +873,17 @@ def test_corrupt_prepared_files_load_in_range_or_raise_value_error(prepared_dir,
     if data.draw(st.booleans(), label="truncate"):
         blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="kept bytes")]
     else:
-        # bias half the flips into the header and the first records
-        limit = data.draw(st.sampled_from([200, len(blob)]), label="region")
-        pos = data.draw(st.integers(0, min(limit, len(blob)) - 1), label="position")
+        # bias half the flips into the sections a flip is likeliest to get past:
+        # the header and the user column, and in interactions.bin the ntok
+        # column and the token buffer
+        regions = [(0, min(200, len(blob)))]
+        if file == "interactions.bin":
+            n = int(np.frombuffer(blob, "<u4", 1)[0])
+            ends = np.cumsum([_HEADER_BYTES, *(n * dtype.itemsize for _, dtype in _COLUMNS)])
+            regions += [(ends[2], ends[3]), (ends[4], len(blob))]
+        lo, hi = (data.draw(st.sampled_from(regions), label="region")
+                  if data.draw(st.booleans(), label="biased") else (0, len(blob)))
+        pos = data.draw(st.integers(lo, hi - 1), label="position")
         blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
     path.write_bytes(bytes(blob))
     loads_in_range_or_rejects(prep, file)
