@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREADS, checkpoint, evaluation, training
-from .data import (ProfileStore, build_profiles, load_prepared, parse_reviews,
-                   prepare_dataset, save_prepared)
+from .data import (MIN_RECORDS, ProfileStore, build_profiles, load_prepared,
+                   parse_reviews, prepare_dataset, save_prepared)
 from .model import ATTENTION_MODES, AblationSpec, Dims, forward, param_count
 from .training import TrainConfig
 
@@ -96,15 +96,15 @@ def _fingerprint(data_dir) -> str:
 
 
 def _load_dataset(data_dir, splits=()):
-    """The prepared dataset at data_dir, whose split.json must leave each of
-    the named splits non-empty."""
+    """The prepared dataset at data_dir, whose interactions.bin must leave each
+    of the named splits non-empty."""
     try:
         ds = load_prepared(data_dir)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load prepared dataset at {data_dir}: {exc}") from exc
     for name in splits:
         if not getattr(ds.split, name):
-            raise UsageError(f"{Path(data_dir) / 'split.json'}: the {name} split is empty")
+            raise UsageError(f"{Path(data_dir) / 'interactions.bin'}: the {name} split is empty")
     return ds
 
 
@@ -212,8 +212,9 @@ def cmd_prepare(args) -> int:
             records, skipped = parse_reviews(fh, args.format)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise UsageError(f"cannot read input {args.input}: {exc}") from exc
-    if len(records) < 10:
-        raise UsageError(f"only {len(records)} usable records in {args.input}; need >= 10")
+    if len(records) < MIN_RECORDS:
+        raise UsageError(f"only {len(records)} usable records in {args.input}; "
+                         f"need >= {MIN_RECORDS}")
     _make_out_dir(args.out)
     ds = prepare_dataset(records, args.seed, args.min_count)
     save_prepared(ds, args.out)
@@ -223,7 +224,7 @@ def cmd_prepare(args) -> int:
     print(f"{stats['users']:,} {stats['items']:,} {stats['ratings']:,} "
           f"{stats['density']:.3f}")
     print(f"split sizes: {len(ds.split.train)}/{len(ds.split.validation)}/"
-          f"{len(ds.split.test)} (seed {ds.split.seed})")
+          f"{len(ds.split.test)} (seed {args.seed})")
     print(f"vocabulary: {len(ds.vocab)} entries")
     return 0
 
@@ -291,11 +292,16 @@ def cmd_eval(args) -> int:
     params, exclude, stores = _load_checkpoint(args, ds)
     ablation = parse_ablation(args.ablation) if args.ablation else AblationSpec()
 
-    with (open(args.trace, "w", encoding="utf-8") if args.trace
-          else nullcontext()) as sink:
-        score = evaluation.evaluate(params, getattr(ds.split, split_name), stores,
-                                    ablation, exclude_target=exclude, clip=args.clip,
-                                    trace_sink=sink)
+    try:
+        with (open(args.trace, "w", encoding="utf-8") if args.trace
+              else nullcontext()) as sink:
+            score = evaluation.evaluate(params, getattr(ds.split, split_name), stores,
+                                        ablation, exclude_target=exclude, clip=args.clip,
+                                        trace_sink=sink)
+    except (FloatingPointError, MemoryError):  # exit 3 leaves no partial trace
+        if args.trace:
+            Path(args.trace).unlink()
+        raise
     print(f"mse={score!r}")
     _write_csv(out_csv, ("split", "ablation", "mse"),
                [(args.split, args.ablation or "none", score)])

@@ -1,8 +1,9 @@
 """Corpus ingestion: parsing, tokenization, vocabulary, splits and review profiles.
 
-A prepared dataset is corpus-order list of interactions plus an 80/10/10
-split, a train-only vocabulary, and per-owner fixed-shape review profiles
-(num_reviews x review_len token grids) for the user and item sides.
+A prepared dataset is a list of interactions in corpus order, each marked
+train, validation or test by a seeded 80/10/10 split, plus a train-only
+vocabulary; per-owner fixed-shape review profiles (num_reviews x review_len
+token grids) for the user and item sides are built from its train part.
 prepare_dataset tokenizes each review once: the vocabulary is counted, ranked
 and looked up in numpy over one stream of token-type numbers.
 """
@@ -28,6 +29,9 @@ UNK_TOKEN = "<unk>"
 
 # the closed range every rating lies in, as read, stored and clipped
 RATING_RANGE = (1.0, 5.0)
+
+# the fewest records the 80/10/10 split takes
+MIN_RECORDS = 10
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -78,16 +82,13 @@ def _interactions(users, items, ratings, tokens: np.ndarray, bounds: np.ndarray)
 
 
 class DatasetSplit:
-    """Train/validation/test parts of `items`, taken by three index lists;
-    each part keeps the order of its list."""
+    """Train/validation/test parts of `items`: part[k] is 0, 1 or 2 as items[k]
+    is in train, validation or test, and each part keeps index order."""
 
-    def __init__(self, items: list, seed: int, train_idx: list, val_idx: list,
-                 test_idx: list):
-        self.seed = seed
-        self.train_idx, self.val_idx, self.test_idx = train_idx, val_idx, test_idx
-        self.train = [items[i] for i in train_idx]
-        self.validation = [items[i] for i in val_idx]
-        self.test = [items[i] for i in test_idx]
+    def __init__(self, items: list, part):
+        self.part = np.asarray(part)
+        self.train, self.validation, self.test = (
+            [items[i] for i in np.flatnonzero(self.part == p).tolist()] for p in range(3))
 
 
 def parse_reviews(stream, format: str):
@@ -163,15 +164,16 @@ class Vocabulary:
 def split_dataset(interactions: list, seed: int) -> DatasetSplit:
     """Deterministic 80/10/10 split; members stay in corpus order inside splits."""
     n = len(interactions)
-    if n < 10:
-        raise ValueError(f"need at least 10 interactions to split, got {n}")
+    if n < MIN_RECORDS:
+        raise ValueError(f"need at least {MIN_RECORDS} interactions to split, got {n}")
     order = list(range(n))
     SplitMix64(seed).shuffle(order)
     n_train = int(0.8 * n)
     n_val = int(0.1 * n)
-    return DatasetSplit(interactions, seed, sorted(order[:n_train]),
-                        sorted(order[n_train:n_train + n_val]),
-                        sorted(order[n_train + n_val:]))
+    part = np.full(n, 2, dtype=np.uint32)
+    part[order[:n_train]] = 0
+    part[order[n_train:n_train + n_val]] = 1
+    return DatasetSplit(interactions, part)
 
 
 class ProfileStore:
@@ -285,7 +287,8 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
 
     number = defaultdict(count().__next__)  # token -> type number
     stream, ends = array("i"), array("q")
-    for r in (*raw.train, *raw.validation, *raw.test):
+    by_part = np.argsort(raw.part, kind="stable")  # train, validation, test
+    for r in map(records.__getitem__, by_part.tolist()):
         stream.extend(map(number.__getitem__, tokenize(r.text)))
         ends.append(len(stream))
     ids, ends = np.frombuffer(stream, np.int32), np.frombuffer(ends, np.int64)
@@ -302,15 +305,14 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     # each review's first review_len ids, gathered into corpus order
     lens = np.diff(ends, prepend=0)
     at = np.empty(len(records), dtype=np.intp)  # record -> position in the pass
-    at[raw.train_idx + raw.val_idx + raw.test_idx] = np.arange(len(records))
+    at[by_part] = np.arange(len(records))
     kept_lens = np.minimum(lens, review_len)[at]
     bounds = np.concatenate(([0], np.cumsum(kept_lens)))
     take = np.repeat((ends - lens)[at] - bounds[:-1], kept_lens) + np.arange(bounds[-1])
     interactions = _interactions(users, items, [r.rating for r in records],
                                  rank[ids[take]], bounds)
-    split = DatasetSplit(interactions, seed, raw.train_idx, raw.val_idx, raw.test_idx)
-    return PreparedDataset(vocab, interactions, split, [UNK_TOKEN, *user_number],
-                           [UNK_TOKEN, *item_number], review_len)
+    return PreparedDataset(vocab, interactions, DatasetSplit(interactions, raw.part),
+                           [UNK_TOKEN, *user_number], [UNK_TOKEN, *item_number], review_len)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +323,22 @@ _U32 = np.dtype("<u4")
 
 # interactions.bin: a header of four u32s (records n, users, items,
 # review_len), then these columns of n values each in corpus order, then
-# every record's tokens back to back as u32s
-_COLUMNS = (("user", _U32), ("item", _U32), ("ntok", _U32), ("rating", np.dtype("<f8")))
+# every record's tokens back to back as u32s; split is the record's part,
+# 0 train, 1 validation or 2 test
+_COLUMNS = (("user", _U32), ("item", _U32), ("ntok", _U32), ("split", _U32),
+            ("rating", np.dtype("<f8")))
 _HEADER_BYTES = 4 * _U32.itemsize
 _RECORD_BYTES = sum(dtype.itemsize for _, dtype in _COLUMNS)
 
 
 def save_prepared(ds: PreparedDataset, out_dir) -> None:
-    """vocab.tsv, users.tsv, items.tsv, interactions.bin, split.json.
+    """vocab.tsv, users.tsv, items.tsv and interactions.bin.
 
     interactions.bin holds the header (n, users, items, review_len), the
-    user, item and ntok u32 columns and the rating f64 column, then each
-    record's ntok token ids back to back, so it is 16 + 20*n + 4*sum(ntok)
-    bytes long and holds no PAD cell."""
+    user, item, ntok and split u32 columns and the rating f64 column, then
+    each record's ntok token ids back to back, so it is 16 + 24*n +
+    4*sum(ntok) bytes long and holds no PAD cell. A record's split value is
+    its part: 0 train, 1 validation, 2 test."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_index_file(out / "vocab.tsv", ds.vocab.id_to_token)
@@ -343,20 +348,11 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     inters = ds.interactions
     users, items, ratings = batch_arrays(inters)
     cols = {"user": users, "item": items, "ntok": [len(inter.tokens) for inter in inters],
-            "rating": ratings}
+            "split": ds.split.part, "rating": ratings}
     header = np.array([len(inters), ds.n_users, ds.n_items, ds.review_len], dtype=_U32)
     with open(out / "interactions.bin", "wb") as fh:
         fh.writelines([header, *(np.asarray(cols[field], dtype) for field, dtype in _COLUMNS),
                        np.concatenate([inter.tokens for inter in inters]).astype(_U32)])
-
-    manifest = {
-        "seed": ds.split.seed,
-        "train": ds.split.train_idx,
-        "validation": ds.split.val_idx,
-        "test": ds.split.test_idx,
-    }
-    (out / "split.json").write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")),
-                                    encoding="utf-8")
 
 
 def _write_index_file(path, names) -> None:
@@ -383,45 +379,13 @@ def _read_index_file(path) -> list:
     return names
 
 
-def _load_split(path, interactions: list) -> DatasetSplit:
-    """split.json; its three index lists must partition the interactions."""
-    n = len(interactions)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # bad bytes, bad or too deep JSON
-        raise ValueError(f"{path}: unreadable: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    if type(manifest.get("seed")) is not int:
-        raise ValueError(f"{path}: seed is not an integer")
-    parts = []
-    for key in ("train", "validation", "test"):
-        idx = manifest.get(key)
-        try:
-            arr = np.asarray(idx) if isinstance(idx, list) else None
-        except ValueError:  # ragged nesting
-            arr = None
-        if arr is None or arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
-            raise ValueError(f"{path}: {key!r} is not a list of integers")
-        parts.append(arr.astype(np.int64))
-    if not np.array_equal(np.sort(np.concatenate(parts)), np.arange(n)):
-        raise ValueError(f"{path}: train, validation and test do not partition the "
-                         f"{n} interactions (an index is out of 0..{n - 1}, repeated "
-                         f"or missing)")
-    for key, arr in zip(("train", "validation", "test"), parts):
-        if (np.diff(arr) < 0).any():  # with the partition, no index repeats
-            raise ValueError(f"{path}: {key!r} is not ascending")
-    return DatasetSplit(interactions, manifest["seed"], manifest["train"],
-                        manifest["validation"], manifest["test"])
-
-
 def _check_records(path, cols: dict, tokens: np.ndarray, ends: np.ndarray, n_users: int,
                    n_items: int, vocab_size: int, review_len: int) -> None:
     """Raises ValueError naming path and the first record with a field out of
     range, or with PAD among its tokens, which the profile masks would read
-    as padding. cols holds the user, item, ntok and rating columns; tokens
-    holds every record's tokens back to back, record k's ending at ends[k]."""
+    as padding. cols holds the user, item, ntok, split and rating columns;
+    tokens holds every record's tokens back to back, record k's ending at
+    ends[k]."""
     rating = cols["rating"]
     lo, hi = RATING_RANGE
     per_record = (
@@ -430,6 +394,7 @@ def _check_records(path, cols: dict, tokens: np.ndarray, ends: np.ndarray, n_use
         ((cols["item"] < 1) | (cols["item"] >= n_items),
          f"an item id outside 1..{n_items - 1}"),
         (cols["ntok"] > review_len, f"ntok above review_len {review_len}"),
+        (cols["split"] > 2, "a split value above 2 (0 train, 1 validation, 2 test)"),
         (~((rating >= lo) & (rating <= hi)),
          f"a rating that is not a number in [{lo:g}, {hi:g}]"),
     )
@@ -451,10 +416,11 @@ def load_prepared(in_dir) -> PreparedDataset:
     the sizes it refers to, so a corrupt or hand-edited file raises ValueError
     naming the file and the problem instead of failing later in training.
 
-    interactions.bin must be exactly 16 + 20*n + 4*sum(ntok) bytes long, so a
+    interactions.bin must be exactly 16 + 24*n + 4*sum(ntok) bytes long, so a
     truncated file, a stray byte or one in another layout is rejected with a
-    request to re-run `nrpa prepare`. Each interaction's tokens are a view of
-    one read-only int32 buffer, the file's token section."""
+    request to re-run `nrpa prepare`. The split is its split column. Each
+    interaction's tokens are a view of one read-only int32 buffer, the file's
+    token section."""
     src = Path(in_dir)
     id_to_token = _read_index_file(src / "vocab.tsv")
     if id_to_token[:2] != [PAD_TOKEN, UNK_TOKEN]:
@@ -495,5 +461,5 @@ def load_prepared(in_dir) -> PreparedDataset:
     interactions = _interactions(cols["user"].tolist(), cols["item"].tolist(),
                                  cols["rating"].tolist(),
                                  tokens.view("<i4").astype(np.int32, copy=False), bounds)
-    split = _load_split(src / "split.json", interactions)
-    return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)
+    return PreparedDataset(vocab, interactions, DatasetSplit(interactions, cols["split"]),
+                           user_keys, item_keys, review_len)

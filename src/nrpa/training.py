@@ -135,6 +135,7 @@ class AdamState:
         return cls(0, np.zeros(params.flat.size), np.zeros(params.flat.size))
 
 
+@np.errstate(over="raise")
 def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState,
               lr: float) -> None:
     """One in-place Adam update with bias correction.
@@ -142,7 +143,9 @@ def adam_step(params: M.ModelParams, grads: M.ModelParams, state: AdamState,
     One pass over the flat buffers, in place: the operations are those of
     m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
     p -= lr (m / c1) / (sqrt(v / c2) + eps), in the same order, so the result
-    is bit-identical to those expressions.
+    is bit-identical to those expressions. An overflow, such as a gradient
+    whose square passes the float range, is a divergence: it raises
+    FloatingPointError, with the buffers part-updated, instead of warning.
     """
     if grads.flat.shape != params.flat.shape:
         raise ValueError(f"gradient shape mismatch: {params.flat.shape} "
@@ -195,9 +198,9 @@ def train(config: TrainConfig, dataset, stores,
 
     Returns (best_params, history). Shuffling is seed-deterministic and the
     whole run is single-threaded, so identical config + dataset reproduce the
-    identical history and parameters. A non-finite loss, or a non-finite
-    prediction or MSE in a batch or in an epoch's validation, raises
-    FloatingPointError naming where.
+    identical history and parameters. A non-finite loss, an overflow in an
+    Adam step, or a non-finite prediction or MSE in a batch or in an epoch's
+    validation, raises FloatingPointError naming where.
     """
     dims = config.dims(len(dataset.vocab), dataset.n_users, dataset.n_items)
     params = M.init_params(dims, config.seed, config.conv_activation)

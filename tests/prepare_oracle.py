@@ -57,5 +57,8 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
                     encode(token_to_id, tokenize(r.text), review_len))
         for r in records
     ]
-    split = DatasetSplit(interactions, seed, train_idx, val_idx, test_idx)
+    part = np.empty(len(records), dtype=np.uint32)
+    for p, idx in enumerate((train_idx, val_idx, test_idx)):
+        part[idx] = p
+    split = DatasetSplit(interactions, part)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)

@@ -306,7 +306,6 @@ def test_criterion_8_cli_determinism(tmp_path):
         artifacts[tag] = {
             "vocab": (data / "vocab.tsv").read_bytes(),
             "interactions": (data / "interactions.bin").read_bytes(),
-            "split": (data / "split.json").read_bytes(),
             "checkpoint": (run / "checkpoint.nrpa").read_bytes(),
             "history": (run / "history.csv").read_bytes(),
             "eval": eval_csv.read_bytes(),

@@ -14,14 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import nrpa
 from nrpa import BLAS_THREAD_VARS, cli
 from nrpa.checkpoint import load_params, save_params
 from nrpa.cli import main, parse_ablation, load_config, UsageError
-from nrpa.data import UNK_ID, ProfileStore, load_prepared
+from nrpa.data import (MIN_RECORDS, UNK_ID, DatasetSplit, ProfileStore, load_prepared,
+                       save_prepared)
 from nrpa.evaluation import ABLATION_VARIANTS, make_synthetic_corpus
 from nrpa.model import AblationSpec, Dims, init_params, param_count
 
@@ -82,10 +83,8 @@ def test_history_rows_equal_epochs_run(workspace, tmp_path, capsys):
 
 
 def test_prepare_writes_expected_files(workspace):
-    data = workspace["data"]
-    for name in ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin",
-                 "split.json"):
-        assert (data / name).exists()
+    assert sorted(p.name for p in workspace["data"].iterdir()) \
+        == ["interactions.bin", "items.tsv", "users.tsv", "vocab.tsv"]
 
 
 def test_prepare_prints_stats_table(tmp_path, capsys):
@@ -108,9 +107,22 @@ def test_prepare_ten_line_corpus_splits_8_1_1(tmp_path):
     out = tmp_path / "prep10"
     assert main(["prepare", "--input", str(corpus), "--format", "csv",
                  "--out", str(out), "--seed", "0"]) == 0
-    manifest = json.loads((out / "split.json").read_text())
-    assert (len(manifest["train"]), len(manifest["validation"]),
-            len(manifest["test"])) == (8, 1, 1)
+    split = load_prepared(out).split
+    assert (len(split.train), len(split.validation), len(split.test)) == (8, 1, 1)
+
+
+def test_prepare_nine_record_corpus_exits_2_naming_it(tmp_path, capsys):
+    corpus = tmp_path / "nine.csv"
+    with open(corpus, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for i in range(MIN_RECORDS - 1):
+            writer.writerow([f"u{i}", f"i{i % 3}", 3.0, f"text number {i} fine"])
+    out = tmp_path / "prep9"
+    assert main(["prepare", "--input", str(corpus), "--format", "csv",
+                 "--out", str(out), "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert str(corpus) in err and f"only {MIN_RECORDS - 1} usable records" in err
+    assert not out.exists()
 
 
 def test_prepare_missing_input_exits_2(tmp_path, capsys):
@@ -123,8 +135,7 @@ def test_prepare_identical_rerun_is_byte_identical(tmp_path, workspace):
     out2 = tmp_path / "prep2"
     assert main(["prepare", "--input", str(workspace["corpus"]), "--format", "csv",
                  "--out", str(out2), "--seed", "11", "--min-count", "1"]) == 0
-    for name in ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin",
-                 "split.json"):
+    for name in ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin"):
         assert (workspace["data"] / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -169,18 +180,26 @@ def test_review_len_above_prepared_exits_2_naming_both(workspace, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
-def with_empty_split(workspace, tmp_path, empty):
-    """A copy of the prepared data whose split.json moves every index of the
-    split `empty` into another split, so the three still partition and
-    each stays ascending."""
+def resplit(workspace, tmp_path, edit):
+    """A copy of the prepared data whose interactions.bin holds the split
+    column edit(part) in place of part."""
     data = tmp_path / "prep"
-    shutil.copytree(workspace["data"], data)
-    split = json.loads((data / "split.json").read_text())
-    other = "test" if empty != "test" else "train"
-    split[other] = sorted(split[other] + split[empty])
-    split[empty] = []
-    (data / "split.json").write_text(json.dumps(split))
+    ds = load_prepared(workspace["data"])
+    ds.split = DatasetSplit(ds.interactions, edit(ds.split.part.copy()))
+    save_prepared(ds, data)
     return data
+
+
+def with_empty_split(workspace, tmp_path, empty):
+    """A copy of the prepared data whose split column moves every record of
+    the split `empty` into another split."""
+    names = ["train", "validation", "test"]
+    other = "test" if empty != "test" else "train"
+
+    def move(part):
+        part[part == names.index(empty)] = names.index(other)
+        return part
+    return resplit(workspace, tmp_path, move)
 
 
 @pytest.mark.parametrize("empty", ["train", "validation"])
@@ -191,7 +210,7 @@ def test_empty_split_exits_2_naming_it(workspace, tmp_path, capsys, command, emp
                  "--out", str(tmp_path / "o")])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(data / "split.json") in err and f"the {empty} split is empty" in err
+    assert str(data / "interactions.bin") in err and f"the {empty} split is empty" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -202,7 +221,7 @@ def test_eval_empty_split_exits_2_naming_it(workspace, tmp_path, capsys, split, 
                  "--data", str(data), "--split", split, "--out", str(tmp_path / "e.csv")])
     assert code == 2
     err = capsys.readouterr().err
-    assert str(data / "split.json") in err and f"the {empty} split is empty" in err
+    assert str(data / "interactions.bin") in err and f"the {empty} split is empty" in err
 
 
 def test_sweep_empty_dims_exits_2(workspace, tmp_path, capsys):
@@ -341,14 +360,16 @@ def test_eval_overflowing_mse_exits_3_and_writes_no_csv(workspace, tmp_path, cap
     params.fm.bias[...] = 1e200  # finite predictions, infinite squared errors
     ckpt = tmp_path / "huge.nrpa"
     save_params(params, ckpt, meta)
+    trace = tmp_path / "trace.jsonl"
     with np.errstate(over="ignore"):
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
-                     "--split", "val"])
+                     "--split", "val", "--trace", str(trace)])
     assert code == 3
     captured = capsys.readouterr()
     assert "non-finite mse" in captured.err
     assert "mse=" not in captured.out
     assert not (tmp_path / "eval_val.csv").exists()
+    assert not trace.exists()
 
 
 def out_of_memory(*args, **kwargs):
@@ -636,14 +657,15 @@ def test_train_checks_every_training_buffer_against_memory(workspace, tmp_path,
 
 
 def test_corrupt_prepared_data_exits_2_naming_the_file(workspace, tmp_path, capsys):
-    data = tmp_path / "prep"
-    shutil.copytree(workspace["data"], data)
-    (data / "split.json").write_text('{"seed": 11, "train": [0], "validation": []}')
+    def record_4_in_no_part(part):
+        part[4] = 3
+        return part
+    data = resplit(workspace, tmp_path, record_4_in_no_part)
     code = main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
                  "--data", str(data), "--split", "val"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "split.json" in err and "'test'" in err
+    assert str(data / "interactions.bin") in err and "record 4" in err
 
 
 def test_non_utf8_config_exits_2_naming_it(workspace, tmp_path, capsys):
@@ -915,6 +937,9 @@ def config_texts(draw):
        shape=st.sampled_from(["train", "ablate", "sweep", "no-out", "unknown-flag",
                               "eval-default-out-at-a-directory"]),
        dims=st.sampled_from(["4", "0", "2,1", "x", "", str(HUGE)]))
+@example(text=TINY_CONFIG.replace("learning_rate = 5e-3", f"learning_rate = {HUGE}")
+         .replace("max_epochs = 2", "max_epochs = 1").encode(),
+         shape="ablate", dims="4")  # a squared gradient overflows in Adam: exit 3
 @settings(max_examples=100, deadline=None)
 def test_any_config_and_argv_exits_0_2_or_3(workspace, text, shape, dims):
     root = workspace["root"]

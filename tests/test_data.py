@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from nrpa.data import (_COLUMNS, _HEADER_BYTES, PAD_ID, UNK_ID, UNK_TOKEN,
                        DatasetSplit, Interaction, PreparedDataset, ProfileStore, RawRecord, Vocabulary,
-                       build_profiles, load_prepared,
+                       batch_arrays, build_profiles, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
                        split_dataset, tokenize)
 from nrpa.cli import load_config, main
@@ -273,9 +273,7 @@ def test_split_sizes_at_published_scale():
 def test_split_determinism():
     a = split_dataset(_interactions(37), seed=5)
     b = split_dataset(_interactions(37), seed=5)
-    assert a.train_idx == b.train_idx
-    assert a.val_idx == b.val_idx
-    assert a.test_idx == b.test_idx
+    assert a.part.tolist() == b.part.tolist()
 
 
 def test_split_rejects_tiny_input():
@@ -286,9 +284,13 @@ def test_split_rejects_tiny_input():
 @given(st.integers(10, 400), st.integers(0, 2**63))
 @settings(max_examples=60)
 def test_split_partition_property(n, seed):
-    split = split_dataset(_interactions(n), seed)
-    all_idx = split.train_idx + split.val_idx + split.test_idx
-    assert sorted(all_idx) == list(range(n))  # disjoint and covering
+    """Each part holds the items of the oracle's sorted index list, in its order."""
+    items = _interactions(n)
+    split = split_dataset(items, seed)
+    assert split.part.shape == (n,) and set(split.part.tolist()) <= {0, 1, 2}
+    for part, idx in zip((split.train, split.validation, split.test),
+                         prepare_oracle.split_indices(n, seed), strict=True):
+        assert list(map(id, part)) == [id(items[i]) for i in idx]
     assert len(split.train) == int(0.8 * n)
     assert len(split.validation) == int(0.1 * n)
 
@@ -400,9 +402,8 @@ def test_exclude_target_removes_exactly_the_scored_pair():
 
 # sha256 of each file save_prepared writes for the tiny_dataset corpus
 PREPARED_GOLDEN = {
-    "interactions.bin": "a10bf62a3ea2ec742c9722b5facec1f32bc53fb7803834c1b8fd12de398ced40",
+    "interactions.bin": "0f7819d27c491ae7d919fa9829e26f55a6011b4b2b7e6b6442ffec40361bba3e",
     "items.tsv": "c04409622c72482762ea71d59563cc1a7c4ad0984cdbac18f3a0a7f44db038ef",
-    "split.json": "7330a32a343e8333a46d0fd00aebb0f08810d2d016c8d90ff5682cd1ef485e16",
     "users.tsv": "b6562d279c6e7389c26611eecacb630e5fb8134f601c54af2c007a790045ff03",
     "vocab.tsv": "a2d347b01a27ef5bc69bfe833c02b7ae5dd5531b3cc9fce441a4057eae41d713",
 }
@@ -418,9 +419,8 @@ def test_prepared_directory_bytes_are_golden(tmp_path, tiny_dataset):
 # corpus at seed 11: a Zipf tail full of count ties, so it pins the
 # lexicographic tie-break at scale
 WIDE_VOCAB_SMOKE_GOLDEN = {
-    "interactions.bin": "538fa3e98e0f91d6dfd33b229857ec231d64686df28f5aef1fc4230829c05317",
+    "interactions.bin": "9ebbf444d0e206299cddf9f1a260c10b45df8e8f8343afb892632e32e577a259",
     "items.tsv": "2672c3049d131465581cb3199dbff75950db4bc4ec96f0484a98d1f899707d13",
-    "split.json": "3fa75f5b2fb216401e8deba2596619478f6d22163c7000955edf542bdd2f65f3",
     "users.tsv": "1cb882640b5eebc892c046b94bfbaa567afab7920b7ef3a6a1303fb6f1159687",
     "vocab.tsv": "ddb69c4c1768186d674b9af58f3c21b73850ae6176e9188863e96998ad1bc817",
 }
@@ -505,8 +505,7 @@ def test_prepare_equals_the_two_pass_oracle(records, seed, min_count, review_len
     for g, w in zip(got.interactions, want.interactions, strict=True):
         assert (g.user, g.item, g.rating) == (w.user, w.item, w.rating)
         assert g.tokens.dtype == np.int32 and g.tokens.tolist() == w.tokens.tolist()
-    assert (got.split.seed, got.split.train_idx, got.split.val_idx, got.split.test_idx) \
-        == (want.split.seed, want.split.train_idx, want.split.val_idx, want.split.test_idx)
+    assert got.split.part.tolist() == want.split.part.tolist()
     assert _prepared_files(got) == _prepared_files(want)
 
 
@@ -580,7 +579,7 @@ def test_prepared_roundtrip_bytes_and_content(tmp_path, tiny_dataset):
     assert back.user_keys == tiny_dataset.user_keys
     assert back.item_keys == tiny_dataset.item_keys
     assert back.vocab.id_to_token == tiny_dataset.vocab.id_to_token
-    assert back.split.train_idx == tiny_dataset.split.train_idx
+    assert back.split.part.tolist() == tiny_dataset.split.part.tolist()
     assert len(back.interactions) == len(tiny_dataset.interactions)
     for a, b in zip(back.interactions, tiny_dataset.interactions):
         assert (a.user, a.item, a.rating) == (b.user, b.item, b.rating)
@@ -588,8 +587,7 @@ def test_prepared_roundtrip_bytes_and_content(tmp_path, tiny_dataset):
     # saving the loaded copy reproduces identical bytes
     out2 = tmp_path / "prep2"
     save_prepared(back, out2)
-    for name in ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin",
-                 "split.json"):
+    for name in ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin"):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
     # index files with CRLF line ends load the same, as text mode reads them
     for name in ("vocab.tsv", "users.tsv", "items.tsv"):
@@ -645,13 +643,6 @@ def edit_records(prep, field, row, value):
                                np.concatenate(reviews).astype("<u4").tobytes()]))
 
 
-def edit_split(prep, **changes):
-    path = prep / "split.json"
-    manifest = json.loads(path.read_text())
-    manifest.update(changes)
-    path.write_text(json.dumps(manifest))
-
-
 def load_rejects(prep, file, *words):
     with pytest.raises(ValueError) as info:
         load_prepared(prep)
@@ -659,40 +650,6 @@ def load_rejects(prep, file, *words):
     assert file in msg, msg
     for word in words:
         assert word in msg, msg
-
-
-def test_split_index_past_the_end_rejected(prepared_dir, tmp_path, tiny_dataset):
-    prep = copy_prepared(prepared_dir, tmp_path / "p")
-    n = len(tiny_dataset.interactions)
-    edit_split(prep, test=tiny_dataset.split.test_idx[:-1] + [n])
-    load_rejects(prep, "split.json", "partition")
-
-
-def test_split_negative_index_rejected(prepared_dir, tmp_path, tiny_dataset):
-    """-1 in place of the last index would wrap onto the same interaction."""
-    prep = copy_prepared(prepared_dir, tmp_path / "p")
-    last = len(tiny_dataset.interactions) - 1
-    split = tiny_dataset.split
-    for key, idx in (("train", split.train_idx), ("validation", split.val_idx),
-                     ("test", split.test_idx)):
-        if last in idx:
-            edit_split(prep, **{key: [-1 if i == last else i for i in idx]})
-    load_rejects(prep, "split.json", "partition")
-
-
-def test_split_missing_key_or_not_an_object_rejected(prepared_dir, tmp_path):
-    prep = copy_prepared(prepared_dir, tmp_path / "p")
-    manifest = json.loads((prep / "split.json").read_text())
-    # the writer sorts each list, and the epoch shuffle starts from that order
-    (prep / "split.json").write_text(json.dumps({**manifest, "train": manifest["train"][::-1]}))
-    load_rejects(prep, "split.json", "'train'", "not ascending")
-    del manifest["test"]
-    (prep / "split.json").write_text(json.dumps(manifest))
-    load_rejects(prep, "split.json", "'test'")
-    (prep / "split.json").write_text("[1, 2, 3]")
-    load_rejects(prep, "split.json", "not a JSON object")
-    (prep / "split.json").write_text("[" * 200_000 + "]" * 200_000)
-    load_rejects(prep, "split.json", "unreadable")
 
 
 @pytest.mark.parametrize("field,value,words", [
@@ -727,6 +684,12 @@ def test_ntok_above_review_len_rejected(prepared_dir, tmp_path):
     prep = copy_prepared(prepared_dir, tmp_path / "p")
     edit_records(prep, "ntok", 2, 15)
     load_rejects(prep, "interactions.bin", "record 2", "ntok")
+
+
+def test_split_value_above_2_rejected(prepared_dir, tmp_path):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    edit_records(prep, "split", 6, 3)
+    load_rejects(prep, "interactions.bin", "record 6", "split value")
 
 
 @pytest.mark.parametrize("rating", [np.nan, np.inf, 0.5, 5.5])
@@ -771,6 +734,34 @@ def test_fixed_width_directory_rejected(prepared_dir, tmp_path, tiny_dataset, ca
     assert not (tmp_path / "run").exists()
 
 
+def write_split_json_layout(prep, ds):
+    """The layout that came before the split column: interactions.bin with
+    the user, item and ntok u32 and rating f64 columns only, and the split
+    in split.json as three sorted index lists."""
+    users, items, ratings = batch_arrays(ds.interactions)
+    ntok = [len(inter.tokens) for inter in ds.interactions]
+    header = [len(ntok), ds.n_users, ds.n_items, ds.review_len]
+    (prep / "interactions.bin").write_bytes(b"".join([
+        *(np.asarray(col, "<u4").tobytes() for col in (header, users, items, ntok)),
+        ratings.astype("<f8").tobytes(),
+        np.concatenate([inter.tokens for inter in ds.interactions]).astype("<u4").tobytes()]))
+    parts = [np.flatnonzero(ds.split.part == p).tolist() for p in range(3)]
+    (prep / "split.json").write_text(json.dumps(
+        {"seed": 11, **dict(zip(("train", "validation", "test"), parts))}))
+
+
+def test_split_json_directory_rejected(prepared_dir, tmp_path, tiny_dataset, capsys):
+    prep = copy_prepared(prepared_dir, tmp_path / "p")
+    write_split_json_layout(prep, tiny_dataset)
+    load_rejects(prep, "interactions.bin", "nrpa prepare")
+    assert main(["train", "--data", str(prep), "--config",
+                 str(PERFBENCH.parent / "configs" / "synthetic.cfg"),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "interactions.bin" in err and "nrpa prepare" in err
+    assert not (tmp_path / "run").exists()
+
+
 @st.composite
 def _stored_datasets(draw):
     """Datasets as save_prepared takes them, of 1 to 12 records whose reviews
@@ -785,16 +776,15 @@ def _stored_datasets(draw):
                                                  max_size=review_len)), dtype=np.int32))
               for _ in range(n)]
     part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="parts")
-    split = DatasetSplit(inters, draw(st.integers(0, 2**64 - 1)),
-                         *([i for i in range(n) if part[i] == p] for p in range(3)))
-    return PreparedDataset(vocab, inters, split, [UNK_TOKEN, *(f"u{k}" for k in range(1, n_users))],
+    return PreparedDataset(vocab, inters, DatasetSplit(inters, part),
+                           [UNK_TOKEN, *(f"u{k}" for k in range(1, n_users))],
                            [UNK_TOKEN, *(f"i{k}" for k in range(1, n_items))], review_len)
 
 
 def _dataset(review_len, reviews):
     """A dataset of one user, one item and one record per review."""
     inters = [Interaction(1, 1, 3.0, np.array(r, dtype=np.int32)) for r in reviews]
-    split = DatasetSplit(inters, 0, list(range(len(inters))), [], [])
+    split = DatasetSplit(inters, [0] * len(inters))
     return PreparedDataset(Vocabulary(["a", "b"]), inters, split, [UNK_TOKEN, "u"],
                            [UNK_TOKEN, "i"], review_len)
 
@@ -805,18 +795,17 @@ def _dataset(review_len, reviews):
 @settings(max_examples=150, deadline=None)
 def test_save_load_round_trip(ds):
     """load_prepared gives back what save_prepared was given, from a file of
-    16 + 20*n + 4*sum(ntok) bytes."""
+    16 + 24*n + 4*sum(ntok) bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         save_prepared(ds, tmp)
         size = (Path(tmp) / "interactions.bin").stat().st_size
         back = load_prepared(tmp)
     n, ntok = len(ds.interactions), sum(len(i.tokens) for i in ds.interactions)
-    assert size == 16 + 20 * n + 4 * ntok
+    assert size == 16 + 24 * n + 4 * ntok
     assert back.vocab.id_to_token == ds.vocab.id_to_token
     assert (back.user_keys, back.item_keys, back.review_len) \
         == (ds.user_keys, ds.item_keys, ds.review_len)
-    assert (back.split.seed, back.split.train_idx, back.split.val_idx, back.split.test_idx) \
-        == (ds.split.seed, ds.split.train_idx, ds.split.val_idx, ds.split.test_idx)
+    assert back.split.part.tolist() == ds.split.part.tolist()
     for g, w in zip(back.interactions, ds.interactions, strict=True):
         assert (g.user, g.item, g.rating) == (w.user, w.item, w.rating)
         assert g.tokens.dtype == np.int32 and g.tokens.tolist() == w.tokens.tolist()
@@ -845,13 +834,14 @@ def test_vocab_must_start_with_pad_and_unk(prepared_dir, tmp_path, line, name):
     load_rejects(prep, "vocab.tsv", "<pad>", "<unk>")
 
 
-def loads_in_range_or_rejects(prep, file):
-    """load_prepared either raises ValueError naming `file` or returns a
-    dataset whose every id and index is in range."""
+def loads_in_range_or_rejects(prep):
+    """load_prepared either raises ValueError naming interactions.bin or
+    returns a dataset whose every id is in range and whose three parts hold
+    every interaction."""
     try:
         ds = load_prepared(prep)
     except ValueError as exc:
-        assert file in str(exc), str(exc)
+        assert "interactions.bin" in str(exc), str(exc)
         return
     n = len(ds.interactions)
     for inter in ds.interactions:
@@ -859,34 +849,31 @@ def loads_in_range_or_rejects(prep, file):
         assert len(inter.tokens) <= ds.review_len
         assert (inter.tokens < len(ds.vocab)).all() and (inter.tokens > PAD_ID).all()
         assert 1.0 <= inter.rating <= 5.0
-    split = ds.split
-    assert sorted(split.train_idx + split.val_idx + split.test_idx) == list(range(n))
+    assert len(ds.split.train) + len(ds.split.validation) + len(ds.split.test) == n
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_corrupt_prepared_files_load_in_range_or_raise_value_error(prepared_dir, data):
     prep = copy_prepared(prepared_dir, prepared_dir.with_name("work"))
-    file = data.draw(st.sampled_from(["interactions.bin", "split.json"]), label="file")
-    path = prep / file
+    path = prep / "interactions.bin"
     blob = bytearray(path.read_bytes())
     if data.draw(st.booleans(), label="truncate"):
         blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="kept bytes")]
     else:
         # bias half the flips into the sections a flip is likeliest to get past:
-        # the header and the user column, and in interactions.bin the ntok
-        # column and the token buffer
-        regions = [(0, min(200, len(blob)))]
-        if file == "interactions.bin":
-            n = int(np.frombuffer(blob, "<u4", 1)[0])
-            ends = np.cumsum([_HEADER_BYTES, *(n * dtype.itemsize for _, dtype in _COLUMNS)])
-            regions += [(ends[2], ends[3]), (ends[4], len(blob))]
+        # the header and the user column, the ntok and split columns and the
+        # token buffer
+        n = int(np.frombuffer(blob, "<u4", 1)[0])
+        ends = np.cumsum([_HEADER_BYTES, *(n * dtype.itemsize for _, dtype in _COLUMNS)])
+        regions = [(0, min(200, len(blob))), (ends[2], ends[3]), (ends[3], ends[4]),
+                   (ends[5], len(blob))]
         lo, hi = (data.draw(st.sampled_from(regions), label="region")
                   if data.draw(st.booleans(), label="biased") else (0, len(blob)))
         pos = data.draw(st.integers(lo, hi - 1), label="position")
         blob[pos] ^= data.draw(st.integers(1, 255), label="xor")
     path.write_bytes(bytes(blob))
-    loads_in_range_or_rejects(prep, file)
+    loads_in_range_or_rejects(prep)
 
 
 def test_stats_counts_real_owners(tiny_dataset):

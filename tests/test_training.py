@@ -215,6 +215,15 @@ def test_adam_first_step_moves_against_gradient_sign(toy_params):
     assert np.allclose(delta, -1e-3 * np.sign(grads.fm.linear), rtol=1e-6)
 
 
+def test_adam_overflow_raises_floating_point_error(toy_params):
+    """A gradient whose square passes the float range is a divergence, not a
+    RuntimeWarning."""
+    grads = toy_params.zeros_like()
+    grads.fm.linear[0] = 1e200
+    with pytest.raises(FloatingPointError, match="overflow"):
+        T.adam_step(toy_params, grads, T.AdamState.for_params(toy_params), lr=1e-3)
+
+
 def scalar_adam(grads, lr, b1=0.9, b2=0.999, eps=1e-8):
     """Reference single-parameter Adam, the independent oracle."""
     theta, m, v = 0.0, 0.0, 0.0
