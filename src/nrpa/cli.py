@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import BLAS_THREADS, checkpoint, evaluation, training
-from .data import (MIN_RECORDS, ProfileStore, build_profiles, load_prepared,
-                   parse_reviews, prepare_dataset, save_prepared)
-from .model import ATTENTION_MODES, AblationSpec, Dims, forward, param_count
+from .data import (MIN_RECORDS, PREPARED_FILES, ProfileStore, build_profiles,
+                   load_prepared, parse_reviews, prepare_dataset, save_prepared)
+from .model import ATTENTION_MODES, FULL_ATTENTION, AblationSpec, Dims, forward, param_count
 from .training import TrainConfig
 
 
@@ -163,20 +163,15 @@ def _load_checkpoint(args, ds):
 
 def parse_ablation(spec: str) -> AblationSpec:
     """Comma list of user|item|word|review=uniform (or =personalized), each site once."""
-    sites = {"user": "user_attention", "item": "item_attention",
-             "word": "word_level", "review": "review_level"}
     kwargs = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(None, map(str.strip, spec.split(","))):
         key, _, mode = part.partition("=")
-        if key not in sites or mode not in ATTENTION_MODES:
+        if key not in vars(FULL_ATTENTION) or mode not in ATTENTION_MODES:
             raise UsageError(f"bad ablation term {part!r}; "
                              f"expected user|item|word|review=uniform")
-        if sites[key] in kwargs:
+        if key in kwargs:
             raise UsageError(f"ablation site {key!r} given twice in {spec!r}")
-        kwargs[sites[key]] = mode
+        kwargs[key] = mode
     return AblationSpec(**kwargs)
 
 
@@ -187,16 +182,28 @@ def _make_out_dir(path):
         raise UsageError(f"cannot create output directory {path}: {exc}") from exc
 
 
-def _check_out_file(path):
-    """Rejects, before any work is done, an output file path that is a
-    directory, whose directory does not exist, or that the OS cannot stat."""
-    try:
-        writable = path is None or (not Path(path).is_dir() and Path(path).parent.is_dir())
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
-    if not writable:
-        raise UsageError(f"cannot write {path}: it is a directory or its directory "
-                         f"does not exist")
+def _check_out_files(outputs, data_dir, source):
+    """Rejects, before any work, an output file path (None if not asked for)
+    that is a directory, lies in a missing directory or cannot be stat'ed, or
+    is the same file as source (the checkpoint or config read), a file of the
+    prepared directory data_dir or an earlier output, naming both paths."""
+    taken = [source, *(Path(data_dir) / name for name in PREPARED_FILES)]
+    for path in filter(None, outputs):
+        try:
+            if Path(path).is_dir() or not Path(path).parent.is_dir():
+                raise UsageError(f"cannot write {path}: it is a directory or its directory "
+                                 f"does not exist")
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
+        for other in taken:
+            try:
+                same = os.path.samefile(path, other)
+            except OSError:  # one of them does not exist yet
+                same = os.path.realpath(path) == os.path.realpath(other)
+            if same:
+                raise UsageError(f"cannot write {path}: it is the same file as {other}, "
+                                 f"which this command reads or writes")
+        taken.append(path)
 
 
 def _write_csv(path, header, rows):
@@ -285,12 +292,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     out_csv = args.out or str(Path(args.checkpoint).parent / f"eval_{args.split}.csv")
-    _check_out_file(out_csv)
-    _check_out_file(args.trace)
+    _check_out_files([out_csv, args.trace], args.data, args.checkpoint)
     split_name = "validation" if args.split == "val" else "test"
     ds = _load_dataset(args.data, (split_name,))
     params, exclude, stores = _load_checkpoint(args, ds)
-    ablation = parse_ablation(args.ablation) if args.ablation else AblationSpec()
+    ablation = parse_ablation(args.ablation) if args.ablation else FULL_ATTENTION
 
     try:
         with (open(args.trace, "w", encoding="utf-8") if args.trace
@@ -309,7 +315,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    _check_out_file(args.out)
+    _check_out_files([args.out], args.data, args.config)
     cfg, ds, stores = _config_profiles(args, ("train", "validation", "test"))
     variants = [(name, cfg, ablation) for name, ablation in evaluation.ABLATION_VARIANTS]
     _train_and_score(ds, stores, variants, ds.split.test, args.out, ("variant", "mse"),
@@ -327,10 +333,10 @@ def cmd_sweep(args) -> int:
     if min(dims) < 1:
         raise UsageError(f"bad --dims list {args.dims!r}: id_dim must be >= 1, "
                          f"got {min(dims)}")
-    _check_out_file(args.out)
+    _check_out_files([args.out], args.data, args.config)
     cfg, ds, stores = _config_profiles(args, ("train", "validation"), dims)
     # scored again on validation, the best parameters give min(history.val_mse)
-    variants = [(d, dataclasses.replace(cfg, id_dim=d), AblationSpec()) for d in dims]
+    variants = [(d, dataclasses.replace(cfg, id_dim=d), FULL_ATTENTION) for d in dims]
     _train_and_score(ds, stores, variants, ds.split.validation, args.out,
                      ("d_id", "val_mse"), "d_id={}: val_mse={!r}")
     return 0

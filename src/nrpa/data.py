@@ -161,19 +161,18 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
-def split_dataset(interactions: list, seed: int) -> DatasetSplit:
-    """Deterministic 80/10/10 split; members stay in corpus order inside splits."""
-    n = len(interactions)
+def split_dataset(n: int, seed: int) -> np.ndarray:
+    """Deterministic 80/10/10 split of n records: each record's part, 0
+    train, 1 validation or 2 test, as a u32 array in record order."""
     if n < MIN_RECORDS:
         raise ValueError(f"need at least {MIN_RECORDS} interactions to split, got {n}")
     order = list(range(n))
     SplitMix64(seed).shuffle(order)
-    n_train = int(0.8 * n)
-    n_val = int(0.1 * n)
+    n_train, n_val = int(0.8 * n), int(0.1 * n)
     part = np.full(n, 2, dtype=np.uint32)
     part[order[:n_train]] = 0
     part[order[n_train:n_train + n_val]] = 1
-    return DatasetSplit(interactions, part)
+    return part
 
 
 class ProfileStore:
@@ -270,14 +269,14 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
                     review_len: int = 100) -> PreparedDataset:
     """Full in-memory pipeline: split raw records, build vocab on train, encode.
 
-    The split is decided on raw records so no validation/test text can leak
-    into the vocabulary. One pass tokenizes train, then validation and test,
-    into type numbers, so one bincount of a prefix counts every train token.
-    Types counted at least min_count times get ids from 2 by descending count,
-    ties broken lexicographically; the rest map to UNK. Each interaction's
-    tokens are its first review_len ids, a view of one read-only int32 buffer.
+    The split is decided first, so no validation/test text can leak into
+    the vocabulary. One pass tokenizes the records in corpus order into type
+    numbers, and one bincount counts the train records' tokens. Types counted
+    at least min_count times get ids from 2 by descending count, ties broken
+    lexicographically; the rest map to UNK. Each interaction's tokens are its
+    first review_len ids, a view of one read-only int32 buffer.
     """
-    raw = split_dataset(records, seed)
+    part = split_dataset(len(records), seed)
 
     # owners numbered in order of first appearance from 1; 0 is reserved
     user_number = defaultdict(count(1).__next__)
@@ -287,12 +286,12 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
 
     number = defaultdict(count().__next__)  # token -> type number
     stream, ends = array("i"), array("q")
-    by_part = np.argsort(raw.part, kind="stable")  # train, validation, test
-    for r in map(records.__getitem__, by_part.tolist()):
+    for r in records:
         stream.extend(map(number.__getitem__, tokenize(r.text)))
         ends.append(len(stream))
     ids, ends = np.frombuffer(stream, np.int32), np.frombuffer(ends, np.int64)
-    counts = np.bincount(ids[:ends[len(raw.train) - 1]], minlength=len(number))
+    lens = np.diff(ends, prepend=0)
+    counts = np.bincount(ids[np.repeat(part == 0, lens)], minlength=len(number))
 
     types = list(number)
     kept = np.flatnonzero(counts >= max(min_count, 1)).tolist()
@@ -302,22 +301,22 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     rank[kept] = np.arange(2, len(kept) + 2)
     vocab = Vocabulary([types[t] for t in kept])
 
-    # each review's first review_len ids, gathered into corpus order
-    lens = np.diff(ends, prepend=0)
-    at = np.empty(len(records), dtype=np.intp)  # record -> position in the pass
-    at[by_part] = np.arange(len(records))
-    kept_lens = np.minimum(lens, review_len)[at]
+    # each review's first review_len ids
+    kept_lens = np.minimum(lens, review_len)
     bounds = np.concatenate(([0], np.cumsum(kept_lens)))
-    take = np.repeat((ends - lens)[at] - bounds[:-1], kept_lens) + np.arange(bounds[-1])
+    take = np.repeat(ends - lens - bounds[:-1], kept_lens) + np.arange(bounds[-1])
     interactions = _interactions(users, items, [r.rating for r in records],
                                  rank[ids[take]], bounds)
-    return PreparedDataset(vocab, interactions, DatasetSplit(interactions, raw.part),
+    return PreparedDataset(vocab, interactions, DatasetSplit(interactions, part),
                            [UNK_TOKEN, *user_number], [UNK_TOKEN, *item_number], review_len)
 
 
 # ---------------------------------------------------------------------------
 # on-disk prepared-dataset directory
 # ---------------------------------------------------------------------------
+
+# the files save_prepared writes into a prepared directory and load_prepared reads
+PREPARED_FILES = ("vocab.tsv", "users.tsv", "items.tsv", "interactions.bin")
 
 _U32 = np.dtype("<u4")
 

@@ -18,11 +18,11 @@ _EVAL_CHUNK = 64
 
 ABLATION_VARIANTS = (
     ("full", M.AblationSpec()),
-    ("no-attention", M.AblationSpec(word_level="uniform", review_level="uniform")),
-    ("user-only", M.AblationSpec(item_attention="uniform")),
-    ("item-only", M.AblationSpec(user_attention="uniform")),
-    ("word-only", M.AblationSpec(review_level="uniform")),
-    ("review-only", M.AblationSpec(word_level="uniform")),
+    ("no-attention", M.AblationSpec(word="uniform", review="uniform")),
+    ("user-only", M.AblationSpec(item="uniform")),
+    ("item-only", M.AblationSpec(user="uniform")),
+    ("word-only", M.AblationSpec(review="uniform")),
+    ("review-only", M.AblationSpec(word="uniform")),
 )
 
 

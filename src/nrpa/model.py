@@ -166,12 +166,12 @@ class AblationSpec:
     """Which attention sites run personalized vs uniform (plain averaging).
 
     A site is uniform when its side is uniform or its level is uniform; the
-    query MLP and pairing matrix of a uniform site are unused and untrained.
+    query MLP and pairing matrix of a uniform site are unused; L2 still covers them.
     """
-    user_attention: str = "personalized"
-    item_attention: str = "personalized"
-    word_level: str = "personalized"
-    review_level: str = "personalized"
+    user: str = "personalized"
+    item: str = "personalized"
+    word: str = "personalized"
+    review: str = "personalized"
 
     def __post_init__(self):
         for name, val in self.__dict__.items():
@@ -179,10 +179,8 @@ class AblationSpec:
                 raise ValueError(f"{name} must be {'|'.join(ATTENTION_MODES)}, got {val!r}")
 
     def uniform(self, side: str, level: str) -> bool:
-        """Whether the site of side "user"|"item" at level "word"|"review"
-        pools uniformly."""
-        return "uniform" in (getattr(self, f"{side}_attention"),
-                             getattr(self, f"{level}_level"))
+        """Whether the site of side user|item at level word|review pools uniformly."""
+        return "uniform" in (getattr(self, side), getattr(self, level))
 
 
 FULL_ATTENTION = AblationSpec()
@@ -216,13 +214,10 @@ def init_params(dims: Dims, seed: int, conv_activation: str = "relu") -> ModelPa
     return params
 
 
-def regularized(name: str, ablation: AblationSpec) -> bool:
-    """Whether the selective L2 term covers the tensor `name`: every weight
-    except the biases and the query MLP weights and pairing matrices of the
-    sites `ablation` makes uniform, which are unused and untrained."""
-    side, _, field = name.rpartition(".")
-    return not (name.endswith(_BIASES) or (field.endswith(("_query_w", "_attn"))
-                and ablation.uniform(side, field.partition("_")[0])))
+def regularized(name: str) -> bool:
+    """Whether the L2 term covers the tensor `name`: every weight but the
+    biases, under every ablation."""
+    return not name.endswith(_BIASES)
 
 
 # ---------------------------------------------------------------------------

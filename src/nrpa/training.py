@@ -1,16 +1,16 @@
 """The objective, Adam, and the early-stopping training loop.
 
 backward() is the squared-error objective, evaluation.mse of the
-predictions, with selective L2: it hands d loss / d predictions to
-model.backward_batch, which accumulates the exact gradients of the whole
-network into a second ModelParams, one flat buffer laid out like the
-parameters. The L2 value, the L2 gradient and the finiteness check are one
-walk after that, tensor by tensor in 64k-element blocks, so a failure names
-its tensor. Adam keeps its moments as flat buffers and updates every
-parameter in one in-place pass over the flat buffers, in the same blocks.
-Each training step allocates a fresh gradient buffer and drops it before the
-next step, so train() holds PARAM_BUFFERS parameter-sized buffers for the
-whole run and no whole-model temporary.
+predictions, with L2 on every weight but the biases: it hands d loss / d
+predictions to model.backward_batch, which accumulates the exact gradients
+of the whole network into a second ModelParams, one flat buffer laid out
+like the parameters. The L2 value, the L2 gradient and the finiteness
+check are one walk after that, tensor by tensor in 64k-element blocks, so a
+failure names its tensor. Adam keeps its moments as flat buffers and
+updates every parameter in one in-place pass over the flat buffers, in the
+same blocks. Each training step allocates a fresh gradient buffer and drops
+it before the next step, so train() holds PARAM_BUFFERS parameter-sized
+buffers for the whole run and no whole-model temporary.
 """
 
 import math
@@ -65,11 +65,10 @@ class TrainConfig:
                       self.review_len, self.num_reviews)
 
 
-def _dense_pass(params: M.ModelParams, l2_weight: float, ablation: M.AblationSpec,
-                grads: M.ModelParams) -> float:
-    """The L2 value, l2_weight * sum(p^2) over the tensors model.regularized
-    names; the same walk adds the L2 gradient 2 l2_weight p into grads and
-    raises FloatingPointError naming the first non-finite tensor.
+def _dense_pass(params: M.ModelParams, l2_weight: float, grads: M.ModelParams) -> float:
+    """The L2 value, l2_weight * sum(p^2) over every weight but the biases
+    (model.regularized); the same walk adds the L2 gradient 2 l2_weight p
+    into grads and raises FloatingPointError naming the first non-finite tensor.
 
     One walk of the tensors in layout order, each in _ADAM_BLOCK slices with
     one block-sized scratch row, like adam_step. The square sums are np.vdot
@@ -79,7 +78,7 @@ def _dense_pass(params: M.ModelParams, l2_weight: float, ablation: M.AblationSpe
     total = 0.0
     for (name, p_all), (_, g_all) in zip(params.tensors(), grads.tensors()):
         p_all, g_all = p_all.reshape(-1), g_all.reshape(-1)
-        l2 = l2_weight and M.regularized(name, ablation)
+        l2 = l2_weight and M.regularized(name)
         for lo in range(0, p_all.size, _ADAM_BLOCK):
             p, g = p_all[lo:lo + _ADAM_BLOCK], g_all[lo:lo + _ADAM_BLOCK]
             if l2:
@@ -104,7 +103,7 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
 
     grads = params.zeros_like()
     M.backward_batch(params, u_cache, i_cache, 2.0 * (preds - ratings) / len(batch), grads)
-    return data_term + _dense_pass(params, l2_weight, ablation, grads), grads
+    return data_term + _dense_pass(params, l2_weight, grads), grads
 
 
 # ---------------------------------------------------------------------------

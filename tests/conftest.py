@@ -4,10 +4,17 @@ import nrpa  # noqa: F401  isort: skip
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from nrpa import model as M
 from nrpa.data import Interaction, build_profiles, prepare_dataset
 from nrpa.evaluation import make_synthetic_corpus
+
+# every run draws the same hypothesis examples, and no example database
+# carries a failure from one run into the next, so a defect a property finds
+# fails every run; each @settings keeps its max_examples
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 # toy dimensions small enough for finite-difference sweeps over every tensor
 TOY_DIMS = M.Dims(vocab_size=20, n_users=3, n_items=3, word_dim=5, id_dim=4,

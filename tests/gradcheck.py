@@ -21,8 +21,7 @@ def loss(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
     preds, _, _ = M.predict_batch(params, user_store, item_store, users, items,
                                   exclude_target, ablation)
     res = preds - ratings
-    return float(np.mean(res * res)) + T._dense_pass(params, l2_weight, ablation,
-                                                       params.zeros_like())
+    return float(np.mean(res * res)) + T._dense_pass(params, l2_weight, params.zeros_like())
 
 
 def grad_check(

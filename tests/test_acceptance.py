@@ -26,7 +26,7 @@ from conftest import TOY_DIMS, toy_batch, toy_stores
 from gradcheck import grad_check, loss
 from scalar_oracle import scalar_forward
 
-NO_ATTENTION = M.AblationSpec(word_level="uniform", review_level="uniform")
+NO_ATTENTION = M.AblationSpec(word="uniform", review="uniform")
 
 
 def report(criterion, text):

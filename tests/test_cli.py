@@ -734,6 +734,42 @@ def test_output_in_missing_directory_or_at_a_directory_exits_2_naming_it(
     assert str(target) in err and out == ""  # nothing was scored or trained
 
 
+@pytest.mark.parametrize("command,outputs,victim", [
+    ("eval", {"--trace": "run/checkpoint.nrpa"}, "run/checkpoint.nrpa"),
+    ("eval", {"--out": "prep/vocab.tsv"}, "prep/vocab.tsv"),
+    ("eval", {"--trace": "run/both.txt", "--out": "run/both.txt"}, "run/both.txt"),
+    ("eval", {"--trace": "run/../run/eval_val.csv"}, "run/eval_val.csv"),
+    ("ablate", {"--out": "prep/interactions.bin"}, "prep/interactions.bin"),
+    ("ablate", {"--out": "train.cfg"}, "train.cfg"),
+    ("sweep", {"--out": "prep/items.tsv"}, "prep/items.tsv"),
+], ids=["trace-is-checkpoint", "out-is-data-file", "trace-is-out", "trace-is-default-csv",
+        "ablate-out-is-data-file", "ablate-out-is-config", "sweep-out-is-data-file"])
+def test_output_naming_an_input_or_another_output_exits_2_naming_both(
+        workspace, tmp_path, capsys, command, outputs, victim):
+    """An output that is the same file as the checkpoint, the config, a file
+    of --data or another output (eval's default eval_<split>.csv counts) is
+    rejected before any work, and the file it names keeps its bytes."""
+    shutil.copytree(workspace["data"], tmp_path / "prep")
+    (tmp_path / "run").mkdir()
+    shutil.copy(workspace["run"] / "checkpoint.nrpa", tmp_path / "run")
+    shutil.copy(workspace["config"], tmp_path / "train.cfg")
+    victim = tmp_path / victim
+    if not victim.exists():
+        victim.write_text("an earlier output\n")
+    before = victim.read_bytes()
+    args = (["--checkpoint", str(tmp_path / "run" / "checkpoint.nrpa"), "--split", "val"]
+            if command == "eval" else ["--config", str(tmp_path / "train.cfg")])
+    if command == "sweep":
+        args += ["--dims", "4"]
+    for flag, target in outputs.items():
+        args += [flag, str(tmp_path / target)]
+    assert main([command, "--data", str(tmp_path / "prep"), *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "same file" in err and str(victim) in err
+    assert all(str(tmp_path / target) in err for target in outputs.values())
+    assert victim.read_bytes() == before
+
+
 def test_fingerprint_streams_to_the_whole_file_digest(tmp_path):
     rng = np.random.default_rng(0)
     files = {"a.bin": rng.bytes(2 * cli._FINGERPRINT_BLOCK + 123), "b.txt": b"x",
@@ -861,9 +897,9 @@ def test_ablate_writes_six_variants(workspace, tmp_path, capsys):
 
 def test_parse_ablation_spec():
     spec = parse_ablation("word=uniform,review=uniform")
-    assert spec == AblationSpec(word_level="uniform", review_level="uniform")
+    assert spec == AblationSpec(word="uniform", review="uniform")
     spec = parse_ablation("user=uniform")
-    assert spec.user_attention == "uniform"
+    assert spec.user == "uniform"
     with pytest.raises(UsageError):
         parse_ablation("wurd=uniform")
     with pytest.raises(UsageError):

@@ -259,38 +259,37 @@ def _interactions(n):
 
 
 def test_split_sizes_small():
-    split = split_dataset(_interactions(10), seed=1)
-    assert (len(split.train), len(split.validation), len(split.test)) == (8, 1, 1)
+    assert np.bincount(split_dataset(10, seed=1)).tolist() == [8, 1, 1]
 
 
 def test_split_sizes_at_published_scale():
     # 151,254 -> floor arithmetic gives 121,003 / 15,125 / 15,126
-    split = split_dataset(_interactions(151_254), seed=4)
-    sizes = (len(split.train), len(split.validation), len(split.test))
-    assert sizes == (121_003, 15_125, 15_126)
+    assert np.bincount(split_dataset(151_254, seed=4)).tolist() == [121_003, 15_125, 15_126]
 
 
 def test_split_determinism():
-    a = split_dataset(_interactions(37), seed=5)
-    b = split_dataset(_interactions(37), seed=5)
-    assert a.part.tolist() == b.part.tolist()
+    assert split_dataset(37, seed=5).tolist() == split_dataset(37, seed=5).tolist()
 
 
 def test_split_rejects_tiny_input():
     with pytest.raises(ValueError):
-        split_dataset(_interactions(9), seed=0)
+        split_dataset(9, seed=0)
 
 
 @given(st.integers(10, 400), st.integers(0, 2**63))
 @settings(max_examples=60)
 def test_split_partition_property(n, seed):
-    """Each part holds the items of the oracle's sorted index list, in its order."""
+    """Part p of the column holds the oracle's sorted index list p, and
+    DatasetSplit keeps those items, in that order."""
+    part = split_dataset(n, seed)
+    assert part.dtype == np.uint32 and part.shape == (n,)
+    oracle = prepare_oracle.split_indices(n, seed)
+    for p, idx in enumerate(oracle):
+        assert np.flatnonzero(part == p).tolist() == idx
     items = _interactions(n)
-    split = split_dataset(items, seed)
-    assert split.part.shape == (n,) and set(split.part.tolist()) <= {0, 1, 2}
-    for part, idx in zip((split.train, split.validation, split.test),
-                         prepare_oracle.split_indices(n, seed), strict=True):
-        assert list(map(id, part)) == [id(items[i]) for i in idx]
+    split = DatasetSplit(items, part)
+    for members, idx in zip((split.train, split.validation, split.test), oracle, strict=True):
+        assert list(map(id, members)) == [id(items[i]) for i in idx]
     assert len(split.train) == int(0.8 * n)
     assert len(split.validation) == int(0.1 * n)
 

@@ -94,7 +94,7 @@ def test_uniform_word_ablation_is_user_independent(tiny_dataset, tiny_stores):
     """With word=uniform and review=uniform, alpha and beta cannot depend on
     who is reading: all users see identical weights on the same item text."""
     params = trained_toy(tiny_dataset, tiny_stores)
-    no_att = M.AblationSpec(word_level="uniform", review_level="uniform")
+    no_att = M.AblationSpec(word="uniform", review="uniform")
     item = 1
     caches = []
     for user in range(1, 11):

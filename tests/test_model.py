@@ -727,14 +727,40 @@ def test_forward_finite_for_random_finite_params(seed):
 
 def test_ablation_spec_validation():
     with pytest.raises(ValueError):
-        M.AblationSpec(word_level="average")
-    spec = M.AblationSpec(user_attention="uniform")
+        M.AblationSpec(word="average")
+    spec = M.AblationSpec(user="uniform")
     assert spec.uniform("user", "word") and spec.uniform("user", "review")
     assert not spec.uniform("item", "word")
+
+
+@pytest.mark.parametrize("ablation", [spec for _, spec in ABLATION_VARIANTS],
+                         ids=[name for name, _ in ABLATION_VARIANTS])
+def test_uniform_site_reaches_no_prediction(toy_params, ablation):
+    """A uniform site's query MLP and pairing matrix feed nothing: seeded
+    random values in them leave every prediction and every attention weight
+    bit-identical, so the L2 term can cover them under every ablation
+    without moving a score."""
+    users, items = toy_stores()
+    pairs = (np.array([1, 1, 2, 2, 0]), np.array([1, 2, 1, 2, 1]))
+    scrambled = toy_params.copy()
+    rng = np.random.default_rng(17)
+    for side in ("user", "item"):
+        for level in ("word", "review"):
+            if ablation.uniform(side, level):
+                for field in ("query_w", "query_b", "attn"):
+                    tensor = getattr(getattr(scrambled, side), f"{level}_{field}")
+                    tensor[...] = rng.normal(0.0, 10.0, tensor.shape)
+    assert np.array_equal(scrambled.flat, toy_params.flat) == (ablation == M.FULL_ATTENTION)
+    want = M.predict_batch(toy_params, users, items, *pairs, True, ablation)
+    got = M.predict_batch(scrambled, users, items, *pairs, True, ablation)
+    assert np.array_equal(got[0], want[0])
+    for got_cache, want_cache in zip(got[1:], want[1:]):
+        assert np.array_equal(got_cache.alpha, want_cache.alpha)
+        assert np.array_equal(got_cache.beta, want_cache.beta)
 
 
 def test_ablation_spec_is_frozen():
     """FULL_ATTENTION is a shared default argument: setting a field on it
     would change every later call that relies on the default."""
     with pytest.raises(dataclasses.FrozenInstanceError):
-        M.FULL_ATTENTION.word_level = "uniform"
+        M.FULL_ATTENTION.word = "uniform"

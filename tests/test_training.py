@@ -40,23 +40,12 @@ def test_loss_constant_predictor_arithmetic(toy_params):
     assert loss(batch, params, stores) == pytest.approx(expect, abs=1e-15)
 
 
-def attention_site(side, level):
-    return [f"{side}.{level}_query_w", f"{side}.{level}_attn"]
-
-
-# the tensors under L2: no bias, and no query MLP weights or pairing matrix of
-# a uniform site
-L2_ALWAYS = ["word_emb", "user_id_emb", "item_id_emb", "user.conv_w", "item.conv_w",
-             "fm.linear", "fm.factors"]
-L2_ATTENTION = {
-    "full": attention_site("user", "word") + attention_site("user", "review")
-    + attention_site("item", "word") + attention_site("item", "review"),
-    "no-attention": [],
-    "user-only": attention_site("user", "word") + attention_site("user", "review"),
-    "item-only": attention_site("item", "word") + attention_site("item", "review"),
-    "word-only": attention_site("user", "word") + attention_site("item", "word"),
-    "review-only": attention_site("user", "review") + attention_site("item", "review"),
-}
+# the tensors under L2 under every ablation: every tensor but the biases, the
+# query MLP weights and pairing matrices of uniform sites included
+L2_TENSORS = ["word_emb", "user_id_emb", "item_id_emb"] + [
+    f"{side}.{field}" for side in ("user", "item")
+    for field in ("conv_w", "word_query_w", "word_attn", "review_query_w", "review_attn")
+] + ["fm.linear", "fm.factors"]
 
 
 @pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
@@ -67,8 +56,7 @@ def test_loss_l2_term_matches_direct_summation(toy_params, variant):
     base = loss(batch, toy_params, stores, 0.0, ablation)
     with_l2 = loss(batch, toy_params, stores, 0.01, ablation)
     tensors = dict(toy_params.tensors())
-    direct = sum(float(np.sum(tensors[name] ** 2))
-                 for name in L2_ALWAYS + L2_ATTENTION[variant])
+    direct = sum(float(np.sum(tensors[name] ** 2)) for name in L2_TENSORS)
     assert with_l2 - base == pytest.approx(0.01 * direct, rel=1e-12)
 
 
@@ -136,7 +124,7 @@ def test_gradients_match_under_ablation(toy_params, ablation):
         for level in ("word", "review"):
             site = [getattr(g, f"{level}_{field}")
                     for field in ("query_w", "query_b", "attn")]
-            if ablation.uniform(name, level):  # an ablated site is untrained
+            if ablation.uniform(name, level):  # no data gradient reaches it
                 assert not any(t.any() for t in site), (name, level)
             else:
                 assert site[2].any(), (name, level)
@@ -169,7 +157,7 @@ def test_l2_walk_in_blocks_splitting_tensors_is_bit_identical(toy_params,
     assert value == loss(batch, toy_params, stores, l2, ablation)
     expect = plain.copy()
     tensors, expected = dict(toy_params.tensors()), dict(expect.tensors())
-    for name in L2_ALWAYS + L2_ATTENTION[variant]:
+    for name in L2_TENSORS:
         expected[name] += 2.0 * l2 * tensors[name]
     assert np.array_equal(grads.flat, expect.flat)
 
