@@ -84,14 +84,14 @@ _FINGERPRINT_BLOCK = 1 << 20
 
 
 def _fingerprint(data_dir) -> str:
-    """sha256 over each file's name and bytes, in name order."""
+    """sha256 over each prepared file's name and bytes, in name order; other
+    files in data_dir, a run's outputs among them, are not hashed."""
     h = hashlib.sha256()
-    for p in sorted(Path(data_dir).iterdir()):
-        if p.is_file():
-            h.update(p.name.encode("utf-8"))
-            with open(p, "rb") as fh:
-                while block := fh.read(_FINGERPRINT_BLOCK):
-                    h.update(block)
+    for name in sorted(PREPARED_FILES):
+        h.update(name.encode("utf-8"))
+        with open(Path(data_dir) / name, "rb") as fh:
+            while block := fh.read(_FINGERPRINT_BLOCK):
+                h.update(block)
     return h.hexdigest()
 
 

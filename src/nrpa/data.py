@@ -1,11 +1,13 @@
 """Corpus ingestion: parsing, tokenization, vocabulary, splits and review profiles.
 
-A prepared dataset is a list of interactions in corpus order, each marked
-train, validation or test by a seeded 80/10/10 split, plus a train-only
-vocabulary; per-owner fixed-shape review profiles (num_reviews x review_len
-token grids) for the user and item sides are built from its train part.
-prepare_dataset tokenizes each review once: the vocabulary is counted, ranked
-and looked up in numpy over one stream of token-type numbers.
+A prepared dataset is its interactions in corpus order, held as columns
+(Interactions), each marked train, validation or test by a seeded 80/10/10
+split, plus a train-only vocabulary; per-owner fixed-shape review profiles
+(num_reviews x review_len token grids) for the user and item sides are
+filled from its train part's columns. prepare_dataset tokenizes each review
+once: the vocabulary is counted, ranked and looked up in numpy over one
+stream of token-type numbers. No step from disk to batch makes an object
+per record.
 """
 
 import csv
@@ -61,34 +63,61 @@ class Interaction:
     tokens: np.ndarray  # int32 token ids, length <= review_len
 
 
+class Interactions:
+    """Interactions as columns: users and items (int64), ratings (float64),
+    and record k's tokens, the view tokens[starts[k]:ends[k]] of one int32
+    buffer, made read-only. An int index gives an Interaction record, and
+    iteration the records in order; a slice or an index array gives the
+    Interactions of those records, over the same buffer."""
+
+    def __init__(self, users, items, ratings, tokens: np.ndarray, starts, ends):
+        tokens.flags.writeable = False
+        self.users, self.items, self.ratings = users, items, ratings
+        self.tokens, self.starts, self.ends = tokens, starts, ends
+
+    def __len__(self):
+        return len(self.users)
+
+    def __getitem__(self, k):
+        if isinstance(k, (int, np.integer)):
+            return Interaction(int(self.users[k]), int(self.items[k]), float(self.ratings[k]),
+                               self.tokens[self.starts[k]:self.ends[k]])
+        return Interactions(self.users[k], self.items[k], self.ratings[k], self.tokens,
+                            self.starts[k], self.ends[k])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices starts[k] + j for 0 <= j < lens[k], run after run in k order."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
+
+
 def batch_arrays(interactions):
     """(users, items, ratings) of interactions as int64, int64 and float64
-    arrays, in their order."""
+    arrays, in their order: an Interactions' own columns, or those of a
+    sequence of records."""
     if len(interactions) == 0:
         raise ValueError("no interactions")
+    if isinstance(interactions, Interactions):
+        return interactions.users, interactions.items, interactions.ratings
     users = np.array([b.user for b in interactions], dtype=np.int64)
     items = np.array([b.item for b in interactions], dtype=np.int64)
     ratings = np.array([b.rating for b in interactions], dtype=np.float64)
     return users, items, ratings
 
 
-def _interactions(users, items, ratings, tokens: np.ndarray, bounds: np.ndarray) -> list:
-    """Interactions over one int32 token buffer, which is made read-only:
-    interaction k's tokens are the view tokens[bounds[k]:bounds[k + 1]]."""
-    tokens.flags.writeable = False
-    bounds = bounds.tolist()
-    return [Interaction(user, item, rating, tokens[lo:hi])
-            for user, item, rating, lo, hi in zip(users, items, ratings, bounds, bounds[1:])]
-
-
 class DatasetSplit:
-    """Train/validation/test parts of `items`: part[k] is 0, 1 or 2 as items[k]
-    is in train, validation or test, and each part keeps index order."""
+    """Train/validation/test parts of `items`, an Interactions: part[k] is 0,
+    1 or 2 as items[k] is in train, validation or test, and each part keeps
+    index order."""
 
-    def __init__(self, items: list, part):
+    def __init__(self, items: Interactions, part):
         self.part = np.asarray(part)
         self.train, self.validation, self.test = (
-            [items[i] for i in np.flatnonzero(self.part == p).tolist()] for p in range(3))
+            items[np.flatnonzero(self.part == p)] for p in range(3))
 
 
 def parse_reviews(stream, format: str):
@@ -216,34 +245,39 @@ class ProfileStore:
         return rmask
 
 
-def build_profiles(train_interactions, review_len: int, num_reviews: int,
+def build_profiles(train: Interactions, review_len: int, num_reviews: int,
                    n_users: int, n_items: int):
     """(user_store, item_store) over the train split.
 
-    Owners with no training review (including the reserved unknown owner 0)
-    keep an all-PAD grid with an all-false review mask.
+    Each owner keeps its first num_reviews reviews in index order, each cut
+    to its first review_len tokens. Owners with no training review
+    (including the reserved unknown owner 0) keep an all-PAD grid with an
+    all-false review mask.
     """
     if review_len < 1 or num_reviews < 1:
         raise ValueError("review_len and num_reviews must be >= 1")
     users = ProfileStore(n_users, num_reviews, review_len)
     items = ProfileStore(n_items, num_reviews, review_len)
-    user_fill, item_fill = [0] * n_users, [0] * n_items
-    for inter in train_interactions:
-        toks = inter.tokens[:review_len]
-        for store, fill, owner, partner in ((users, user_fill, inter.user, inter.item),
-                                            (items, item_fill, inter.item, inter.user)):
-            slot = fill[owner]
-            if slot < num_reviews:  # keep the first num_reviews reviews in corpus order
-                store.tokens[owner, slot, :len(toks)] = toks
-                store.partner[owner, slot] = partner
-                fill[owner] = slot + 1
+    lens = np.minimum(train.ends - train.starts, review_len)
+    for store, owners, partners in ((users, train.users, train.items),
+                                    (items, train.items, train.users)):
+        # a review's slot is its rank among its owner's reviews in index order
+        order = np.argsort(owners, kind="stable")
+        sorted_owners = owners[order]
+        slots = np.arange(len(order)) - np.searchsorted(sorted_owners, sorted_owners)
+        kept = slots < num_reviews
+        order, owner, slot = order[kept], sorted_owners[kept], slots[kept]
+        store.partner[owner, slot] = partners[order]
+        cells, kept_lens = (owner * num_reviews + slot) * review_len, lens[order]
+        store.tokens.reshape(-1)[_runs(cells, kept_lens)] = \
+            train.tokens[_runs(train.starts[order], kept_lens)]
     return users, items
 
 
 @dataclass
 class PreparedDataset:
     vocab: Vocabulary
-    interactions: list          # corpus order
+    interactions: Interactions  # corpus order
     split: DatasetSplit
     user_keys: list             # index -> key, index 0 reserved
     item_keys: list
@@ -303,10 +337,11 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
 
     # each review's first review_len ids
     kept_lens = np.minimum(lens, review_len)
-    bounds = np.concatenate(([0], np.cumsum(kept_lens)))
-    take = np.repeat(ends - lens - bounds[:-1], kept_lens) + np.arange(bounds[-1])
-    interactions = _interactions(users, items, [r.rating for r in records],
-                                 rank[ids[take]], bounds)
+    kept_ends = np.cumsum(kept_lens)
+    interactions = Interactions(np.array(users, np.int64), np.array(items, np.int64),
+                                np.array([r.rating for r in records], np.float64),
+                                rank[ids[_runs(ends - lens, kept_lens)]],
+                                kept_ends - kept_lens, kept_ends)
     return PreparedDataset(vocab, interactions, DatasetSplit(interactions, part),
                            [UNK_TOKEN, *user_number], [UNK_TOKEN, *item_number], review_len)
 
@@ -345,13 +380,13 @@ def save_prepared(ds: PreparedDataset, out_dir) -> None:
     _write_index_file(out / "items.tsv", ds.item_keys)
 
     inters = ds.interactions
-    users, items, ratings = batch_arrays(inters)
-    cols = {"user": users, "item": items, "ntok": [len(inter.tokens) for inter in inters],
-            "split": ds.split.part, "rating": ratings}
+    ntok = inters.ends - inters.starts
+    cols = {"user": inters.users, "item": inters.items, "ntok": ntok,
+            "split": ds.split.part, "rating": inters.ratings}
     header = np.array([len(inters), ds.n_users, ds.n_items, ds.review_len], dtype=_U32)
     with open(out / "interactions.bin", "wb") as fh:
         fh.writelines([header, *(np.asarray(cols[field], dtype) for field, dtype in _COLUMNS),
-                       np.concatenate([inter.tokens for inter in inters]).astype(_U32)])
+                       inters.tokens[_runs(inters.starts, ntok)].astype(_U32)])
 
 
 def _write_index_file(path, names) -> None:
@@ -457,8 +492,9 @@ def load_prepared(in_dir) -> PreparedDataset:
     _check_records(path, cols, tokens, bounds[1:], n_users, n_items, len(vocab), review_len)
 
     # every token is below the vocabulary size, so its u32 cell reads the same as int32
-    interactions = _interactions(cols["user"].tolist(), cols["item"].tolist(),
-                                 cols["rating"].tolist(),
-                                 tokens.view("<i4").astype(np.int32, copy=False), bounds)
+    interactions = Interactions(cols["user"].astype(np.int64), cols["item"].astype(np.int64),
+                                cols["rating"].astype(np.float64, copy=False),
+                                tokens.view("<i4").astype(np.int32, copy=False),
+                                bounds[:-1], bounds[1:])
     return PreparedDataset(vocab, interactions, DatasetSplit(interactions, cols["split"]),
                            user_keys, item_keys, review_len)

@@ -206,18 +206,21 @@ def train(config: TrainConfig, dataset, stores,
     state = AdamState.for_params(params)
     shuffle_rng = SplitMix64(config.seed).derive(1)
 
-    train_set = list(dataset.split.train)
+    train_set = dataset.split.train
+    # shuffling the positions draws the permutation shuffling the records would
+    order = list(range(len(train_set)))
     history = []
     best_val = np.inf
     best_params = params.copy()
     epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        shuffle_rng.shuffle(train_set)
+        shuffle_rng.shuffle(order)
+        perm = np.array(order, dtype=np.intp)
         total = 0.0
         try:
             for batch_idx, lo in enumerate(range(0, len(train_set), config.batch_size)):
-                batch = train_set[lo:lo + config.batch_size]
+                batch = train_set[perm[lo:lo + config.batch_size]]
                 where = f"epoch {epoch}, batch {batch_idx}"
                 value, grads = backward(batch, params, stores, config.l2_weight, ablation)
                 if not np.isfinite(value):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from nrpa import model as M
-from nrpa.data import Interaction, build_profiles, prepare_dataset
+from nrpa.data import Interaction, Interactions, build_profiles, prepare_dataset
 from nrpa.evaluation import make_synthetic_corpus
 
 # every run draws the same hypothesis examples, and no example database
@@ -22,6 +22,36 @@ TOY_DIMS = M.Dims(vocab_size=20, n_users=3, n_items=3, word_dim=5, id_dim=4,
                   num_reviews=3)
 
 
+def interactions_of(records) -> Interactions:
+    """The Interactions holding records (Interaction objects with tokens) in
+    order, built column by column: their tokens back to back in one buffer."""
+    records = list(records)
+    lens = np.array([len(r.tokens) for r in records], dtype=np.int64)
+    ends = np.cumsum(lens)
+    tokens = np.concatenate([np.zeros(0, np.int32)]
+                            + [np.asarray(r.tokens, np.int32) for r in records])
+    return Interactions(np.array([r.user for r in records], dtype=np.int64),
+                        np.array([r.item for r in records], dtype=np.int64),
+                        np.array([r.rating for r in records], dtype=np.float64),
+                        tokens, ends - lens, ends)
+
+
+def forbid_records(monkeypatch):
+    """Makes building an Interaction record from an Interactions raise."""
+    getitem = Interactions.__getitem__
+
+    def columns_only(self, k):
+        if isinstance(k, (int, np.integer)):
+            raise AssertionError(f"Interactions[{k}] built a record")
+        return getitem(self, k)
+
+    def no_iteration(self):
+        raise AssertionError("iterating an Interactions builds records")
+
+    monkeypatch.setattr(Interactions, "__getitem__", columns_only)
+    monkeypatch.setattr(Interactions, "__iter__", no_iteration)
+
+
 def toy_stores():
     """Deterministic 2-user/2-item profile pair with underfull and overlong
     reviews (owner 0 is the reserved cold-start slot, all padding)."""
@@ -34,7 +64,8 @@ def toy_stores():
     ]
     inters = [Interaction(u, i, 3.0, np.array(toks, dtype=np.int32))
               for u, i, toks in reviews]
-    return build_profiles(inters, review_len=7, num_reviews=3, n_users=3, n_items=3)
+    return build_profiles(interactions_of(inters), review_len=7, num_reviews=3, n_users=3,
+                          n_items=3)
 
 
 def toy_batch():

@@ -1,11 +1,13 @@
-"""Two-pass reference for `data.prepare_dataset`.
+"""Two-pass reference for `data.prepare_dataset`, and a per-record one for
+`data.build_profiles`.
 
 The straightforward pipeline: split the raw records with a scalar
 Fisher-Yates loop, count the train texts' tokens with a `Counter`, sort the
 kept tokens by (-count, token), then tokenize every text again and look each
 token up in the vocabulary's dict. It shares only the tokenizer and the
 container types with the package, so it can serve as an oracle for the
-one-pass numpy pipeline.
+one-pass numpy pipeline. The profiles are filled by a Python loop over the
+train records, one slot at a time, as an oracle for the fill from columns.
 """
 
 from collections import Counter
@@ -13,8 +15,9 @@ from collections import Counter
 import numpy as np
 
 from nrpa.data import (UNK_ID, UNK_TOKEN, DatasetSplit, Interaction, PreparedDataset,
-                       Vocabulary, tokenize)
+                       ProfileStore, Vocabulary, tokenize)
 from nrpa.rng import SplitMix64
+from conftest import interactions_of
 
 
 def split_indices(n: int, seed: int):
@@ -52,13 +55,32 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     item_index = {key: i for i, key in enumerate(item_keys[1:], start=1)}
     vocab = build_vocabulary((records[i].text for i in train_idx), min_count)
     token_to_id = {t: i for i, t in enumerate(vocab.id_to_token)}
-    interactions = [
+    interactions = interactions_of(
         Interaction(user_index[r.user_key], item_index[r.item_key], r.rating,
                     encode(token_to_id, tokenize(r.text), review_len))
         for r in records
-    ]
+    )
     part = np.empty(len(records), dtype=np.uint32)
     for p, idx in enumerate((train_idx, val_idx, test_idx)):
         part[idx] = p
     split = DatasetSplit(interactions, part)
     return PreparedDataset(vocab, interactions, split, user_keys, item_keys, review_len)
+
+
+def build_profiles(train_interactions, review_len: int, num_reviews: int,
+                   n_users: int, n_items: int):
+    """(user_store, item_store): each owner's first num_reviews train records
+    in order, each cut to review_len tokens, written slot by slot."""
+    users = ProfileStore(n_users, num_reviews, review_len)
+    items = ProfileStore(n_items, num_reviews, review_len)
+    user_fill, item_fill = [0] * n_users, [0] * n_items
+    for inter in train_interactions:
+        toks = inter.tokens[:review_len]
+        for store, fill, owner, partner in ((users, user_fill, inter.user, inter.item),
+                                            (items, item_fill, inter.item, inter.user)):
+            slot = fill[owner]
+            if slot < num_reviews:
+                store.tokens[owner, slot, :len(toks)] = toks
+                store.partner[owner, slot] = partner
+                fill[owner] = slot + 1
+    return users, items

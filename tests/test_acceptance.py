@@ -22,7 +22,7 @@ from nrpa.data import (Interaction, build_profiles, parse_reviews,
                        prepare_dataset)
 from nrpa.evaluation import evaluate, make_synthetic_corpus, mse
 from nrpa.model import masked_softmax
-from conftest import TOY_DIMS, toy_batch, toy_stores
+from conftest import TOY_DIMS, interactions_of, toy_batch, toy_stores
 from gradcheck import grad_check, loss
 from scalar_oracle import scalar_forward
 
@@ -166,8 +166,9 @@ def test_criterion_4d_uniform_ablation_user_independence():
     rng = np.random.default_rng(44)
     params = M.init_params(M.Dims(30, 12, 3, 6, 4, 5, 5, 3, 2, 9, 3), seed=3)
     text = np.arange(2, 2 + 7, dtype=np.int32)  # identical text for every owner
-    store, _ = build_profiles([Interaction(owner, 1, 3.0, text)
-                               for owner in range(12) for rev in range(2)], 9, 3, 12, 2)
+    store, _ = build_profiles(interactions_of(Interaction(owner, 1, 3.0, text)
+                                              for owner in range(12) for rev in range(2)),
+                              9, 3, 12, 2)
     count = 0
     for _ in range(34):  # x3 user pairs = 102 comparisons
         users = rng.choice(12, size=4, replace=False)

@@ -25,6 +25,7 @@ from nrpa.data import (MIN_RECORDS, UNK_ID, DatasetSplit, ProfileStore, load_pre
                        save_prepared)
 from nrpa.evaluation import ABLATION_VARIANTS, make_synthetic_corpus
 from nrpa.model import AblationSpec, Dims, init_params, param_count
+from conftest import forbid_records
 
 TINY_CONFIG = """
 # toy hyperparameters for CLI tests
@@ -772,16 +773,53 @@ def test_output_naming_an_input_or_another_output_exits_2_naming_both(
 
 def test_fingerprint_streams_to_the_whole_file_digest(tmp_path):
     rng = np.random.default_rng(0)
-    files = {"a.bin": rng.bytes(2 * cli._FINGERPRINT_BLOCK + 123), "b.txt": b"x",
-             "c.tsv": b""}
+    files = {"interactions.bin": rng.bytes(2 * cli._FINGERPRINT_BLOCK + 123),
+             "vocab.tsv": b"x", "users.tsv": b"", "items.tsv": b"<unk>\t0\n"}
     for name, blob in files.items():
         (tmp_path / name).write_bytes(blob)
-    (tmp_path / "sub").mkdir()  # directories are skipped
+    (tmp_path / "history.csv").write_bytes(b"not a prepared file")  # not hashed
+    (tmp_path / "sub").mkdir()
     whole = hashlib.sha256()
     for name in sorted(files):
         whole.update(name.encode("utf-8"))
         whole.update(files[name])
     assert cli._fingerprint(tmp_path) == whole.hexdigest()
+
+
+def test_train_and_eval_build_no_record(workspace, tmp_path, monkeypatch, capsys):
+    """`nrpa train` and `nrpa eval` keep the interactions as columns from
+    disk to batch: with an Interactions' records made unbuildable, they
+    give the outputs of a run that may build them."""
+    def score(run):
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.nrpa"), "--data",
+                     str(workspace["data"]), "--split", "test", "--out",
+                     str(tmp_path / "eval.csv")]) == 0
+        return capsys.readouterr().out
+
+    want = score(workspace["run"])
+    forbid_records(monkeypatch)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(workspace["data"]), "--config",
+                 str(workspace["config"]), "--out", str(run)]) == 0
+    for name in ("checkpoint.nrpa", "history.csv"):
+        assert (run / name).read_bytes() == (workspace["run"] / name).read_bytes()
+    capsys.readouterr()
+    assert score(run) == want
+
+
+def test_train_into_its_data_directory_twice_records_one_fingerprint(workspace, tmp_path):
+    """The second run's --data holds the first run's outputs too; only the
+    prepared files are the dataset."""
+    data = tmp_path / "prep"
+    shutil.copytree(workspace["data"], data)
+    prints = []
+    for _ in range(2):
+        assert main(["train", "--data", str(data), "--config", str(workspace["config"]),
+                     "--out", str(data)]) == 0
+        prints.append(json.loads((data / "manifest.json").read_text())["dataset_fingerprint"])
+    assert prints[0] == prints[1]
+    assert json.loads((workspace["run"] / "manifest.json").read_text())[
+        "dataset_fingerprint"] == prints[0]
 
 
 def test_inspect_matches_trace_dump(workspace, tmp_path, capsys):

@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrpa.data import (_COLUMNS, _HEADER_BYTES, PAD_ID, UNK_ID, UNK_TOKEN,
-                       DatasetSplit, Interaction, PreparedDataset, ProfileStore, RawRecord, Vocabulary,
+                       DatasetSplit, Interaction, Interactions, PreparedDataset, ProfileStore,
+                       RawRecord, Vocabulary,
                        batch_arrays, build_profiles, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
                        split_dataset, tokenize)
@@ -27,6 +28,7 @@ from nrpa.model import init_params
 from nrpa.rng import _UNIFORM_BLOCK
 
 import prepare_oracle
+from conftest import interactions_of
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -253,9 +255,15 @@ def test_vocabulary_empty_corpus_keeps_specials():
     assert vocab.id_to_token == ["<pad>", "<unk>"]
 
 
-def _interactions(n):
-    return [Interaction(i % 3, i % 5, 1.0 + i % 5, np.array([2], dtype=np.int32))
+def _records(n):
+    """n records told apart by their user and tokens, some with no tokens."""
+    return [Interaction(i, i % 5, 1.0 + i % 5, np.full(i % 4, 2 + i % 7, dtype=np.int32))
             for i in range(n)]
+
+
+def _same_records(got, want) -> bool:
+    return [(g.user, g.item, g.rating, g.tokens.tolist()) for g in got] \
+        == [(w.user, w.item, w.rating, w.tokens.tolist()) for w in want]
 
 
 def test_split_sizes_small():
@@ -280,16 +288,19 @@ def test_split_rejects_tiny_input():
 @settings(max_examples=60)
 def test_split_partition_property(n, seed):
     """Part p of the column holds the oracle's sorted index list p, and
-    DatasetSplit keeps those items, in that order."""
+    DatasetSplit keeps those items, in that order, over the same token
+    buffer."""
     part = split_dataset(n, seed)
     assert part.dtype == np.uint32 and part.shape == (n,)
     oracle = prepare_oracle.split_indices(n, seed)
     for p, idx in enumerate(oracle):
         assert np.flatnonzero(part == p).tolist() == idx
-    items = _interactions(n)
+    records = _records(n)
+    items = interactions_of(records)
     split = DatasetSplit(items, part)
     for members, idx in zip((split.train, split.validation, split.test), oracle, strict=True):
-        assert list(map(id, members)) == [id(items[i]) for i in idx]
+        assert _same_records(members, [records[i] for i in idx])
+        assert members.tokens is items.tokens
     assert len(split.train) == int(0.8 * n)
     assert len(split.validation) == int(0.1 * n)
 
@@ -306,7 +317,7 @@ def test_vocabulary_is_train_only():
     records.append(RawRecord("u19", "i19", 3.0, "zzzunique common"))
     for seed in range(50):
         ds = prepare_dataset(records, seed=seed, min_count=1)
-        held_out = ds.split.validation + ds.split.test
+        held_out = (inter for part in (ds.split.validation, ds.split.test) for inter in part)
         if any(inter.user == ds.user_keys.index("u19") for inter in held_out):
             assert token_id(ds.vocab, "zzzunique") == UNK_ID
             return
@@ -318,7 +329,7 @@ def test_profiles_fixed_shape_for_all_fill_levels():
     inters = [Interaction(under, 1, 3.0, np.array([2, 3], dtype=np.int32))]
     inters += [Interaction(over, 1, 3.0, np.array([4] * 9, dtype=np.int32))
                for _ in range(5)]
-    users, items = build_profiles(inters, review_len=6, num_reviews=3,
+    users, items = build_profiles(interactions_of(inters), review_len=6, num_reviews=3,
                                   n_users=4, n_items=2)
     assert users.tokens.shape == (4, 3, 6)
     _, _, rmask = users.gather([empty, under, over])
@@ -329,7 +340,8 @@ def test_profiles_fixed_shape_for_all_fill_levels():
 
 def test_profile_truncation_and_padding():
     inters = [Interaction(1, 1, 3.0, np.arange(2, 12, dtype=np.int32))]
-    users, _ = build_profiles(inters, review_len=4, num_reviews=3, n_users=2, n_items=2)
+    users, _ = build_profiles(interactions_of(inters), review_len=4, num_reviews=3,
+                              n_users=2, n_items=2)
     assert np.array_equal(users.tokens[1, 0], [2, 3, 4, 5])  # first 4 tokens kept
     assert users.tokens[1, 1:].sum() == 0                    # padding rows are PAD
     _, tmask, _ = users.gather([1])
@@ -338,7 +350,7 @@ def test_profile_truncation_and_padding():
 
 def test_profile_masked_cells_hold_pad():
     inters = [Interaction(1, 1, 3.0, np.array([5, 6], dtype=np.int32))]
-    users, _ = build_profiles(inters, 5, 2, 2, 2)
+    users, _ = build_profiles(interactions_of(inters), 5, 2, 2, 2)
     assert (users.tokens[1, 0, 2:] == PAD_ID).all()
     assert (users.tokens[1, 1] == PAD_ID).all() and (users.tokens[0] == PAD_ID).all()
     assert users.partner.tolist() == [[-1, -1], [1, -1]]
@@ -357,7 +369,8 @@ def test_gathered_masks_follow_fill_count_length_and_exclusion(reviews, review_l
     review in it, whatever is excluded."""
     inters = [Interaction(u, i, 3.0, np.arange(2, 2 + length, dtype=np.int32))
               for u, i, length in reviews]
-    users, _ = build_profiles(inters, review_len, num_reviews, n_users=4, n_items=3)
+    users, _ = build_profiles(interactions_of(inters), review_len, num_reviews, n_users=4,
+                              n_items=3)
     owners = np.arange(4)
     _, tmask, rmask = users.gather(owners, exclude_partner=np.array(excluded))
     for o in owners:
@@ -389,7 +402,7 @@ def test_build_profiles_rejects_degenerate_shapes():
 def test_exclude_target_removes_exactly_the_scored_pair():
     inters = [Interaction(1, i, 3.0, np.array([i + 2], dtype=np.int32))
               for i in (1, 2, 3)]
-    users, _ = build_profiles(inters, 3, 3, 2, 4)
+    users, _ = build_profiles(interactions_of(inters), 3, 3, 2, 4)
     toks, tmask, rmask = users.gather(np.array([1]), exclude_partner=np.array([2]))
     assert rmask[0].tolist() == [True, False, True]
     # the excluded review keeps its words: exclusion is a review-level choice
@@ -397,6 +410,57 @@ def test_exclude_target_removes_exactly_the_scored_pair():
     # without exclusion all three rows stay
     _, tmask_all, rmask_all = users.gather(np.array([1]))
     assert rmask_all[0].all() and np.array_equal(tmask_all, tmask)
+
+
+@given(reviews=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, 9),
+                                  st.integers(0, 2)), max_size=30),
+       review_len=st.integers(1, 6), num_reviews=st.integers(1, 4))
+# owner 1 has more reviews than num_reviews, owners 0 and 4 none; a review of
+# no tokens, one longer than review_len and one outside train
+@example(reviews=[(1, 1, 9, 0)] * 5 + [(2, 1, 0, 0), (3, 2, 2, 0), (3, 3, 7, 1)],
+         review_len=4, num_reviews=3)
+@example(reviews=[(1, 1, 3, 1), (2, 2, 2, 2)], review_len=2, num_reviews=1)  # empty train
+@settings(max_examples=200, deadline=None)
+def test_build_profiles_equals_the_per_record_loop(reviews, review_len, num_reviews):
+    """The column fill gives the bytes of tests/prepare_oracle.py's loop over
+    the train part's records, whose tokens differ from record to record."""
+    records = [Interaction(u, i, 3.0, (np.arange(length, dtype=np.int32) + k) % 50 + 2)
+               for k, (u, i, length, _) in enumerate(reviews)]
+    train = DatasetSplit(interactions_of(records), [p for *_, p in reviews]).train
+    got = build_profiles(train, review_len, num_reviews, n_users=5, n_items=4)
+    want = prepare_oracle.build_profiles(list(train), review_len, num_reviews, 5, 4)
+    for g, w in zip(got, want, strict=True):
+        assert g.tokens.dtype == w.tokens.dtype and g.tokens.shape == w.tokens.shape
+        assert g.tokens.tobytes() == w.tokens.tobytes()
+        assert g.partner.tobytes() == w.partner.tobytes()
+
+
+@given(n=st.integers(0, 12), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_interactions_index_like_the_record_list(n, data):
+    """An int index, a slice, an index array and iteration give the records
+    of the list the columns were built from; the token buffer stays read-only."""
+    records = _records(n)
+    inters = interactions_of(records)
+    assert len(inters) == n
+    assert _same_records(inters, records)
+    for k in range(-n, n):
+        got = inters[k]
+        assert (type(got.user), type(got.item), type(got.rating)) == (int, int, float)
+        assert _same_records([got], [records[k]]) and got.tokens.dtype == np.int32
+    with pytest.raises(IndexError):
+        inters[n]
+    lo, hi, step = (data.draw(st.integers(-n - 1, n + 1)) for _ in range(3))
+    step = step or 1
+    assert _same_records(inters[lo:hi:step], records[lo:hi:step])
+    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n) if n else st.just([]))
+    picked = inters[np.array(idx, dtype=np.int64)]
+    assert isinstance(picked, Interactions) and picked.tokens is inters.tokens
+    assert _same_records(picked, [records[i] for i in idx])
+    assert not inters.tokens.flags.writeable
+    if n > 1:
+        with pytest.raises(ValueError):
+            inters[1].tokens[...] = 3
 
 
 # sha256 of each file save_prepared writes for the tiny_dataset corpus
@@ -775,6 +839,7 @@ def _stored_datasets(draw):
                                                  max_size=review_len)), dtype=np.int32))
               for _ in range(n)]
     part = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="parts")
+    inters = interactions_of(inters)
     return PreparedDataset(vocab, inters, DatasetSplit(inters, part),
                            [UNK_TOKEN, *(f"u{k}" for k in range(1, n_users))],
                            [UNK_TOKEN, *(f"i{k}" for k in range(1, n_items))], review_len)
@@ -782,7 +847,8 @@ def _stored_datasets(draw):
 
 def _dataset(review_len, reviews):
     """A dataset of one user, one item and one record per review."""
-    inters = [Interaction(1, 1, 3.0, np.array(r, dtype=np.int32)) for r in reviews]
+    inters = interactions_of(Interaction(1, 1, 3.0, np.array(r, dtype=np.int32))
+                             for r in reviews)
     split = DatasetSplit(inters, [0] * len(inters))
     return PreparedDataset(Vocabulary(["a", "b"]), inters, split, [UNK_TOKEN, "u"],
                            [UNK_TOKEN, "i"], review_len)

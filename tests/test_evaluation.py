@@ -57,7 +57,9 @@ def trained_toy(tiny_dataset, tiny_stores):
 
 def test_evaluate_equals_predict_batch_on_same_chunks(tiny_dataset, tiny_stores):
     params = trained_toy(tiny_dataset, tiny_stores)
-    split = tiny_dataset.split.train * 3  # 144 pairs: two full chunks and a partial one
+    train = tiny_dataset.split.train
+    # 144 pairs: two full chunks and a partial one
+    split = train[np.tile(np.arange(len(train)), 3)]
     assert len(split) > 2 * _EVAL_CHUNK
     score = evaluate(params, split, tiny_stores, M.AblationSpec(), exclude_target=True)
     preds = []
@@ -109,11 +111,12 @@ def test_uniform_word_ablation_is_user_independent(tiny_dataset, tiny_stores):
 def test_personalized_weights_do_depend_on_user(tiny_dataset, tiny_stores):
     """The same review text read by two different users gets different word
     weights once queries are personalized."""
+    from conftest import interactions_of
     from nrpa.data import Interaction, build_profiles
     params = trained_toy(tiny_dataset, tiny_stores)
     toks = np.array([2, 3, 4, 5, 6, 7], dtype=np.int32)
-    shared, _ = build_profiles([Interaction(owner, 1, 3.0, toks) for owner in (1, 2)],
-                               12, 2, 3, 2)
+    shared, _ = build_profiles(interactions_of(Interaction(owner, 1, 3.0, toks)
+                                               for owner in (1, 2)), 12, 2, 3, 2)
     alphas = M.encode_side_batch(params, "user", shared, np.array([1, 2])).alpha
     assert not np.array_equal(alphas[0], alphas[1])
 

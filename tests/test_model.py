@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nrpa import model as M
 from nrpa.data import PAD_ID, Interaction, build_profiles
 from nrpa.evaluation import ABLATION_VARIANTS
-from conftest import TOY_DIMS, toy_batch, toy_stores
+from conftest import TOY_DIMS, interactions_of, toy_batch, toy_stores
 from gradcheck import grad_check
 
 
@@ -705,8 +705,9 @@ def test_personalization_is_expressible():
     params.user.word_attn = np.array([[5.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
 
     # the same review text for both users
-    store, _ = build_profiles([Interaction(owner, 1, 3.0, np.array([2, 3, 4, 5, 6]))
-                               for owner in (1, 2)], 5, 2, 3, 2)
+    text = np.array([2, 3, 4, 5, 6])
+    store, _ = build_profiles(interactions_of(Interaction(owner, 1, 3.0, text)
+                                              for owner in (1, 2)), 5, 2, 3, 2)
     alpha = user_cache(params, [1, 2], store).alpha
     assert not np.allclose(alpha[0, 0], alpha[1, 0])
 

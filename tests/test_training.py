@@ -15,7 +15,7 @@ from nrpa import model as M
 from nrpa import training as T
 from nrpa.data import PAD_ID, Interaction
 from nrpa.evaluation import ABLATION_VARIANTS, evaluate
-from conftest import TOY_DIMS, toy_batch, toy_stores
+from conftest import TOY_DIMS, forbid_records, toy_batch, toy_stores
 from gradcheck import grad_check, loss
 
 
@@ -342,6 +342,18 @@ def test_train_diverges_cleanly(tiny_dataset, tiny_stores):
     with np.errstate(all="ignore"):
         with pytest.raises(FloatingPointError, match="^training diverged at epoch 1, batch "):
             T.train(cfg, tiny_dataset, tiny_stores)
+
+
+def test_train_and_evaluate_build_no_record(tiny_dataset, tiny_stores, monkeypatch):
+    """One epoch of train() and an evaluate over a split take every batch as
+    columns, to the same bits as with records allowed."""
+    cfg = small_config(max_epochs=1)
+    want, want_history = T.train(cfg, tiny_dataset, tiny_stores)
+    want_mse = evaluate(want, tiny_dataset.split.test, tiny_stores)
+    forbid_records(monkeypatch)
+    got, history = T.train(cfg, tiny_dataset, tiny_stores)
+    assert got.flat.tobytes() == want.flat.tobytes() and history == want_history
+    assert evaluate(got, tiny_dataset.split.test, tiny_stores) == want_mse
 
 
 def test_train_holds_five_parameter_sized_buffers(tiny_dataset, tiny_stores):
