@@ -102,6 +102,27 @@ def param_count(dims: Dims) -> int:
     return sum(math.prod(shape) for _, shape in param_layout(dims))
 
 
+def _bind_views(owner, layout, flat: np.ndarray) -> dict:
+    """Views of flat, one per (name, shape) of layout in order, set on owner:
+    a top-level name as an attribute, a dotted one as a field of its group.
+    Returns them by name."""
+    views, groups = {}, {}
+    offset = 0
+    for name, shape in layout:
+        n = math.prod(shape)
+        view = flat[offset:offset + n].reshape(shape)
+        offset += n
+        views[name] = view
+        group, _, field = name.rpartition(".")
+        if group:
+            groups.setdefault(group, {})[field] = view
+        else:
+            setattr(owner, field, view)
+    for group, fields in groups.items():
+        setattr(owner, group, SimpleNamespace(**fields))
+    return views
+
+
 class ModelParams:
     """All parameters in one contiguous float64 buffer, `flat`, laid out by
     param_layout(dims). Each layout name is a view into it: a top-level name
@@ -122,21 +143,7 @@ class ModelParams:
         self.dims = dims
         self.flat = flat
         self.conv_activation = conv_activation
-        self._views = {}
-        groups = {}
-        offset = 0
-        for name, shape in param_layout(dims):
-            n = math.prod(shape)
-            view = flat[offset:offset + n].reshape(shape)
-            offset += n
-            self._views[name] = view
-            group, _, field = name.rpartition(".")
-            if group:
-                groups.setdefault(group, {})[field] = view
-            else:
-                setattr(self, field, view)
-        for group, fields in groups.items():
-            setattr(self, group, SimpleNamespace(**fields))
+        self._views = _bind_views(self, param_layout(dims), flat)
 
     def tensors(self):
         """(name, view) pairs in layout order."""
@@ -145,9 +152,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.dims, self.flat.copy(), self.conv_activation)
 
-    def zeros_like(self) -> "ModelParams":
-        return ModelParams(self.dims, np.zeros(self.flat.size), self.conv_activation)
-
     def assert_finite(self):
         """Raises FloatingPointError naming the first non-finite parameter tensor."""
         if np.isfinite(self.flat).all():
@@ -155,6 +159,29 @@ class ModelParams:
         for name, arr in self.tensors():
             if not np.isfinite(arr).all():
                 raise FloatingPointError(f"non-finite values in parameter {name}")
+
+
+class Gradients:
+    """The gradient of a loss w.r.t. a ModelParams, as backward_batch adds it.
+
+    word_emb, first in param_layout and nearly every parameter, has as its
+    gradient 2 l2_weight word_emb plus the rows a batch reads: word_rows
+    holds one (ids, rows) piece per side, user first, rows[j] the gradient
+    of row ids[j], ids sorted and distinct. Every other tensor is a view,
+    named as in ModelParams (grads.fm.bias), into one dense buffer `flat`
+    laid out like ModelParams.flat after word_emb.
+    """
+
+    def __init__(self, dims: Dims, l2_weight: float = 0.0):
+        layout = list(param_layout(dims))[1:]  # all but word_emb
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self._views = _bind_views(self, layout, self.flat)
+        self.word_rows = []
+        self.l2_weight = l2_weight
+
+    def tensors(self):
+        """(name, view) pairs of the dense tensors, in layout order."""
+        return iter(self._views.items())
 
 
 # the ways an attention site can pool, by their config and CLI names
@@ -309,10 +336,11 @@ def _stacked_filters(conv_w: np.ndarray, word_dim: int) -> np.ndarray:
 
 def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: str):
     """Same-padded convolution of (R, T) token rows, time-major; returns
-    (features (R, T, K), ids, pos).
+    (features (R, T, K), ids, emb, pos).
 
     The convolution is linear in the embeddings, so each distinct token,
-    ids (sorted), is projected through every filter tap once. pos (R,
+    ids (sorted), is projected through every filter tap once from its
+    embedding row, emb = word_emb[ids], which backward reads again. pos (R,
     T + window - 1) holds, at every zero-padded position, the projection row
     it reads: the token's index in ids, or len(ids), a zero row, at the
     edges and at PAD tokens. conv_b is added to tap 0's rows, the zero row's
@@ -326,8 +354,9 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
     half = (window - 1) // 2
 
     ids, inv = np.unique(tokens, return_inverse=True)
+    emb = word_emb[ids]
     proj = np.zeros((ids.size + 1, window, k))
-    np.matmul(word_emb[ids], _stacked_filters(conv_w, word_dim),
+    np.matmul(emb, _stacked_filters(conv_w, word_dim),
               out=proj[:-1].reshape(ids.size, window * k))
     pos = np.full((r, t + 2 * half), ids.size)
     pos[:, half:half + t] = np.where(tokens == PAD_ID, ids.size, inv.reshape(r, t))
@@ -340,17 +369,17 @@ def conv(tokens: np.ndarray, conv_w, conv_b, word_emb: np.ndarray, activation: s
         np.maximum(features, 0.0, out=features)
     else:
         np.tanh(features, out=features)
-    return features, ids, pos
+    return features, ids, emb, pos
 
 
 def conv_backward(d_features: np.ndarray, features: np.ndarray, ids: np.ndarray,
-                  pos: np.ndarray, conv_w, word_emb: np.ndarray, activation: str,
-                  g_conv_w, g_conv_b, g_word_emb):
+                  emb: np.ndarray, pos: np.ndarray, conv_w, activation: str,
+                  g_conv_w, g_conv_b):
     """Adds conv()'s gradients given d loss / d features (R, T, K), which it
-    overwrites, into g_conv_w, g_conv_b and the ids rows of g_word_emb.
-    The ReLU subgradient at 0 is 0."""
+    overwrites, into g_conv_w and g_conv_b; returns (ids, rows), rows[j]
+    the gradient of word_emb row ids[j]. The ReLU subgradient at 0 is 0."""
     r, t, k = features.shape
-    word_dim = word_emb.shape[1]
+    word_dim = emb.shape[1]
     window = conv_w.shape[1] // word_dim
     d_pre = d_features
     if activation == "relu":
@@ -371,10 +400,9 @@ def conv_backward(d_features: np.ndarray, features: np.ndarray, ids: np.ndarray,
     g_conv_b += d_proj[:, 0].sum(axis=0)
     d_proj = d_proj[:-1].reshape(ids.size, window * k)
 
-    emb = word_emb[ids]
     g_conv_w += (emb.T @ d_proj).reshape(word_dim, window, k) \
         .transpose(2, 1, 0).reshape(k, window * word_dim)
-    g_word_emb[ids] += d_proj @ _stacked_filters(conv_w, word_dim).T  # ids are distinct
+    return ids, d_proj @ _stacked_filters(conv_w, word_dim).T
 
 
 @dataclass
@@ -388,6 +416,7 @@ class SideCache:
     uid: np.ndarray          # (U, id_dim)
     features: np.ndarray     # (U*N, T, K) conv features, review u*N + j
     ids: np.ndarray          # the batch's distinct tokens, as conv() returns them
+    emb: np.ndarray          # (len(ids), word_dim) their embedding rows, conv()'s gather
     pos: np.ndarray          # (U*N, T + window - 1) projection rows, as conv() returns them
     pre_qw: np.ndarray       # (U, attn_dim) or None when word level is uniform
     a_q: np.ndarray          # (U, K) pairing-transformed word query, or None
@@ -425,8 +454,8 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
     if not ablation.uniform(side_name, "word"):
         pre_qw, a_q = query(uid, side.word_query_w, side.word_query_b, side.word_attn)
         a_q_rep = np.repeat(a_q, n, axis=0)  # (U*N, K)
-    features, ids, pos = conv(tokens.reshape(u * n, t), side.conv_w, side.conv_b,
-                              params.word_emb, params.conv_activation)
+    features, ids, emb, pos = conv(tokens.reshape(u * n, t), side.conv_w, side.conv_b,
+                                   params.word_emb, params.conv_activation)
     alpha, d_vecs = attention_pool(features, a_q_rep, token_mask.reshape(u * n, t))
 
     pre_qr = a_r = None
@@ -436,7 +465,7 @@ def encode_side_batch(params: ModelParams, side_name: str, store, owners: np.nda
     d_vecs = d_vecs.reshape(u, n, -1)[inverse]                       # (B, N, K)
     beta, pooled = attention_pool(d_vecs, a_r, store.review_mask(owners, exclude_partner))
 
-    return SideCache(distinct, inverse, uid, features, ids, pos, pre_qw, a_q,
+    return SideCache(distinct, inverse, uid, features, ids, emb, pos, pre_qw, a_q,
                      alpha.reshape(u, n, t), d_vecs, pre_qr, a_r, beta, pooled)
 
 
@@ -450,12 +479,12 @@ def _owner_sum(pair_rows: np.ndarray, inverse: np.ndarray, n_owners: int) -> np.
 
 
 def encode_side_backward(params: ModelParams, side_name: str, cache: SideCache,
-                         d_pooled: np.ndarray, grads: ModelParams):
+                         d_pooled: np.ndarray, grads: Gradients):
     """Adds one side's gradients given d loss / d pooled (B, K) into grads:
-    its tower, its owners' id embedding rows and its tokens' word embedding
-    rows. encode_side_batch's stages in reverse: the pair stage's gradients
-    are summed over each owner's pairs, then the owner stage runs once per
-    distinct owner."""
+    its tower, its owners' id embedding rows, and its tokens' word embedding
+    rows as a piece of grads.word_rows. encode_side_batch's stages in
+    reverse: the pair stage's gradients are summed over each owner's pairs,
+    then the owner stage runs once per distinct owner."""
     side, g_side = getattr(params, side_name), getattr(grads, side_name)
     u, n, t = cache.owner_alpha.shape
     k = d_pooled.shape[1]
@@ -473,9 +502,9 @@ def encode_side_backward(params: ModelParams, side_name: str, cache: SideCache,
     d_features, da_q = attention_pool_backward(cache.features, a_q_rep,
                                                cache.owner_alpha.reshape(u * n, t),
                                                d_d.reshape(u * n, k))
-    conv_backward(d_features, cache.features, cache.ids, cache.pos, side.conv_w,
-                  params.word_emb, params.conv_activation, g_side.conv_w, g_side.conv_b,
-                  grads.word_emb)
+    grads.word_rows.append(conv_backward(d_features, cache.features, cache.ids, cache.emb,
+                                         cache.pos, side.conv_w, params.conv_activation,
+                                         g_side.conv_w, g_side.conv_b))
     if da_q is not None:
         duid += query_backward(cache.uid, cache.pre_qw, da_q.reshape(u, n, k).sum(axis=1),
                                side.word_query_w, side.word_attn, g_side.word_query_w,
@@ -526,7 +555,7 @@ def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray
 
 
 def backward_batch(params: ModelParams, u_cache: SideCache, i_cache: SideCache,
-                   d_pred: np.ndarray, grads: ModelParams):
+                   d_pred: np.ndarray, grads: Gradients):
     """Adds every parameter's gradient given d loss / d predictions (B,) of the
     predict_batch call that returned the caches into grads; predict_batch's
     stages in reverse."""

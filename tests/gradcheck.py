@@ -1,6 +1,7 @@
 """The finite-difference gradient contract the test suite checks the
-hand-derived backward pass against: grad_check, and loss, the objective it
-differentiates numerically."""
+hand-derived backward pass against: grad_check, loss, the objective it
+differentiates numerically, and dense_gradient, backward's gradient as one
+buffer laid out like the parameters."""
 
 from typing import Callable
 
@@ -15,13 +16,27 @@ def loss(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
          ablation: M.AblationSpec = M.FULL_ATTENTION,
          exclude_target: bool = False) -> float:
     """Mean squared residual over the batch plus the L2 penalty, taken by
-    backward's own L2 walk, whose gradient goes to a scratch buffer."""
+    backward's own L2 walk."""
     users, items, ratings = batch_arrays(batch)
     user_store, item_store = stores
     preds, _, _ = M.predict_batch(params, user_store, item_store, users, items,
                                   exclude_target, ablation)
     res = preds - ratings
-    return float(np.mean(res * res)) + T._dense_pass(params, l2_weight, params.zeros_like())
+    return float(np.mean(res * res)) + T._l2_value(params, l2_weight)
+
+
+def dense_gradient(params: M.ModelParams, grads: M.Gradients) -> M.ModelParams:
+    """grads as one buffer laid out like params: word_emb's rows scattered
+    onto zeros piece by piece, then plus 2 l2_weight word_emb, in
+    adam_step's order, so word_emb's part is the gradient it consumes bit
+    for bit; every other tensor copied."""
+    dense = M.ModelParams(params.dims, np.zeros(params.flat.size), params.conv_activation)
+    for ids, rows in grads.word_rows:
+        dense.word_emb[ids] += rows
+    if grads.l2_weight:
+        dense.word_emb += np.multiply(params.word_emb, 2.0 * grads.l2_weight)
+    dense.flat[params.word_emb.size:] = grads.flat
+    return dense
 
 
 def grad_check(

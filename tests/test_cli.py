@@ -315,6 +315,31 @@ def test_train_nan_names_epoch_batch_and_tensor(workspace, tmp_path, capsys,
     assert "parameter item.review_attn" in err
 
 
+def test_train_nan_word_gradient_row_names_epoch_and_batch(workspace, tmp_path, capsys,
+                                                           monkeypatch):
+    """A NaN in a word_emb gradient row of batch 1 stops train with exit 3
+    at that batch, named after the gradient, and saves nothing."""
+    from nrpa import training
+    real_backward = training.backward
+    calls = []
+
+    def poisoned_backward(*args, **kwargs):
+        value, grads = real_backward(*args, **kwargs)
+        calls.append(value)
+        if len(calls) == 2:
+            grads.word_rows[0][1][0, 0] = np.nan
+        return value, grads
+
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    out = tmp_path / "o"
+    code = main(["train", "--data", str(workspace["data"]), "--config",
+                 str(workspace["config"]), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "epoch 1, batch 1: non-finite values in gradient word_emb" in err
+    assert not (out / "checkpoint.nrpa").exists()
+
+
 def test_train_nan_read_first_by_validation_names_it_and_saves_nothing(
         workspace, tmp_path, capsys, monkeypatch):
     """A NaN written by the last Adam step of the run is first read by the
@@ -633,7 +658,7 @@ def test_checkpoint_huge_num_reviews_exits_2_before_allocating(workspace, tmp_pa
 
 def test_train_checks_every_training_buffer_against_memory(workspace, tmp_path,
                                                            capsys, monkeypatch):
-    """With physical memory between one and five parameter buffers, train
+    """With physical memory between one and four parameter buffers, train
     exits 2 before allocating, while eval still loads a checkpoint of the
     same dims."""
     ds = load_prepared(workspace["data"])
@@ -648,7 +673,7 @@ def test_train_checks_every_training_buffer_against_memory(workspace, tmp_path,
     assert main(["train", "--data", str(workspace["data"]), "--config",
                  str(workspace["config"]), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    key = re.search(r": (\w+) = (\d+) makes the 5 parameter-sized training buffers", err)
+    key = re.search(r": (\w+) = (\d+) makes the 4 parameter-sized training buffers", err)
     assert key and key[1] in Dims.__dataclass_fields__ and "physical memory" in err
     assert int(key[2]) == getattr(dims, key[1])
     assert not (tmp_path / "o").exists()

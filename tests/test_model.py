@@ -123,14 +123,27 @@ def test_attributes_expose_exactly_the_layout_names(toy_params):
         assert view is views[name] and view.base is toy_params.flat, name
 
 
-def test_copy_and_zeros_like_share_no_memory(toy_params):
-    for other in (toy_params.copy(), toy_params.zeros_like()):
-        assert not np.shares_memory(other.flat, toy_params.flat)
-        for (name, a), (_, b) in zip(other.tensors(), toy_params.tensors()):
-            assert not np.shares_memory(a, b), name
-            assert not np.shares_memory(a, toy_params.flat), name
-    assert np.array_equal(toy_params.copy().flat, toy_params.flat)
-    assert not toy_params.zeros_like().flat.any()
+def test_copy_shares_no_memory(toy_params):
+    other = toy_params.copy()
+    assert not np.shares_memory(other.flat, toy_params.flat)
+    for (name, a), (_, b) in zip(other.tensors(), toy_params.tensors()):
+        assert not np.shares_memory(a, b), name
+        assert not np.shares_memory(a, toy_params.flat), name
+    assert np.array_equal(other.flat, toy_params.flat)
+
+
+def test_gradients_name_every_tensor_after_word_emb_in_one_buffer():
+    """Gradients lays out every tensor but word_emb like ModelParams.flat
+    after word_emb, with the same names, and starts at zero with no rows."""
+    grads = M.Gradients(TOY_DIMS, 1e-3)
+    layout = list(M.param_layout(TOY_DIMS))
+    assert layout[0][0] == "word_emb"
+    assert [(name, view.shape) for name, view in grads.tensors()] == layout[1:]
+    assert grads.flat.size == M.param_count(TOY_DIMS) - TOY_DIMS.vocab_size * TOY_DIMS.word_dim
+    for name, view in grads.tensors():
+        assert view.base is grads.flat, name
+    assert grads.fm.bias is dict(grads.tensors())["fm.bias"]
+    assert not grads.flat.any() and grads.word_rows == [] and grads.l2_weight == 1e-3
 
 
 def test_params_reject_wrong_buffer():
@@ -162,16 +175,15 @@ def conv_columns(m, filters, biases):
     and none is PAD (row 0, zero)."""
     tokens = np.arange(1, m.shape[1] + 1)[None]
     word_emb = np.vstack([np.zeros(m.shape[0]), m.T])
-    features, _, _ = M.conv(tokens, filters, biases, word_emb, "relu")
-    return features[0]
+    return M.conv(tokens, filters, biases, word_emb, "relu")[0][0]
 
 
 def embedded(tokens, word_emb):
     """The embeddings the convolution reads, read back through it: window 1
     with filters [I; -I] gives relu(x) - relu(-x), which is x exactly."""
     eye = np.eye(word_emb.shape[1])
-    features, _, _ = M.conv(np.asarray([tokens], dtype=np.int32), np.vstack([eye, -eye]),
-                            np.zeros(2 * len(eye)), word_emb, "relu")
+    features = M.conv(np.asarray([tokens], dtype=np.int32), np.vstack([eye, -eye]),
+                      np.zeros(2 * len(eye)), word_emb, "relu")[0]
     return features[0, :, :len(eye)] - features[0, :, len(eye):]
 
 
@@ -234,8 +246,8 @@ def test_conv_window3_locality():
 
 def pre_activation(tokens, conv_w, conv_b, word_emb):
     """conv's features before the activation: relu(p) - relu(-p) is p exactly."""
-    pos, _, _ = M.conv(tokens, conv_w, conv_b, word_emb, "relu")
-    neg, _, _ = M.conv(tokens, -conv_w, -conv_b, word_emb, "relu")
+    pos = M.conv(tokens, conv_w, conv_b, word_emb, "relu")[0]
+    neg = M.conv(tokens, -conv_w, -conv_b, word_emb, "relu")[0]
     return pos - neg
 
 
@@ -254,9 +266,13 @@ def test_conv_backward_matches_finite_differences(activation, window):
         if np.abs(pre_activation(tokens, conv_w, conv_b, word_emb)).min() > 0.05:
             break
     g = rng.normal(size=(r, t, k))
-    features, ids, pos = M.conv(tokens, conv_w, conv_b, word_emb, activation)
+    features, ids, emb, pos = M.conv(tokens, conv_w, conv_b, word_emb, activation)
+    assert np.array_equal(emb, word_emb[ids])
     grads = [np.zeros_like(conv_w), np.zeros_like(conv_b), np.zeros_like(word_emb)]
-    M.conv_backward(g.copy(), features, ids, pos, conv_w, word_emb, activation, *grads)
+    row_ids, rows = M.conv_backward(g.copy(), features, ids, emb, pos, conv_w, activation,
+                                    *grads[:2])
+    assert row_ids is ids
+    grads[2][ids] = rows
 
     args = [conv_w, conv_b, word_emb]
     for i, analytic in enumerate(grads):
@@ -282,7 +298,7 @@ def test_conv_sums_each_position_in_offset_order(activation, window):
     conv_w = rng.normal(size=(k, window * word_dim))
     conv_b = rng.normal(size=k)
     word_emb = rng.normal(size=(vocab, word_dim))  # a PAD row that is not zero
-    features, ids, _ = M.conv(tokens, conv_w, conv_b, word_emb, activation)
+    features, ids, _, _ = M.conv(tokens, conv_w, conv_b, word_emb, activation)
 
     proj = (word_emb[ids] @ M._stacked_filters(conv_w, word_dim)).reshape(ids.size, window, k)
     half = (window - 1) // 2

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nrpa
 from nrpa import BLAS_THREAD_VARS
@@ -16,7 +19,7 @@ from nrpa import training as T
 from nrpa.data import PAD_ID, Interaction
 from nrpa.evaluation import ABLATION_VARIANTS, evaluate
 from conftest import TOY_DIMS, forbid_records, toy_batch, toy_stores
-from gradcheck import grad_check, loss
+from gradcheck import dense_gradient, grad_check, loss
 
 
 def test_loss_zero_on_perfect_predictions(toy_params):
@@ -32,7 +35,8 @@ def test_loss_zero_on_perfect_predictions(toy_params):
 def test_loss_constant_predictor_arithmetic(toy_params):
     """Zeroing all params except the FM bias makes the model the constant c;
     on ratings {1, 5} the loss is ((c-1)^2 + (c-5)^2) / 2."""
-    params = toy_params.zeros_like()
+    params = toy_params.copy()
+    params.flat[:] = 0.0
     params.fm.bias[...] = 2.0
     stores = toy_stores()
     batch = [Interaction(1, 1, 1.0, None), Interaction(2, 2, 5.0, None)]
@@ -82,7 +86,8 @@ def test_backward_zero_residual_means_zero_bias_gradient(toy_params):
 
 def test_backward_untouched_embedding_rows_get_zero_gradient(toy_params):
     stores = toy_stores()
-    _, grads = T.backward(toy_batch(), toy_params, stores, l2_weight=0.0)
+    grads = dense_gradient(toy_params,
+                           T.backward(toy_batch(), toy_params, stores, l2_weight=0.0)[1])
     used = set(stores[0].tokens[stores[0].tokens != PAD_ID].tolist())
     # tokens feed conv windows, so neighbours of used positions matter too;
     # token 19 appears nowhere in the toy profiles
@@ -96,7 +101,8 @@ def grad_check_all_tensors(params, batch, stores, l2, ablation=M.FULL_ATTENTION,
                            eps=1e-5, exclude_target=False):
     """Finite-difference sweep over every coordinate, the PAD embedding row's
     included."""
-    _, grads = T.backward(batch, params, stores, l2, ablation, exclude_target)
+    grads = dense_gradient(params, T.backward(batch, params, stores, l2, ablation,
+                                              exclude_target)[1])
     worst = {}
     for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
         def f(flat, name=name, shape=p.shape):
@@ -155,18 +161,18 @@ def test_l2_walk_in_blocks_splitting_tensors_is_bit_identical(toy_params,
     _, plain = T.backward(batch, toy_params, stores, 0.0, ablation)
     value, grads = T.backward(batch, toy_params, stores, l2, ablation)
     assert value == loss(batch, toy_params, stores, l2, ablation)
-    expect = plain.copy()
+    expect = dense_gradient(toy_params, plain)
     tensors, expected = dict(toy_params.tensors()), dict(expect.tensors())
     for name in L2_TENSORS:
         expected[name] += 2.0 * l2 * tensors[name]
-    assert np.array_equal(grads.flat, expect.flat)
+    assert np.array_equal(dense_gradient(toy_params, grads).flat, expect.flat)
 
 
-@pytest.mark.parametrize("name", ["item.review_attn", "user.conv_b", "word_emb"])
+@pytest.mark.parametrize("name", ["item.review_attn", "user.conv_b"])
 def test_backward_names_a_non_finite_gradient_tensor(toy_params, monkeypatch, name):
-    """Two tensors under L2 and one outside it. With blocks of 7 the NaN in
-    the last element of item.review_attn or word_emb sits in a later block
-    of its tensor, and is still named after that tensor."""
+    """One tensor under L2 and one outside it. With blocks of 7 the NaN in
+    the last element of item.review_attn sits in a later block of its
+    tensor, and is still named after that tensor."""
     real = M.backward_batch
 
     def poisoned(params, u_cache, i_cache, d_pred, grads):
@@ -184,7 +190,7 @@ def test_backward_names_a_non_finite_gradient_tensor(toy_params, monkeypatch, na
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradients_leave_params_unchanged(toy_params):
-    grads = toy_params.zeros_like()
+    grads = M.Gradients(TOY_DIMS)
     state = T.AdamState.for_params(toy_params)
     before = {n: t.copy() for n, t in toy_params.tensors()}
     T.adam_step(toy_params, grads, state, lr=0.1)
@@ -193,7 +199,7 @@ def test_adam_zero_gradients_leave_params_unchanged(toy_params):
 
 
 def test_adam_first_step_moves_against_gradient_sign(toy_params):
-    grads = toy_params.zeros_like()
+    grads = M.Gradients(TOY_DIMS)
     grads.fm.linear[...] = np.where(np.arange(12) % 2, 0.5, -2.0)
     state = T.AdamState.for_params(toy_params)
     before = toy_params.fm.linear.copy()
@@ -206,7 +212,7 @@ def test_adam_first_step_moves_against_gradient_sign(toy_params):
 def test_adam_overflow_raises_floating_point_error(toy_params):
     """A gradient whose square passes the float range is a divergence, not a
     RuntimeWarning."""
-    grads = toy_params.zeros_like()
+    grads = M.Gradients(TOY_DIMS)
     grads.fm.linear[0] = 1e200
     with pytest.raises(FloatingPointError, match="overflow"):
         T.adam_step(toy_params, grads, T.AdamState.for_params(toy_params), lr=1e-3)
@@ -231,34 +237,108 @@ def test_adam_matches_scalar_reference_for_five_steps(toy_params):
     g_seq = [0.3, -1.2, 0.7, 0.05, -0.4]
     seen = []
     for g in g_seq:
-        grads = params.zeros_like()
+        grads = M.Gradients(params.dims)
         grads.fm.bias[...] = g
         T.adam_step(params, grads, state, lr=0.01)
         seen.append(float(params.fm.bias))
     assert np.allclose(seen, scalar_adam(g_seq, lr=0.01), atol=1e-15)
 
 
+def efficient_adam(p, m, v, g, t, lr):
+    """Kingma & Ba's efficient form of one Adam step on whole arrays, the
+    expressions adam_step evaluates block by block; returns (p, m, v)."""
+    b1, b2 = T.ADAM_BETA1, T.ADAM_BETA2
+    root2 = math.sqrt(1.0 - b2 ** t)
+    alpha = lr * root2 / (1.0 - b1 ** t)
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    return p - alpha * (m / (np.sqrt(v) + T.ADAM_EPS * root2)), m, v
+
+
 @pytest.mark.parametrize("block", [7, 1 << 16])
 def test_adam_pass_is_bit_identical_to_the_expressions(toy_params, monkeypatch, block):
     """Blocks that split tensors, and one block over the whole buffer, give
-    exactly the textbook Adam expressions evaluated on whole arrays."""
+    exactly the efficient-form Adam expressions evaluated on whole arrays,
+    for a gradient with every word_emb row touched."""
     monkeypatch.setattr(T, "_ADAM_BLOCK", block)
     rng = np.random.default_rng(3)
     params, ref_p = toy_params, toy_params.flat.copy()
     ref_m, ref_v = np.zeros_like(ref_p), np.zeros_like(ref_p)
     state = T.AdamState.for_params(params)
-    b1, b2 = T.ADAM_BETA1, T.ADAM_BETA2
     for t in range(1, 4):
-        grads = params.zeros_like()
+        grads = M.Gradients(TOY_DIMS)
+        grads.word_rows.append((np.arange(TOY_DIMS.vocab_size),
+                                rng.normal(size=params.word_emb.shape)))
         grads.flat[:] = rng.normal(size=grads.flat.size)
         T.adam_step(params, grads, state, lr=0.01)
-        g = grads.flat
-        ref_m = b1 * ref_m + (1.0 - b1) * g
-        ref_v = b2 * ref_v + (1.0 - b2) * (g * g)
-        ref_p -= 0.01 * (ref_m / (1.0 - b1 ** t)) / (np.sqrt(ref_v / (1.0 - b2 ** t))
-                                                      + T.ADAM_EPS)
+        g = dense_gradient(params, grads).flat
+        ref_p, ref_m, ref_v = efficient_adam(ref_p, ref_m, ref_v, g, t, 0.01)
         assert np.array_equal(params.flat, ref_p)
         assert np.array_equal(state.m, ref_m) and np.array_equal(state.v, ref_v)
+
+
+def touched_rows(vocab: int):
+    """Sorted distinct word_emb rows, PAD and row vocab - 1 among the choices."""
+    return st.lists(st.integers(0, vocab - 1), unique=True, max_size=vocab).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.sampled_from([7, TOY_DIMS.word_dim - 1, TOY_DIMS.word_dim + 1, 1 << 16]),
+       user_ids=touched_rows(TOY_DIMS.vocab_size),
+       item_ids=touched_rows(TOY_DIMS.vocab_size),
+       l2_weight=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2 ** 32 - 1))
+@example(block=7, user_ids=[], item_ids=[], l2_weight=1e-3, seed=0)
+@example(block=7, user_ids=[PAD_ID, 1, TOY_DIMS.vocab_size - 1],
+         item_ids=[1, 2, TOY_DIMS.vocab_size - 1], l2_weight=0.0, seed=1)
+@example(block=TOY_DIMS.word_dim + 1, user_ids=[1], item_ids=[], l2_weight=1e-3, seed=2)
+def test_adam_word_walk_is_the_dense_gradient_then_the_expressions(block, user_ids, item_ids,
+                                                                    l2_weight, seed):
+    """adam_step's one walk over word_emb, bit for bit: the dense gradient
+    (zeros, the user rows, the item rows, then 2 l2_weight p) followed by
+    the efficient-form expressions on whole arrays. At word_dim 5, blocks
+    of 4, 6 and 7 cut rows at their edges; the row sets include none, PAD
+    and the last row."""
+    rng = np.random.default_rng(seed)
+    params = M.init_params(TOY_DIMS, seed=7)
+    state = T.AdamState(3, rng.normal(size=params.flat.size),
+                        rng.random(params.flat.size))
+    grads = M.Gradients(TOY_DIMS, l2_weight)
+    for ids in (user_ids, item_ids):
+        grads.word_rows.append((np.array(ids, dtype=np.intp),
+                                rng.normal(size=(len(ids), TOY_DIMS.word_dim))))
+    grads.flat[:] = rng.normal(size=grads.flat.size)
+
+    g = np.zeros(params.word_emb.shape)
+    for ids, rows in grads.word_rows:
+        g[ids] += rows
+    if l2_weight:
+        g += params.word_emb * (2.0 * l2_weight)
+    g = np.concatenate([g.ravel(), grads.flat])
+    want = efficient_adam(params.flat, state.m, state.v, g, 4, 0.01)
+
+    T._ADAM_BLOCK, saved = block, T._ADAM_BLOCK
+    try:
+        T.adam_step(params, grads, state, lr=0.01)
+    finally:
+        T._ADAM_BLOCK = saved
+    assert state.step == 4
+    for got, ref in zip((params.flat, state.m, state.v), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_adam_names_a_non_finite_word_row_before_changing_anything(toy_params):
+    """A NaN in a word_emb gradient row raises before any byte of the
+    parameters or the moments changes."""
+    stores, batch = toy_stores(), toy_batch()
+    state = T.AdamState.for_params(toy_params)
+    T.adam_step(toy_params, T.backward(batch, toy_params, stores, 1e-3)[1], state, lr=1e-3)
+    _, grads = T.backward(batch, toy_params, stores, 1e-3)
+    grads.word_rows[1][1][-1, -1] = np.nan
+    before = [a.tobytes() for a in (toy_params.flat, state.m, state.v)]
+    with pytest.raises(FloatingPointError, match="gradient word_emb$"):
+        T.adam_step(toy_params, grads, state, lr=1e-3)
+    assert [a.tobytes() for a in (toy_params.flat, state.m, state.v)] == before
+    assert state.step == 1
 
 
 def test_pad_embedding_row_is_never_read(toy_params):
@@ -274,6 +354,7 @@ def test_pad_embedding_row_is_never_read(toy_params):
         assert np.array_equal(M.predict_batch(garbage, *stores, *pairs, exclude)[0], preds)
         value, grads = T.backward(batch, toy_params, stores, 0.0, exclude_target=exclude)
         got_value, got = T.backward(batch, garbage, stores, 0.0, exclude_target=exclude)
+        grads, got = dense_gradient(toy_params, grads), dense_gradient(garbage, got)
         assert got_value == value and np.array_equal(got.flat, grads.flat)
         assert not got.word_emb[PAD_ID].any()
 
@@ -356,10 +437,11 @@ def test_train_and_evaluate_build_no_record(tiny_dataset, tiny_stores, monkeypat
     assert evaluate(got, tiny_dataset.split.test, tiny_stores) == want_mse
 
 
-def test_train_holds_five_parameter_sized_buffers(tiny_dataset, tiny_stores):
+def test_train_holds_four_parameter_sized_buffers(tiny_dataset, tiny_stores):
     """At dims where word_emb is nearly every parameter, train's traced peak
-    stays below 5.5 parameter buffers: parameters, gradients, Adam m and v
-    and the best copy, with no whole-model temporary and no second copy."""
+    stays below 4.5 parameter buffers: parameters, Adam m and v and the best
+    copy, with no dense gradient, no whole-model temporary and no second
+    copy."""
     cfg = small_config(word_dim=16, max_epochs=3, patience=3)
     wide = SimpleNamespace(vocab=range(100_000), n_users=tiny_dataset.n_users,
                            n_items=tiny_dataset.n_items, split=tiny_dataset.split)
@@ -371,7 +453,29 @@ def test_train_holds_five_parameter_sized_buffers(tiny_dataset, tiny_stores):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * nbytes, peak / nbytes
+    assert peak < 4.5 * nbytes, peak / nbytes
+
+
+def test_training_step_allocates_no_parameter_sized_buffer(tiny_dataset, tiny_stores):
+    """At dims where word_emb is nearly every parameter, one backward and
+    adam_step peak below half a parameter buffer above what was live before
+    the step: the word_emb gradient is rows and Adam's scratch is block-sized."""
+    cfg = small_config(word_dim=16)
+    dims = cfg.dims(100_000, tiny_dataset.n_users, tiny_dataset.n_items)
+    params = M.init_params(dims, cfg.seed)
+    state = T.AdamState.for_params(params)
+    nbytes = 8 * M.param_count(dims)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        _, grads = T.backward(tiny_dataset.split.train[:cfg.batch_size], params,
+                              tiny_stores, cfg.l2_weight)
+        T.adam_step(params, grads, state, cfg.learning_rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.step == 1 and grads.word_rows
+    assert peak - live < 0.5 * nbytes, (peak - live) / nbytes
 
 
 # 4 Adam steps at full.cfg dims (review_len 60, 8 reviews) on a 3000-record
