@@ -268,10 +268,10 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     mx = neg.max(axis=-1, keepdims=True)
     # rows with no unmasked entry have mx = -inf; their total is 0
     safe_mx = np.where(np.isfinite(mx), mx, 0.0)
-    # after the shift every exponent is <= 0; the shift itself can only
-    # overflow at the float64 extremes, to -inf (numpy warns), which gives
-    # weight exactly 0
-    e = np.where(mask, np.exp(neg - safe_mx), 0.0)
+    # after the shift every exponent is <= 0, and a masked position's is
+    # -inf, so its weight is exactly 0; the shift itself can only overflow at
+    # the float64 extremes, to -inf (numpy warns), which gives weight exactly 0
+    e = np.exp(neg - safe_mx)
     total = e.sum(axis=-1, keepdims=True)
     return np.divide(e, total, out=np.zeros_like(e), where=total != 0)
 

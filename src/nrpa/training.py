@@ -8,15 +8,15 @@ nearly every parameter, but a batch reads only its distinct tokens' rows,
 so its gradient stays as those rows, one (ids, rows) piece per side; every
 other tensor has a small dense gradient, to which backward adds the L2
 gradient and whose finiteness it checks, naming the tensor. The L2 value is
-a read-only walk of the parameters.
+one read-only np.vdot per tensor.
 
-adam_step is the one walk over word_emb: for each 64k-element block it
-builds the block's gradient in a scratch row (zeros, the user rows and then
-the item rows that fall in the block, then 2 l2_weight p) and updates p and
-Adam's moments there, in Kingma & Ba's efficient form (arXiv:1412.6980,
-section 2), with one square root and one divide per element. The other
-tensors are one flat walk in the same blocks. So a training step allocates
-no parameter-sized buffer, and train() holds PARAM_BUFFERS of them for the
+adam_step is the one walk over word_emb, in blocks of whole rows: it builds
+each block's gradient in a scratch (zeros, the user rows and then the item
+rows in the block, then 2 l2_weight p) and updates p and Adam's moments
+there, in Kingma & Ba's efficient form (arXiv:1412.6980, section 2), with
+one square root and one divide per element. The other tensors are one flat
+walk in 64k-element blocks. So a training step allocates no
+parameter-sized buffer, and train() holds PARAM_BUFFERS of them for the
 whole run: the parameters, Adam's m and v, and the best parameters.
 """
 
@@ -74,15 +74,12 @@ class TrainConfig:
 
 def _l2_value(params: M.ModelParams, l2_weight: float) -> float:
     """The L2 value, l2_weight * sum(p^2) over every weight but the biases
-    (model.regularized): one np.vdot per (tensor, _ADAM_BLOCK slice) piece,
-    tensor by tensor in layout order, added in that order."""
+    (model.regularized): one np.vdot per tensor, in layout order, added in
+    that order."""
     total = 0.0
-    for name, p_all in params.tensors():
+    for name, p in params.tensors():
         if l2_weight and M.regularized(name):
-            p_all = p_all.reshape(-1)
-            for lo in range(0, p_all.size, _ADAM_BLOCK):
-                p = p_all[lo:lo + _ADAM_BLOCK]
-                total += float(np.vdot(p, p))
+            total += float(np.vdot(p, p))
     return l2_weight * total
 
 
@@ -124,10 +121,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-# adam_step walks the flat buffers, and _l2_value each tensor, in blocks of
-# this many elements: each block's slices stay in cache, and block-sized
-# scratch rows are all a step allocates, where whole-model temporaries would
-# raise peak memory
+# adam_step walks the flat buffers in blocks of about this many elements
+# (word_emb's in whole rows): each block's slices stay in cache, and
+# block-sized scratch rows are all a step allocates, where whole-model
+# temporaries would raise peak memory
 _ADAM_BLOCK = 1 << 16
 
 
@@ -154,14 +151,15 @@ def adam_step(params: M.ModelParams, grads: M.Gradients, state: AdamState,
     p -= alpha (m / (sqrt(v) + eps_hat)), in this order, so the result is
     bit-identical to those expressions on whole arrays.
 
-    One pass over the flat buffers in _ADAM_BLOCK blocks. In the word_emb
-    part each block's g is built in a scratch row of the whole word rows the
-    block cuts: zeros, plus each grads.word_rows piece's rows in the block in
-    turn, plus 2 l2_weight p, which is the dense gradient bit for bit. A
-    non-finite word_emb row raises FloatingPointError before anything
-    changes. An overflow, such as a gradient whose square passes the float
-    range, is a divergence: it raises FloatingPointError, with the buffers
-    part-updated, instead of warning.
+    One pass over the flat buffers: word_emb in blocks of
+    max(1, _ADAM_BLOCK // word_dim) whole rows, each block's g built in a
+    scratch of those rows (zeros, plus each grads.word_rows piece's rows in
+    the block in turn, plus 2 l2_weight p: the dense gradient bit for bit),
+    then the rest in _ADAM_BLOCK-element blocks. A non-finite word_emb row
+    raises FloatingPointError before anything changes. An overflow, such as
+    a gradient whose square passes the float range, is a divergence: it
+    raises FloatingPointError, with the buffers part-updated, instead of
+    warning.
     """
     width = params.dims.word_dim
     words = params.word_emb.size
@@ -176,29 +174,27 @@ def adam_step(params: M.ModelParams, grads: M.Gradients, state: AdamState,
     alpha = lr * root2 / (1.0 - ADAM_BETA1 ** t)
     eps_hat = ADAM_EPS * root2
     size = params.flat.size
-    scratch = np.empty((2, min(size, _ADAM_BLOCK)))
+    scratch = np.empty((2, max(min(size, _ADAM_BLOCK), width)))
 
-    # block k of word_emb, [lo, hi), cuts the rows first[k] to last[k] - 1;
-    # piece j's ids in them are ids[cuts[j][0][k]:cuts[j][1][k]]
-    lows = np.arange(0, words, _ADAM_BLOCK)
-    first = lows // width
-    last = (np.minimum(lows + _ADAM_BLOCK, words) - 1) // width + 1
-    cuts = [(np.searchsorted(ids, first), np.searchsorted(ids, last))
-            for ids, _ in grads.word_rows]
-    rows_g = np.empty(min(_ADAM_BLOCK // width + 2, words // width) * width)
+    # word_emb's blocks are whole rows: block k is rows edges[k] to
+    # edges[k + 1] - 1, and piece j's ids in it are ids[cuts[j][k]:cuts[j][k + 1]]
+    per_block = max(1, _ADAM_BLOCK // width)
+    vocab = len(params.word_emb)
+    edges = np.append(np.arange(0, vocab, per_block), vocab)
+    cuts = [np.searchsorted(ids, edges) for ids, _ in grads.word_rows]
+    rows_g = np.empty((min(per_block, vocab), width))
     two_l2 = 2.0 * grads.l2_weight
-    for k, lo in enumerate(lows.tolist()):
-        blk = slice(lo, min(lo + _ADAM_BLOCK, words))
+    for k, (r0, r1) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+        blk = slice(r0 * width, r1 * width)
         p, m, v = params.flat[blk], state.m[blk], state.v[blk]
         num, den = scratch[:, :p.size]
-        row0 = first[k]
-        block_rows = rows_g[:(last[k] - row0) * width]
-        block_rows.fill(0.0)
-        for (ids, rows), (starts, ends) in zip(grads.word_rows, cuts):
-            a, b = starts[k], ends[k]
+        g = rows_g[:r1 - r0]
+        g.fill(0.0)
+        for (ids, rows), cut in zip(grads.word_rows, cuts):
+            a, b = cut[k], cut[k + 1]
             if a < b:
-                block_rows.reshape(-1, width)[ids[a:b] - row0] += rows[a:b]  # ids are distinct
-        g = block_rows[lo - row0 * width:][:p.size]
+                g[ids[a:b] - r0] += rows[a:b]  # ids are distinct
+        g = g.reshape(-1)
         if two_l2:
             g += np.multiply(p, two_l2, out=num)
         _adam_block(p, g, m, v, num, den, alpha, eps_hat)

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+import io
 import math
 import os
 import subprocess
@@ -16,7 +18,8 @@ import nrpa
 from nrpa import BLAS_THREAD_VARS
 from nrpa import model as M
 from nrpa import training as T
-from nrpa.data import PAD_ID, Interaction
+from nrpa.cli import load_config
+from nrpa.data import PAD_ID, Interaction, build_profiles, parse_reviews, prepare_dataset
 from nrpa.evaluation import ABLATION_VARIANTS, evaluate
 from conftest import TOY_DIMS, forbid_records, toy_batch, toy_stores
 from gradcheck import dense_gradient, grad_check, loss
@@ -62,6 +65,20 @@ def test_loss_l2_term_matches_direct_summation(toy_params, variant):
     tensors = dict(toy_params.tensors())
     direct = sum(float(np.sum(tensors[name] ** 2)) for name in L2_TENSORS)
     assert with_l2 - base == pytest.approx(0.01 * direct, rel=1e-12)
+
+
+def test_l2_value_matches_fsum_where_tensors_exceed_64k_elements():
+    """At word_dim 300 and 80 filters, word_emb and both conv_w hold more
+    than 65,536 elements each; the L2 value still agrees with math.fsum of
+    the squares to 1e-12 relative."""
+    dims = M.Dims(vocab_size=300, n_users=3, n_items=3, word_dim=300, id_dim=4,
+                  num_filters=80, attn_dim=6, window=3, fm_dim=2, review_len=7,
+                  num_reviews=3)
+    params = M.init_params(dims, seed=5)
+    tensors = dict(params.tensors())
+    assert min(tensors[n].size for n in ("word_emb", "user.conv_w", "item.conv_w")) > 1 << 16
+    direct = math.fsum(x * x for name in L2_TENSORS for x in tensors[name].ravel().tolist())
+    assert T._l2_value(params, 0.01) == pytest.approx(0.01 * direct, rel=1e-12)
 
 
 def test_loss_rejects_empty_batch(toy_params):
@@ -150,12 +167,78 @@ def test_gradients_match_with_exclude_target(toy_params):
     assert max(worst.values()) < 1e-4, worst
 
 
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def paper_shape():
+    """configs/full.cfg dims, tanh activation, on a seeded 2000-record Zipf
+    corpus from the benchmark's generator, after 3 Adam steps on batches of
+    8; returns (params, stores, batch, l2_weight), the batch 8 training
+    pairs, 2 for each of 4 users whose profiles are about half empty."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus",
+                                                  REPO / "perfbench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    csv = corpus.generate_csv(corpus.CorpusSpec(records=2000, users=300, items=100,
+                                                types=5000, zipf_s=0.9, min_len=60,
+                                                max_len=140), seed=11)
+    ds = prepare_dataset(parse_reviews(io.BytesIO(csv), "csv")[0], seed=12)
+    cfg = load_config(REPO / "configs" / "full.cfg")
+    stores = build_profiles(ds.split.train, cfg.review_len, cfg.num_reviews,
+                            ds.n_users, ds.n_items)
+    params = M.init_params(cfg.dims(len(ds.vocab), ds.n_users, ds.n_items), seed=3,
+                           conv_activation="tanh")
+    train, state = ds.split.train, T.AdamState.for_params(params)
+    for lo in range(0, 24, 8):
+        _, grads = T.backward(train[np.arange(lo, lo + 8)], params, stores, cfg.l2_weight)
+        T.adam_step(params, grads, state, cfg.learning_rate)
+    filled = (stores[0].partner >= 0).mean(axis=1)
+    half = np.flatnonzero((filled[train.users] > 0.3) & (filled[train.users] < 0.7))
+    users = list(dict.fromkeys(train.users[half].tolist()))[:4]
+    pairs = np.concatenate([half[train.users[half] == u][:2] for u in users])
+    return params, stores, train[pairs], cfg.l2_weight
+
+
+# exclude_target changes only the review mask, so these two cases check
+# word attention, review attention with and without the exclusion, and a
+# uniform site
+@pytest.mark.parametrize("variant, exclude_target", [("full", True), ("review-only", False)])
+def test_gradients_match_at_the_paper_dims(paper_shape, variant, exclude_target):
+    """Central differences of the loss along one random unit direction in
+    each tensor in turn, against backward's directional derivative: at most
+    1e-6 relative at eps 1e-5. Below 1e-3 the error is taken absolutely,
+    1e-9, above the difference quotient's round-off, about
+    eps_mach |loss| / eps = 4e-10 at this loss of about 17. The activation
+    is tanh, as ReLU's kink lies within eps of some of the 1.4e6
+    pre-activations a batch has here, where a central difference is no
+    derivative. Each user has 2 pairs, so under exclude_target one owner's
+    encoding is pooled under two review masks."""
+    params, stores, batch, l2 = paper_shape
+    assert len(batch) == 8 and len(set(batch.users.tolist())) == 4
+    assert 0.3 < 1.0 - (stores[0].partner[batch.users] >= 0).mean() < 0.7
+    ablation = dict(ABLATION_VARIANTS)[variant]
+    grads = dense_gradient(params, T.backward(batch, params, stores, l2, ablation,
+                                              exclude_target)[1])
+    rng, eps, worst = np.random.default_rng(5), 1e-5, {}
+    for (name, p), (_, g) in zip(params.tensors(), grads.tensors()):
+        d = rng.normal(size=p.shape)
+        d /= np.linalg.norm(d)
+        saved = p.copy()
+        f = []
+        for step in (eps, -eps):
+            p[...] = saved + step * d
+            f.append(loss(batch, params, stores, l2, ablation, exclude_target))
+        p[...] = saved
+        numeric, analytic = (f[0] - f[1]) / (2 * eps), float(np.vdot(g, d))
+        worst[name] = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-3)
+    assert max(worst.values()) <= 1e-6, worst
+
+
 @pytest.mark.parametrize("variant", [name for name, _ in ABLATION_VARIANTS])
-def test_l2_walk_in_blocks_splitting_tensors_is_bit_identical(toy_params,
-                                                              monkeypatch, variant):
-    """Blocks of 7 cut each tensor the walk takes; the L2 gradient is still
-    exactly g + 2 l2 p on each regularized tensor and nothing elsewhere."""
-    monkeypatch.setattr(T, "_ADAM_BLOCK", 7)
+def test_l2_gradient_is_exactly_g_plus_2_l2_p_under_every_ablation(toy_params, variant):
+    """The L2 gradient is exactly g + 2 l2 p on each regularized tensor and
+    nothing elsewhere, and the value is gradcheck.loss's bit for bit."""
     ablation = dict(ABLATION_VARIANTS)[variant]
     stores, batch, l2 = toy_stores(), toy_batch(), 1e-3
     _, plain = T.backward(batch, toy_params, stores, 0.0, ablation)
@@ -170,19 +253,16 @@ def test_l2_walk_in_blocks_splitting_tensors_is_bit_identical(toy_params,
 
 @pytest.mark.parametrize("name", ["item.review_attn", "user.conv_b"])
 def test_backward_names_a_non_finite_gradient_tensor(toy_params, monkeypatch, name):
-    """One tensor under L2 and one outside it. With blocks of 7 the NaN in
-    the last element of item.review_attn sits in a later block of its
-    tensor, and is still named after that tensor."""
+    """A NaN in the last element of a tensor under L2, or of one outside
+    it, is named after that tensor."""
     real = M.backward_batch
 
     def poisoned(params, u_cache, i_cache, d_pred, grads):
         real(params, u_cache, i_cache, d_pred, grads)
         dict(grads.tensors())[name].flat[-1] = np.nan
     monkeypatch.setattr(M, "backward_batch", poisoned)
-    for block in (T._ADAM_BLOCK, 7):
-        monkeypatch.setattr(T, "_ADAM_BLOCK", block)
-        with pytest.raises(FloatingPointError, match=f"gradient {name}$"):
-            T.backward(toy_batch(), toy_params, toy_stores(), 1e-3)
+    with pytest.raises(FloatingPointError, match=f"gradient {name}$"):
+        T.backward(toy_batch(), toy_params, toy_stores(), 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +363,8 @@ def touched_rows(vocab: int):
 
 
 @settings(max_examples=60, deadline=None)
-@given(block=st.sampled_from([7, TOY_DIMS.word_dim - 1, TOY_DIMS.word_dim + 1, 1 << 16]),
+@given(block=st.sampled_from([7, TOY_DIMS.word_dim - 1, TOY_DIMS.word_dim + 1,
+                              3 * TOY_DIMS.word_dim, 1 << 16]),
        user_ids=touched_rows(TOY_DIMS.vocab_size),
        item_ids=touched_rows(TOY_DIMS.vocab_size),
        l2_weight=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2 ** 32 - 1))
@@ -291,13 +372,17 @@ def touched_rows(vocab: int):
 @example(block=7, user_ids=[PAD_ID, 1, TOY_DIMS.vocab_size - 1],
          item_ids=[1, 2, TOY_DIMS.vocab_size - 1], l2_weight=0.0, seed=1)
 @example(block=TOY_DIMS.word_dim + 1, user_ids=[1], item_ids=[], l2_weight=1e-3, seed=2)
+@example(block=3 * TOY_DIMS.word_dim, user_ids=[2, 3, TOY_DIMS.vocab_size - 2],
+         item_ids=[TOY_DIMS.vocab_size - 1], l2_weight=1e-3, seed=3)
 def test_adam_word_walk_is_the_dense_gradient_then_the_expressions(block, user_ids, item_ids,
                                                                     l2_weight, seed):
     """adam_step's one walk over word_emb, bit for bit: the dense gradient
     (zeros, the user rows, the item rows, then 2 l2_weight p) followed by
-    the efficient-form expressions on whole arrays. At word_dim 5, blocks
-    of 4, 6 and 7 cut rows at their edges; the row sets include none, PAD
-    and the last row."""
+    the efficient-form expressions on whole arrays. At word_dim 5 and 20
+    rows, blocks of 4 (narrower than one row), 6 and 7 elements walk one
+    whole row at a time; 15 walks 3 rows at a time, so the last block holds
+    the 2 rows left over; 1 << 16 walks the whole table at once. The row
+    sets include none, PAD and the last row."""
     rng = np.random.default_rng(seed)
     params = M.init_params(TOY_DIMS, seed=7)
     state = T.AdamState(3, rng.normal(size=params.flat.size),
