@@ -4,10 +4,11 @@ A prepared dataset is its interactions in corpus order, held as columns
 (Interactions), each marked train, validation or test by a seeded 80/10/10
 split, plus a train-only vocabulary; per-owner fixed-shape review profiles
 (num_reviews x review_len token grids) for the user and item sides are
-filled from its train part's columns. prepare_dataset tokenizes each review
-once: the vocabulary is counted, ranked and looked up in numpy over one
-stream of token-type numbers. No step from disk to batch makes an object
-per record.
+filled from its train part's columns. A token is a run of [a-z0-9] in the
+lowercased review, found in its UTF-8 bytes by one byte translate and one
+split. prepare_dataset tokenizes each review once: the vocabulary is
+counted, ranked and looked up in numpy over one stream of token-type
+numbers. No step from disk to batch makes an object per record.
 """
 
 import csv
@@ -35,7 +36,9 @@ RATING_RANGE = (1.0, 5.0)
 # the fewest records the 80/10/10 split takes
 MIN_RECORDS = 10
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# tokenize's byte table: a-z and 0-9 map to themselves, every other byte to a space
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+                     for b in range(256))
 
 # users.tsv/items.tsv store one `key<TAB>index` line per owner in UTF-8, so a
 # key holding a tab or a line break could not be read back, and one holding a
@@ -176,8 +179,14 @@ def _json_fields(line: str) -> tuple:
 
 
 def tokenize(text: str) -> list:
-    """Lowercase and split on non-alphanumeric runs; drops empty tokens."""
-    return _TOKEN_RE.findall(text.lower())
+    """The [a-z0-9]+ runs of the lowercased text, in order, as ASCII bytes.
+
+    The lowercased text is encoded as UTF-8 (a lone surrogate as its three
+    bytes), every byte outside a-z and 0-9 becomes a space, and the bytes
+    split on spaces. No other character's UTF-8 bytes fall in a-z or 0-9, so
+    the runs are exactly those of the text.
+    """
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
 
 
 class Vocabulary:
@@ -304,10 +313,11 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     """Full in-memory pipeline: split raw records, build vocab on train, encode.
 
     The split is decided first, so no validation/test text can leak into
-    the vocabulary. One pass tokenizes the records in corpus order into type
-    numbers, and one bincount counts the train records' tokens. Types counted
-    at least min_count times get ids from 2 by descending count, ties broken
-    lexicographically; the rest map to UNK. Each interaction's tokens are its
+    the vocabulary. One pass tokenizes the records in corpus order and
+    numbers each record's byte tokens into one stream of type numbers, and
+    one bincount counts the train records' tokens. The types are decoded to
+    str once. Types counted at least min_count times get ids from 2 by
+    descending count, ties broken lexicographically; the rest map to UNK. Each interaction's tokens are its
     first review_len ids, a view of one read-only int32 buffer.
     """
     part = split_dataset(len(records), seed)
@@ -318,7 +328,7 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     users = [user_number[r.user_key] for r in records]
     items = [item_number[r.item_key] for r in records]
 
-    number = defaultdict(count().__next__)  # token -> type number
+    number = defaultdict(count().__next__)  # token bytes -> type number
     stream, ends = array("i"), array("q")
     for r in records:
         stream.extend(map(number.__getitem__, tokenize(r.text)))
@@ -327,7 +337,7 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     lens = np.diff(ends, prepend=0)
     counts = np.bincount(ids[np.repeat(part == 0, lens)], minlength=len(number))
 
-    types = list(number)
+    types = [t.decode("ascii") for t in number]
     kept = np.flatnonzero(counts >= max(min_count, 1)).tolist()
     kept.sort(key=types.__getitem__)
     kept.sort(key=counts.tolist().__getitem__, reverse=True)

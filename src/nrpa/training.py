@@ -212,7 +212,7 @@ def _adam_block(p, g, m, v, num, den, alpha: float, eps_hat: float) -> None:
     np.multiply(g, 1.0 - ADAM_BETA1, out=num)
     m += num
     v *= ADAM_BETA2
-    np.multiply(g, g, out=num)
+    np.square(g, out=num)
     num *= 1.0 - ADAM_BETA2
     v += num
     np.sqrt(v, out=den)

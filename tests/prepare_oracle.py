@@ -4,20 +4,27 @@
 The straightforward pipeline: split the raw records with a scalar
 Fisher-Yates loop, count the train texts' tokens with a `Counter`, sort the
 kept tokens by (-count, token), then tokenize every text again and look each
-token up in the vocabulary's dict. It shares only the tokenizer and the
-container types with the package, so it can serve as an oracle for the
-one-pass numpy pipeline. The profiles are filled by a Python loop over the
-train records, one slot at a time, as an oracle for the fill from columns.
+token up in the vocabulary's dict. It tokenizes with the regex [a-z0-9]+
+over the lowercased text and shares only the container types with the
+package, so it can serve as an oracle for the one-pass numpy pipeline and
+its bytes tokenizer. The profiles are filled by a Python loop over the train
+records, one slot at a time, as an oracle for the fill from columns.
 """
 
+import re
 from collections import Counter
 
 import numpy as np
 
 from nrpa.data import (UNK_ID, UNK_TOKEN, DatasetSplit, Interaction, PreparedDataset,
-                       ProfileStore, Vocabulary, tokenize)
+                       ProfileStore, Vocabulary)
 from nrpa.rng import SplitMix64
 from conftest import interactions_of
+
+
+def tokenize(text: str) -> list:
+    """The [a-z0-9]+ runs of the lowercased text."""
+    return re.findall(r"[a-z0-9]+", text.lower())
 
 
 def split_indices(n: int, seed: int):

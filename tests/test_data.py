@@ -211,11 +211,28 @@ def test_parse_unknown_format():
 
 
 def test_tokenize_rules():
-    assert tokenize("Easy to USE!") == ["easy", "to", "use"]
+    assert tokenize("Easy to USE!") == [b"easy", b"to", b"use"]
     assert tokenize("") == []
-    assert tokenize("high-price camera") == ["high", "price", "camera"]
+    assert tokenize("high-price camera") == [b"high", b"price", b"camera"]
     assert tokenize("  ***  ") == []
-    assert tokenize("mp3 + player") == ["mp3", "player"]
+    assert tokenize("mp3 + player") == [b"mp3", b"player"]
+    # the Kelvin sign lowers to k, and U+0130 to i and a combining dot
+    assert tokenize("\u212aelvin \u0130stanbul") == [b"kelvin", b"i", b"stanbul"]
+    assert tokenize("na\u00efve \u03a3\u039f\u03a3 \u6f22\u5b57\U0001f600x") == \
+        [b"na", b"ve", b"x"]
+    assert tokenize("a\x00b\r\nc\ud800d\udfffe") == [b"a", b"b", b"c", b"d", b"e"]
+
+
+def test_tokenize_every_code_point_as_the_regex():
+    """Each code point, lone surrogates included, between two a's."""
+    text = "a".join(map(chr, range(0x110000)))
+    assert tokenize(text) == [t.encode() for t in prepare_oracle.tokenize(text)]
+
+
+@given(text=st.text(st.characters(exclude_categories=())))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_is_the_regex_over_any_text(text):
+    assert tokenize(text) == [t.encode() for t in prepare_oracle.tokenize(text)]
 
 
 def token_id(vocab, token):
@@ -537,10 +554,16 @@ def test_wide_vocab_smoke_setup_is_golden(monkeypatch, tmp_path):
 
 
 _PIECES = ["alpha", "Alpha", "ALPHA", "beta", "Beta!", "gamma", "g4mma", "x", "X",
-           "mp3", "...", "?!", "-", "", " ", "high-price", "zeta.eta"]
+           "mp3", "...", "?!", "-", "", " ", "high-price", "zeta.eta",
+           # Kelvin sign, dotted capital I, a word-final sigma, CJK, an emoji,
+           # NUL, CRLF and lone surrogates, as a JSON line can deliver them
+           "\u212a", "\u0130X", "\u03a3\u039f\u03a3", "\u6f22\u5b57", "\U0001f600",
+           "\x00", "\r\n", "\ud800", "k\udc80z"]
 _TEXTS = st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=12).map(" ".join),
+    st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
     st.text(alphabet="abcABC019 .,!-", max_size=40),
+    st.text(st.characters(exclude_categories=()), max_size=40),
 )
 _RECORDS = st.lists(
     st.builds(RawRecord, st.sampled_from(["u1", "u2", "u3", UNK_TOKEN]),
@@ -559,8 +582,9 @@ def _prepared_files(ds) -> dict:
        review_len=st.integers(1, 8))
 @settings(max_examples=150, deadline=None)
 def test_prepare_equals_the_two_pass_oracle(records, seed, min_count, review_len):
-    """Mixed case, punctuation-only and empty texts, tokens seen only outside
-    train, truncation and count ties, against tests/prepare_oracle.py."""
+    """Mixed case, punctuation-only, empty and non-ASCII texts (lone
+    surrogates included), tokens seen only outside train, truncation and
+    count ties, against tests/prepare_oracle.py and its regex tokenizer."""
     got = prepare_dataset(records, seed, min_count, review_len)
     want = prepare_oracle.prepare_dataset(records, seed, min_count, review_len)
     assert got.vocab.id_to_token == want.vocab.id_to_token
