@@ -131,15 +131,10 @@ def _check_memory(where, dims: Dims, param_buffers: int = 1):
 
 def _profiles(ds, args, dims: Dims, where, param_buffers: int = 1, id_dims=None):
     """Profile stores of ds for a model at dims, which come from the config or
-    the checkpoint named where. The model must have ds's vocabulary and
-    owners, profiles no longer than the stored reviews, and param_buffers
+    the checkpoint named where and hold ds's vocabulary and owners. The model
+    must have profiles no longer than the stored reviews, and param_buffers
     parameter-sized buffers (at each of sweep's id_dims, if given) and the
     stores small enough for physical memory."""
-    got = (dims.vocab_size, dims.n_users, dims.n_items)
-    want = (len(ds.vocab), ds.n_users, ds.n_items)
-    if got != want:
-        raise UsageError(f"checkpoint dims {got} do not match dataset dims {want} "
-                         f"(vocab, users, items)")
     if dims.review_len > ds.review_len:
         raise UsageError(f"{where}: review_len {dims.review_len} exceeds the "
                          f"prepared review_len {ds.review_len} of {args.data}")
@@ -152,11 +147,17 @@ def _profiles(ds, args, dims: Dims, where, param_buffers: int = 1, id_dims=None)
 
 
 def _load_checkpoint(args, ds):
-    """(params, exclude_target, profile stores) of args.checkpoint on ds."""
+    """(params, exclude_target, profile stores) of args.checkpoint on ds,
+    whose vocabulary and owners the checkpoint must have."""
     try:
         params, meta = checkpoint.load_params(args.checkpoint)
     except (OSError, checkpoint.CheckpointError) as exc:
         raise UsageError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
+    got = (params.dims.vocab_size, params.dims.n_users, params.dims.n_items)
+    want = (len(ds.vocab), ds.n_users, ds.n_items)
+    if got != want:
+        raise UsageError(f"checkpoint dims {got} do not match dataset dims {want} "
+                         f"(vocab, users, items)")
     stores = _profiles(ds, args, params.dims, args.checkpoint)
     return params, meta.get("config", {}).get("exclude_target", True), stores
 

@@ -263,8 +263,6 @@ def build_profiles(train: Interactions, review_len: int, num_reviews: int,
     (including the reserved unknown owner 0) keep an all-PAD grid with an
     all-false review mask.
     """
-    if review_len < 1 or num_reviews < 1:
-        raise ValueError("review_len and num_reviews must be >= 1")
     users = ProfileStore(n_users, num_reviews, review_len)
     items = ProfileStore(n_items, num_reviews, review_len)
     lens = np.minimum(train.ends - train.starts, review_len)

@@ -44,11 +44,11 @@ def mse(predictions, truths) -> float:
 
 
 def evaluate(params: M.ModelParams, interactions, stores,
-             ablation: M.AblationSpec = M.FULL_ATTENTION,
-             exclude_target: bool = True, clip: bool = False,
-             trace_sink=None) -> float:
-    """MSE of the model over a split, scored in consecutive _EVAL_CHUNK-sized
-    chunks and summed in fixed index order."""
+             ablation: M.AblationSpec = M.FULL_ATTENTION, *,
+             exclude_target: bool, clip: bool = False, trace_sink=None) -> float:
+    """MSE of the model over a split, scored by predict_batch under
+    exclude_target in consecutive _EVAL_CHUNK-sized chunks and summed in
+    fixed index order."""
     users, items, ratings = batch_arrays(interactions)
     user_store, item_store = stores
     scored = []

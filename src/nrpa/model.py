@@ -139,7 +139,8 @@ class ModelParams:
             raise ValueError(f"parameter buffer must be a contiguous float64 vector of "
                              f"{size} values, got {flat.dtype} of shape {flat.shape}")
         if conv_activation not in ACTIVATIONS:
-            raise ValueError(f"conv_activation must be relu|tanh, got {conv_activation!r}")
+            raise ValueError(f"conv_activation must be {'|'.join(ACTIVATIONS)}, "
+                             f"got {conv_activation!r}")
         self.dims = dims
         self.flat = flat
         self.conv_activation = conv_activation
@@ -535,11 +536,12 @@ def fm_backward(fm, features: np.ndarray, d_pred: np.ndarray, g_fm) -> np.ndarra
 
 
 def predict_batch(params: ModelParams, user_store, item_store, users: np.ndarray,
-                  items: np.ndarray, exclude_target: bool = False,
+                  items: np.ndarray, exclude_target: bool,
                   ablation: AblationSpec = FULL_ATTENTION):
-    """Batched ratings; returns (predictions, user cache, item cache). A
-    non-finite prediction raises FloatingPointError naming the first
-    non-finite parameter tensor."""
+    """Batched ratings; returns (predictions, user cache, item cache). With
+    exclude_target, each pair's own review gets review weight 0 on both
+    sides. A non-finite prediction raises FloatingPointError naming the
+    first non-finite parameter tensor."""
     users = np.asarray(users)
     items = np.asarray(items)
     u_cache = encode_side_batch(params, "user", user_store, users,
@@ -567,8 +569,8 @@ def backward_batch(params: ModelParams, u_cache: SideCache, i_cache: SideCache,
 
 
 def forward(user: int, item: int, user_store, item_store, params: ModelParams,
-            exclude_target: bool = False, ablation: AblationSpec = FULL_ATTENTION):
-    """Score one (user, item) pair as a batch of one; returns (rating, user
+            exclude_target: bool, ablation: AblationSpec = FULL_ATTENTION):
+    """predict_batch of the one pair (user, item); returns (rating, user
     cache, item cache), whose row 0 holds the pair's attention weights."""
     preds, u_cache, i_cache = predict_batch(params, user_store, item_store, [user], [item],
                                             exclude_target, ablation)

@@ -64,7 +64,8 @@ class TrainConfig:
             raise ValueError(f"l2_weight must be finite and non-negative, got "
                              f"{self.l2_weight}")
         if self.conv_activation not in M.ACTIVATIONS:
-            raise ValueError(f"conv_activation must be relu|tanh, got {self.conv_activation!r}")
+            raise ValueError(f"conv_activation must be {'|'.join(M.ACTIVATIONS)}, got "
+                             f"{self.conv_activation!r}")
 
     def dims(self, vocab_size: int, n_users: int, n_items: int) -> M.Dims:
         return M.Dims(vocab_size, n_users, n_items, self.word_dim, self.id_dim,
@@ -76,11 +77,8 @@ def _l2_value(params: M.ModelParams, l2_weight: float) -> float:
     """The L2 value, l2_weight * sum(p^2) over every weight but the biases
     (model.regularized): one np.vdot per tensor, in layout order, added in
     that order."""
-    total = 0.0
-    for name, p in params.tensors():
-        if l2_weight and M.regularized(name):
-            total += float(np.vdot(p, p))
-    return l2_weight * total
+    return l2_weight * sum(float(np.vdot(p, p)) for name, p in params.tensors()
+                           if M.regularized(name))
 
 
 def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
@@ -88,8 +86,9 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
              exclude_target: bool = False):
     """Loss and its exact gradients w.r.t. every parameter tensor, as a
     model.Gradients: word_emb's as each side's rows plus the L2 term that
-    adam_step adds, every other tensor's dense with its L2 gradient added.
-    A non-finite dense gradient raises FloatingPointError naming the first
+    adam_step adds, every other tensor's dense with its L2 gradient added,
+    exact zeros at l2_weight 0. exclude_target is predict_batch's. A
+    non-finite dense gradient raises FloatingPointError naming the first
     non-finite parameter tensor, else the first non-finite gradient tensor."""
     users, items, ratings = batch_arrays(batch)
     user_store, item_store = stores
@@ -102,7 +101,7 @@ def backward(batch, params: M.ModelParams, stores, l2_weight: float = 0.0,
     l2_term = _l2_value(params, l2_weight)
     p_views = dict(params.tensors())
     for name, g in grads.tensors():
-        if l2_weight and M.regularized(name):
+        if M.regularized(name):
             g += np.multiply(p_views[name], 2.0 * l2_weight)
     if not (math.isfinite(l2_term) and np.isfinite(grads.flat).all()):
         params.assert_finite()  # a non-finite parameter is the cause
@@ -183,7 +182,6 @@ def adam_step(params: M.ModelParams, grads: M.Gradients, state: AdamState,
     edges = np.append(np.arange(0, vocab, per_block), vocab)
     cuts = [np.searchsorted(ids, edges) for ids, _ in grads.word_rows]
     rows_g = np.empty((min(per_block, vocab), width))
-    two_l2 = 2.0 * grads.l2_weight
     for k, (r0, r1) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
         blk = slice(r0 * width, r1 * width)
         p, m, v = params.flat[blk], state.m[blk], state.v[blk]
@@ -195,8 +193,7 @@ def adam_step(params: M.ModelParams, grads: M.Gradients, state: AdamState,
             if a < b:
                 g[ids[a:b] - r0] += rows[a:b]  # ids are distinct
         g = g.reshape(-1)
-        if two_l2:
-            g += np.multiply(p, two_l2, out=num)
+        g += np.multiply(p, 2.0 * grads.l2_weight, out=num)
         _adam_block(p, g, m, v, num, den, alpha, eps_hat)
     for lo in range(words, size, _ADAM_BLOCK):
         blk = slice(lo, lo + _ADAM_BLOCK)
@@ -269,7 +266,8 @@ def train(config: TrainConfig, dataset, stores,
             for batch_idx, lo in enumerate(range(0, len(train_set), config.batch_size)):
                 batch = train_set[perm[lo:lo + config.batch_size]]
                 where = f"epoch {epoch}, batch {batch_idx}"
-                value, grads = backward(batch, params, stores, config.l2_weight, ablation)
+                value, grads = backward(batch, params, stores, config.l2_weight, ablation,
+                                        exclude_target=False)  # own review kept: ROADMAP item 4
                 if not np.isfinite(value):
                     raise FloatingPointError("non-finite loss")
                 adam_step(params, grads, state, config.learning_rate)

@@ -33,8 +33,7 @@ def dense_gradient(params: M.ModelParams, grads: M.Gradients) -> M.ModelParams:
     dense = M.ModelParams(params.dims, np.zeros(params.flat.size), params.conv_activation)
     for ids, rows in grads.word_rows:
         dense.word_emb[ids] += rows
-    if grads.l2_weight:
-        dense.word_emb += np.multiply(params.word_emb, 2.0 * grads.l2_weight)
+    dense.word_emb += np.multiply(params.word_emb, 2.0 * grads.l2_weight)
     dense.flat[params.word_emb.size:] = grads.flat
     return dense
 

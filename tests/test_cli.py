@@ -1070,3 +1070,70 @@ def test_any_config_and_argv_exits_0_2_or_3(workspace, text, shape, dims):
         assert code in (0, 2, 3)
         event(f"exit {code}")
     assert "Traceback" not in err.getvalue()
+
+
+# the pieces --ablation strings are drawn from: every site and mode, unknown
+# ones, case and option-like variants, and the empty string for empty terms
+ABLATION_SITES = ["user", "item", "word", "review", "", "wurd", "Word", "-word"]
+ABLATION_MODES = ["uniform", "personalized", "", "average", "Uniform"]
+ABLATION_JOINS = ["=", "", "==", " = "]
+STRAY_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def ablation_specs(draw):
+    """Comma lists of site-join-mode terms with stray spaces; sites repeat
+    and terms come out empty as they are drawn."""
+    terms = draw(st.lists(st.tuples(STRAY_SPACES, st.sampled_from(ABLATION_SITES),
+                                    st.sampled_from(ABLATION_JOINS),
+                                    st.sampled_from(ABLATION_MODES), STRAY_SPACES),
+                          max_size=5))
+    return ",".join("".join(term) for term in terms)
+
+
+def exit_code(argv) -> int:
+    """main(argv)'s exit code, argparse's included, with stdout dropped;
+    asserts that stderr holds no traceback."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@given(spec=ablation_specs())
+@example(spec="word=uniform,review=uniform")
+@example(spec=" user=uniform ,, item=personalized,")
+@settings(max_examples=40, deadline=None)
+def test_any_eval_ablation_exits_0_or_2(workspace, spec):
+    code = exit_code(["eval", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                      "--data", str(workspace["data"]), "--split", "test",
+                      "--ablation", spec, "--out", str(workspace["root"] / "ablated.csv")])
+    assert code in (0, 2)
+    event(f"exit {code}")
+
+
+# owner keys for inspect: known keys, half the time; else unknown keys, the
+# reserved and padding names, option-like keys, any short text, or argv
+# that is not UTF-8, which reaches main as surrogate escapes
+HOSTILE_KEYS = st.one_of(st.sampled_from(["u99", "i99", "", "<unk>", "<pad>", "-u1"]),
+                         st.text(max_size=4), st.sampled_from(NON_UTF8).map(os.fsdecode))
+USER_KEYS = st.one_of(st.sampled_from(["u0", "u3", "u11", "i1"]), HOSTILE_KEYS)
+ITEM_KEYS = st.one_of(st.sampled_from(["i0", "i1", "i7", "u3"]), HOSTILE_KEYS)
+TOP_VALUES = st.one_of(st.integers(1, 10**9).map(str),
+                       st.sampled_from(["0", "-1", "x", "", "1.5", "-"]))
+
+
+@given(user=USER_KEYS, item=ITEM_KEYS, top=TOP_VALUES)
+@example(user="u3", item="i1", top="5")
+@example(user="u3", item="<unk>", top="5")
+@settings(max_examples=60, deadline=None)
+def test_any_inspect_keys_and_top_exit_0_or_2(workspace, user, item, top):
+    code = exit_code(["inspect", "--checkpoint", str(workspace["run"] / "checkpoint.nrpa"),
+                      "--data", str(workspace["data"]), "--user", user, "--item", item,
+                      "--top", top])
+    assert code in (0, 2)
+    event(f"exit {code}")

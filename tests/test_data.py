@@ -409,13 +409,6 @@ def test_profile_store_nbytes_counts_every_array(shape):
     assert ProfileStore.nbytes(*shape) == sum(a.nbytes for a in arrays)
 
 
-def test_build_profiles_rejects_degenerate_shapes():
-    with pytest.raises(ValueError):
-        build_profiles([], review_len=0, num_reviews=3, n_users=1, n_items=1)
-    with pytest.raises(ValueError):
-        build_profiles([], review_len=3, num_reviews=0, n_users=1, n_items=1)
-
-
 def test_exclude_target_removes_exactly_the_scored_pair():
     inters = [Interaction(1, i, 3.0, np.array([i + 2], dtype=np.int32))
               for i in (1, 2, 3)]

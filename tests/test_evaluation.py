@@ -71,11 +71,42 @@ def test_evaluate_equals_predict_batch_on_same_chunks(tiny_dataset, tiny_stores)
     assert score == mse(preds, [i.rating for i in split])  # exact, same path
 
 
+def traced(params, pairs, stores, exclude: bool) -> list:
+    """The records evaluate's trace writes for pairs, one per pair."""
+    sink = io.StringIO()
+    evaluate(params, pairs, stores, exclude_target=exclude, trace_sink=sink)
+    return [json.loads(line) for line in sink.getvalue().splitlines()]
+
+
+def test_forward_and_evaluate_agree_pair_for_pair(tiny_dataset, tiny_stores):
+    """Under either exclude_target, forward scores each of 20 training pairs
+    as evaluate's trace does: to the bits of a chunk of that pair alone, and
+    within 1e-12 of a chunk of all 20, whose products BLAS runs at other
+    shapes and may round otherwise in the last bit. Training pairs, because
+    only their own review is in the train-built profiles: the exclusion
+    changes their scores, so both settings are exercised."""
+    params = trained_toy(tiny_dataset, tiny_stores)
+    pairs = tiny_dataset.split.train[:20]
+    scores = {}
+    for exclude in (True, False):
+        chunk = traced(params, pairs, tiny_stores, exclude)
+        assert [(t["user"], t["item"]) for t in chunk] == \
+            list(zip(pairs.users.tolist(), pairs.items.tolist()))
+        scores[exclude] = [t["prediction"] for t in chunk]
+        for b, t in enumerate(chunk):
+            rating, _, _ = M.forward(t["user"], t["item"], tiny_stores[0], tiny_stores[1],
+                                     params, exclude_target=exclude)
+            alone = traced(params, pairs[b:b + 1], tiny_stores, exclude)
+            assert [rating] == [one["prediction"] for one in alone]
+            assert rating == pytest.approx(t["prediction"], abs=1e-12)
+    assert all(a != b for a, b in zip(scores[True], scores[False]))
+
+
 def test_evaluate_twice_is_bit_identical(tiny_dataset, tiny_stores):
     params = trained_toy(tiny_dataset, tiny_stores)
     split = tiny_dataset.split.train[:40]
-    a = evaluate(params, split, tiny_stores)
-    b = evaluate(params, split, tiny_stores)
+    a = evaluate(params, split, tiny_stores, exclude_target=True)
+    b = evaluate(params, split, tiny_stores, exclude_target=True)
     assert a == b
 
 
@@ -87,8 +118,8 @@ def test_evaluate_clip_bounds_predictions(tiny_dataset, tiny_stores):
         seed=0)
     params.fm.bias[...] = 9.0  # push raw predictions far above 5
     split = tiny_dataset.split.test
-    clipped = evaluate(params, split, tiny_stores, clip=True)
-    raw = evaluate(params, split, tiny_stores, clip=False)
+    clipped = evaluate(params, split, tiny_stores, exclude_target=True, clip=True)
+    raw = evaluate(params, split, tiny_stores, exclude_target=True, clip=False)
     assert clipped < raw
 
 
@@ -101,7 +132,7 @@ def test_uniform_word_ablation_is_user_independent(tiny_dataset, tiny_stores):
     caches = []
     for user in range(1, 11):
         _, _, i_cache = M.forward(user, item, tiny_stores[0], tiny_stores[1], params,
-                                  ablation=no_att)
+                                  exclude_target=False, ablation=no_att)
         caches.append(i_cache)
     for c in caches[1:]:
         assert np.array_equal(c.alpha[0], caches[0].alpha[0])
@@ -125,7 +156,7 @@ def test_trace_sink_jsonl_schema(tiny_dataset, tiny_stores):
     params = trained_toy(tiny_dataset, tiny_stores)
     sink = io.StringIO()
     split = tiny_dataset.split.test[:3]
-    evaluate(params, split, tiny_stores, trace_sink=sink)
+    evaluate(params, split, tiny_stores, exclude_target=True, trace_sink=sink)
     lines = sink.getvalue().strip().split("\n")
     assert len(lines) == 3
     rec = json.loads(lines[0])

@@ -162,7 +162,7 @@ def test_nan_attention_parameter_gives_non_finite_ratings(toy_params):
     users, items = toy_stores()
     toy_params.item.review_attn[0, 0] = np.nan
     with pytest.raises(FloatingPointError, match="parameter item.review_attn$"):
-        M.predict_batch(toy_params, users, items, [1, 2], [1, 2])
+        M.predict_batch(toy_params, users, items, [1, 2], [1, 2], exclude_target=False)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def test_forward_bits_are_golden(toy_params):
     batch = toy_batch()
     preds, u_cache, i_cache = M.predict_batch(toy_params, users, items,
                                               [b.user for b in batch],
-                                              [b.item for b in batch])
+                                              [b.item for b in batch], exclude_target=False)
     h = hashlib.sha256()
     for arr in (preds, u_cache.alpha, i_cache.alpha):
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -610,15 +610,16 @@ def test_forward_bits_are_golden(toy_params):
 
 def test_forward_deterministic(toy_params):
     users, items = toy_stores()
-    r1, u1, _ = M.forward(1, 2, users, items, toy_params)
-    r2, u2, _ = M.forward(1, 2, users, items, toy_params)
+    r1, u1, _ = M.forward(1, 2, users, items, toy_params, exclude_target=False)
+    r2, u2, _ = M.forward(1, 2, users, items, toy_params, exclude_target=False)
     assert r1 == r2
     assert np.array_equal(u1.alpha[0], u2.alpha[0])
 
 
 def test_forward_all_pad_profile_still_finite(toy_params):
     users, items = toy_stores()
-    rating, u_cache, _ = M.forward(0, 1, users, items, toy_params)  # owner 0 is empty
+    rating, u_cache, _ = M.forward(0, 1, users, items, toy_params,
+                                   exclude_target=False)  # owner 0 is empty
     assert math.isfinite(rating)
     assert not u_cache.beta[0].any()
     # the empty side contributes a zero text feature
@@ -634,9 +635,11 @@ def test_forward_batch_equals_single_composition(toy_params):
     users, items = toy_stores()
     batch = toy_batch()
     preds, _, _ = M.predict_batch(toy_params, users, items,
-                                  [b.user for b in batch], [b.item for b in batch])
+                                  [b.user for b in batch], [b.item for b in batch],
+                                  exclude_target=False)
     for pred, inter in zip(preds, batch):
-        single, _, _ = M.forward(inter.user, inter.item, users, items, toy_params)
+        single, _, _ = M.forward(inter.user, inter.item, users, items, toy_params,
+                                 exclude_target=False)
         assert pred == pytest.approx(single, abs=1e-12)
 
 
@@ -651,7 +654,8 @@ def test_forward_batch_exclude_target_matches_single(toy_params):
                                  exclude_target=True)
         assert pred == pytest.approx(single, abs=1e-12)
     base, _, _ = M.predict_batch(toy_params, users, items,
-                                 [b.user for b in batch], [b.item for b in batch])
+                                 [b.user for b in batch], [b.item for b in batch],
+                                 exclude_target=False)
     assert not np.allclose(preds, base)  # exclusion changes the encoding
 
 
@@ -690,7 +694,7 @@ def test_repeated_owners_match_batches_of_one(pairs, exclude, variant):
 
 def test_forward_trace_weights_normalized(toy_params):
     users, items = toy_stores()
-    _, u_cache, _ = M.forward(2, 1, users, items, toy_params)
+    _, u_cache, _ = M.forward(2, 1, users, items, toy_params, exclude_target=False)
     alpha, beta = u_cache.alpha[0], u_cache.beta[0]
     rmask = users.partner[2] >= 0
     assert beta[rmask].sum() == pytest.approx(1.0, abs=1e-9)
@@ -738,7 +742,7 @@ def test_forward_finite_for_random_finite_params(seed):
     params.user.word_attn *= rng.uniform(0, 50)
     for u in (0, 1, 2):
         for i in (1, 2):
-            rating, _, _ = M.forward(u, i, users, items, params)
+            rating, _, _ = M.forward(u, i, users, items, params, exclude_target=False)
             assert math.isfinite(rating)
 
 

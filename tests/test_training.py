@@ -29,7 +29,8 @@ def test_loss_zero_on_perfect_predictions(toy_params):
     stores = toy_stores()
     batch = toy_batch()
     preds, _, _ = M.predict_batch(toy_params, stores[0], stores[1],
-                                  [b.user for b in batch], [b.item for b in batch])
+                                  [b.user for b in batch], [b.item for b in batch],
+                                  exclude_target=False)
     matched = [Interaction(b.user, b.item, float(p), None)
                for b, p in zip(batch, preds)]
     assert loss(matched, toy_params, stores, l2_weight=0.0) == pytest.approx(0.0, abs=1e-24)
@@ -95,7 +96,7 @@ def test_backward_loss_value_equals_loss(toy_params):
 
 def test_backward_zero_residual_means_zero_bias_gradient(toy_params):
     stores = toy_stores()
-    pred, _, _ = M.forward(1, 1, stores[0], stores[1], toy_params)
+    pred, _, _ = M.forward(1, 1, stores[0], stores[1], toy_params, exclude_target=False)
     batch = [Interaction(1, 1, pred, None)]
     _, grads = T.backward(batch, toy_params, stores, l2_weight=0.0)
     assert grads.fm.bias == 0.0
@@ -515,11 +516,12 @@ def test_train_and_evaluate_build_no_record(tiny_dataset, tiny_stores, monkeypat
     columns, to the same bits as with records allowed."""
     cfg = small_config(max_epochs=1)
     want, want_history = T.train(cfg, tiny_dataset, tiny_stores)
-    want_mse = evaluate(want, tiny_dataset.split.test, tiny_stores)
+    want_mse = evaluate(want, tiny_dataset.split.test, tiny_stores, exclude_target=True)
     forbid_records(monkeypatch)
     got, history = T.train(cfg, tiny_dataset, tiny_stores)
     assert got.flat.tobytes() == want.flat.tobytes() and history == want_history
-    assert evaluate(got, tiny_dataset.split.test, tiny_stores) == want_mse
+    assert evaluate(got, tiny_dataset.split.test, tiny_stores,
+                    exclude_target=True) == want_mse
 
 
 def test_train_holds_four_parameter_sized_buffers(tiny_dataset, tiny_stores):
