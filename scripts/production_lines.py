@@ -5,10 +5,12 @@
 
 Under sys.settrace, this runs in one process, from the tree it sits in:
 
-- every `nrpa` command through nrpa.cli.main, on a small synthetic corpus:
-  prepare from CSV and from amazon-json, train (once more with the tanh
-  convolution and exclude_target false), eval (plain, and with --trace,
-  --clip and --ablation), ablate, sweep and inspect;
+- every `nrpa` command through nrpa.cli.main, on a small synthetic corpus
+  whose first review holds a token longer than 8 bytes (prepare numbers
+  such a token by its bytes, a shorter one by a u64 key): prepare from CSV
+  and from amazon-json, train (once more with the tanh convolution and
+  exclude_target false), eval (plain, and with --trace, --clip and
+  --ablation), ablate, sweep and inspect;
 - perfbench's bench.run on the smoke variant of each workload, traced and
   untraced, as perfbench's own tests run it (perfbench is only imported).
 
@@ -121,6 +123,7 @@ def run_commands(tmp: Path) -> None:
     from nrpa.evaluation import make_synthetic_corpus
 
     records = make_synthetic_corpus(101, 60, 30, reviews_per_user=10)
+    records[0].text += " extraordinary"
     with open(tmp / "corpus.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([r.user_key, r.item_key, repr(r.rating), r.text]
                                  for r in records)

@@ -15,10 +15,11 @@ import dataclasses
 import json
 import os
 import struct
+import sys
 
 import numpy as np
 
-from .model import ACTIVATIONS, Dims, ModelParams, param_count
+from .model import Dims, ModelParams, param_count
 
 MAGIC = b"NRPA"
 VERSION = 1
@@ -97,11 +98,13 @@ def load_params(path):
                 raise CheckpointError(f"{path}: header {field} "
                                       f"{getattr(dims, field)} disagrees with the "
                                       f"metadata config's {config[field]!r}")
-        activation = meta.get("conv_activation", "relu")
-        if activation not in ACTIVATIONS:
-            raise CheckpointError(f"{path}: unknown conv_activation {activation!r}")
+        try:
+            params = ModelParams(dims, np.empty(size), meta.get("conv_activation", "relu"))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
 
-        flat = np.empty(size, dtype="<f8")
-        if fh.readinto(flat) != flat.nbytes:
+        if fh.readinto(params.flat) != params.flat.nbytes:
             raise CheckpointError(f"{path}: truncated while reading the tensors")
-    return ModelParams(dims, flat.astype(np.float64, copy=False), activation), meta
+    if sys.byteorder == "big":  # the payload's floats are little-endian
+        params.flat.byteswap(inplace=True)
+    return params, meta

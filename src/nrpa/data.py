@@ -5,17 +5,18 @@ A prepared dataset is its interactions in corpus order, held as columns
 split, plus a train-only vocabulary; per-owner fixed-shape review profiles
 (num_reviews x review_len token grids) for the user and item sides are
 filled from its train part's columns. A token is a run of [a-z0-9] in the
-lowercased review, found in its UTF-8 bytes by one byte translate and one
-split. prepare_dataset tokenizes each review once: the vocabulary is
-counted, ranked and looked up in numpy over one stream of token-type
-numbers. No step from disk to batch makes an object per record.
+lowercased review, found as a span of its UTF-8 bytes after one byte
+translate. prepare_dataset tokenizes each review once, a chunk of records at
+a time, and numbers each chunk's tokens in numpy: a token of up to 8 bytes
+is a u64 key, sorted once per chunk and merged into one sorted key table.
+The vocabulary is counted, ranked and looked up in numpy. No step from disk
+to batch makes an object per record.
 """
 
 import csv
 import io
 import json
 import re
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count
@@ -36,9 +37,20 @@ RATING_RANGE = (1.0, 5.0)
 # the fewest records the 80/10/10 split takes
 MIN_RECORDS = 10
 
-# tokenize's byte table: a-z and 0-9 map to themselves, every other byte to a space
+# token_spans' byte table: a-z and 0-9 map to themselves, every other byte to a space
 _TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
                      for b in range(256))
+
+# prepare_dataset tokenizes and numbers the records a chunk at a time, each
+# chunk about this many characters of review text, so its work arrays stay
+# small whatever the corpus size
+_PREPARE_CHUNK = 1 << 18
+
+# _KEY_MASK[w] keeps the first w bytes of a big-endian u64 and zeroes the rest
+_KEY_MASK = np.array([(1 << 64) - (1 << (64 - 8 * w)) for w in range(9)], dtype=np.uint64)
+
+# a key no token has, as its bytes lie in a-z and 0-9
+_NO_KEY = np.uint64(2**64 - 1)
 
 # users.tsv/items.tsv store one `key<TAB>index` line per owner in UTF-8, so a
 # key holding a tab or a line break could not be read back, and one holding a
@@ -178,15 +190,67 @@ def _json_fields(line: str) -> tuple:
         return ()
 
 
-def tokenize(text: str) -> list:
-    """The [a-z0-9]+ runs of the lowercased text, in order, as ASCII bytes.
+def token_spans(texts: list) -> tuple:
+    """(blob, starts, ends, text_ends): the [a-z0-9]+ runs of the lowercased
+    texts, in order, as spans of one bytes blob.
 
-    The lowercased text is encoded as UTF-8 (a lone surrogate as its three
-    bytes), every byte outside a-z and 0-9 becomes a space, and the bytes
-    split on spaces. No other character's UTF-8 bytes fall in a-z or 0-9, so
-    the runs are exactly those of the text.
+    The lowercased texts are encoded as UTF-8 (a lone surrogate as its three
+    bytes) and joined by spaces, 8 more bytes end the blob, and every byte
+    outside a-z and 0-9 becomes a space. No other character's UTF-8 bytes
+    fall in a-z or 0-9, so the runs are exactly those of the texts. Token k
+    is blob[starts[k]:ends[k]], and text i's tokens are those before
+    text_ends[i].
     """
-    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
+    encoded = [text.lower().encode("utf-8", "surrogatepass") for text in texts]
+    blob = b" ".join([*encoded, bytes(7)]).translate(_TOKEN_BYTES)
+    edges = np.flatnonzero(np.diff(np.frombuffer(blob, np.uint8) != 0x20, prepend=False))
+    starts, ends = edges[::2], edges[1::2]
+    text_ends = np.searchsorted(starts, np.cumsum([len(e) + 1 for e in encoded]))
+    return blob, starts, ends, text_ends
+
+
+class _TokenTypes:
+    """Numbers token types 0, 1, 2, ... as the chunks bring them. Any one
+    numbering will do: the vocabulary ranks types by count and text.
+
+    A token of at most 8 bytes is keyed by its bytes, zero-padded, read as a
+    big-endian u64; `keys` holds those seen, sorted, beside their `numbers`,
+    and ends in _NO_KEY so that every searchsorted position falls inside it.
+    A longer token is looked up by its bytes in `long`. `tokens` holds each
+    type's bytes by number.
+    """
+
+    def __init__(self):
+        self.keys = np.array([_NO_KEY])
+        self.numbers = np.array([-1])
+        self.long = {}
+        self.tokens = []
+
+    def number(self, blob: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The int32 type number of each token blob[starts[k]:ends[k]], as
+        token_spans gives them, numbering the types not seen before."""
+        ids = np.empty(len(starts), np.int32)
+        short = ends - starts <= 8
+        # element i of words is the 8 bytes from blob[i]; the blob ends in 8
+        # spaces, so there is one at each token's start
+        words = np.ndarray((len(blob) - 7,), ">u8", blob, 0, (1,))
+        keys = words[starts[short]] & _KEY_MASK[(ends - starts)[short]]
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        pos = np.searchsorted(self.keys, distinct)
+        new = self.keys[pos] != distinct
+        numbers = self.numbers[pos]
+        numbers[new] = np.arange(len(self.tokens), len(self.tokens) + np.count_nonzero(new))
+        self.keys = np.insert(self.keys, pos[new], distinct[new])
+        self.numbers = np.insert(self.numbers, pos[new], numbers[new])
+        self.tokens += distinct[new].astype(">u8").view("S8").tolist()
+        ids[short] = numbers[inverse]
+
+        long = [blob[s:e] for s, e in zip(starts[~short].tolist(), ends[~short].tolist())]
+        fresh = [token for token in dict.fromkeys(long) if token not in self.long]
+        self.long.update(zip(fresh, count(len(self.tokens))))
+        self.tokens += fresh
+        ids[~short] = [self.long[token] for token in long]
+        return ids
 
 
 class Vocabulary:
@@ -311,12 +375,15 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     """Full in-memory pipeline: split raw records, build vocab on train, encode.
 
     The split is decided first, so no validation/test text can leak into
-    the vocabulary. One pass tokenizes the records in corpus order and
-    numbers each record's byte tokens into one stream of type numbers, and
-    one bincount counts the train records' tokens. The types are decoded to
+    the vocabulary. The records are taken in corpus order a chunk at a time,
+    about _PREPARE_CHUNK characters of text each. Each chunk is tokenized
+    once (token_spans) and its tokens numbered by type (_TokenTypes); the
+    chunk adds its train records' tokens to the per-type counts and keeps
+    each record's first review_len type numbers. The types are decoded to
     str once. Types counted at least min_count times get ids from 2 by
-    descending count, ties broken lexicographically; the rest map to UNK. Each interaction's tokens are its
-    first review_len ids, a view of one read-only int32 buffer.
+    descending count, ties broken lexicographically; the rest map to UNK.
+    Each interaction's tokens are its first review_len ids, a view of one
+    read-only int32 buffer.
     """
     part = split_dataset(len(records), seed)
 
@@ -326,16 +393,25 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     users = [user_number[r.user_key] for r in records]
     items = [item_number[r.item_key] for r in records]
 
-    number = defaultdict(count().__next__)  # token bytes -> type number
-    stream, ends = array("i"), array("q")
-    for r in records:
-        stream.extend(map(number.__getitem__, tokenize(r.text)))
-        ends.append(len(stream))
-    ids, ends = np.frombuffer(stream, np.int32), np.frombuffer(ends, np.int64)
-    lens = np.diff(ends, prepend=0)
-    counts = np.bincount(ids[np.repeat(part == 0, lens)], minlength=len(number))
+    # texts whose ends fall in one _PREPARE_CHUNK-character window are a chunk
+    texts = [r.text for r in records]
+    window = np.cumsum([len(text) + 1 for text in texts]) // _PREPARE_CHUNK
+    cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), len(texts)]
+    token_types = _TokenTypes()
+    counts = np.zeros(0, np.int64)  # train tokens by type number
+    kept_ids, kept_lens = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        blob, starts, ends, text_ends = token_spans(texts[lo:hi])
+        ids = token_types.number(blob, starts, ends)
+        lens = np.diff(text_ends, prepend=0)
+        chunk_counts = np.bincount(ids[np.repeat(part[lo:hi] == 0, lens)],
+                                   minlength=len(token_types.tokens))
+        chunk_counts[:len(counts)] += counts
+        counts = chunk_counts
+        kept_lens.append(np.minimum(lens, review_len))
+        kept_ids.append(ids[_runs(text_ends - lens, kept_lens[-1])])
 
-    types = [t.decode("ascii") for t in number]
+    types = [t.decode("ascii") for t in token_types.tokens]
     kept = np.flatnonzero(counts >= max(min_count, 1)).tolist()
     kept.sort(key=types.__getitem__)
     kept.sort(key=counts.tolist().__getitem__, reverse=True)
@@ -343,13 +419,12 @@ def prepare_dataset(records, seed: int, min_count: int = 1,
     rank[kept] = np.arange(2, len(kept) + 2)
     vocab = Vocabulary([types[t] for t in kept])
 
-    # each review's first review_len ids
-    kept_lens = np.minimum(lens, review_len)
+    kept_lens = np.concatenate(kept_lens)
     kept_ends = np.cumsum(kept_lens)
     interactions = Interactions(np.array(users, np.int64), np.array(items, np.int64),
                                 np.array([r.rating for r in records], np.float64),
-                                rank[ids[_runs(ends - lens, kept_lens)]],
-                                kept_ends - kept_lens, kept_ends)
+                                rank[np.concatenate(kept_ids)], kept_ends - kept_lens,
+                                kept_ends)
     return PreparedDataset(vocab, interactions, DatasetSplit(interactions, part),
                            [UNK_TOKEN, *user_number], [UNK_TOKEN, *item_number], review_len)
 

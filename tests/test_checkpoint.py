@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -49,6 +50,17 @@ def test_tanh_activation_round_trips(tmp_path):
     save_params(params, path)
     loaded, _ = load_params(path)
     assert loaded.conv_activation == "tanh"
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", None, ["relu"]])
+def test_unknown_activation_rejected(tmp_path, toy_params, activation):
+    params = toy_params.copy()
+    params.conv_activation = activation
+    path = tmp_path / "act.nrpa"
+    save_params(params, path)
+    want = rf"act.nrpa: conv_activation must be .*, got {re.escape(repr(activation))}$"
+    with pytest.raises(CheckpointError, match=want):
+        load_params(path)
 
 
 def test_bad_magic_rejected(tmp_path):

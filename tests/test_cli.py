@@ -606,6 +606,20 @@ def test_checkpoint_malformed_config_exits_2_naming_it(workspace, tmp_path, caps
     assert str(ckpt) in err and "metadata config" in err
 
 
+def test_checkpoint_unknown_activation_exits_2_naming_it(workspace, tmp_path, capsys):
+    ds = load_prepared(workspace["data"])
+    params = init_params(Dims(len(ds.vocab), ds.n_users, ds.n_items, 8, 4, 8, 8, 3, 4, 12, 4),
+                         seed=1)
+    params.conv_activation = "sigmoid"
+    ckpt = tmp_path / "act.nrpa"
+    save_params(params, ckpt)
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace["data"]),
+                 "--split", "val"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "conv_activation" in err and "'sigmoid'" in err
+
+
 HUGE = 10 ** 12  # far past any machine's memory, in parameters or profiles
 
 

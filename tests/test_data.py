@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from nrpa.data import (_COLUMNS, _HEADER_BYTES, PAD_ID, UNK_ID, UNK_TOKEN,
                        RawRecord, Vocabulary,
                        batch_arrays, build_profiles, load_prepared,
                        parse_reviews, prepare_dataset, save_prepared,
-                       split_dataset, tokenize)
+                       split_dataset, token_spans)
+from nrpa import data
 from nrpa.cli import load_config, main
 from nrpa.evaluation import make_synthetic_corpus
 from nrpa.model import init_params
@@ -210,6 +212,19 @@ def test_parse_unknown_format():
         parse_reviews(io.BytesIO(b""), "tsv")
 
 
+def tokens_by_text(texts: list) -> list:
+    """The tokens token_spans finds in each of the texts, as bytes."""
+    blob, starts, ends, text_ends = token_spans(texts)
+    tokens = [blob[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+    bounds = [0, *text_ends.tolist()]
+    assert len(bounds) == len(texts) + 1 and bounds[-1] == len(tokens)
+    return [tokens[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def tokenize(text: str) -> list:
+    return tokens_by_text([text])[0]
+
+
 def test_tokenize_rules():
     assert tokenize("Easy to USE!") == [b"easy", b"to", b"use"]
     assert tokenize("") == []
@@ -229,10 +244,13 @@ def test_tokenize_every_code_point_as_the_regex():
     assert tokenize(text) == [t.encode() for t in prepare_oracle.tokenize(text)]
 
 
-@given(text=st.text(st.characters(exclude_categories=())))
+@given(texts=st.lists(st.text(st.characters(exclude_categories=())), max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_tokenize_is_the_regex_over_any_text(text):
-    assert tokenize(text) == [t.encode() for t in prepare_oracle.tokenize(text)]
+def test_tokenize_is_the_regex_over_any_text(texts):
+    """Each text's tokens, several texts at once as prepare_dataset tokenizes
+    a chunk."""
+    assert tokens_by_text(texts) == [[t.encode() for t in prepare_oracle.tokenize(text)]
+                                     for text in texts]
 
 
 def token_id(vocab, token):
@@ -589,6 +607,33 @@ def test_prepare_equals_the_two_pass_oracle(records, seed, min_count, review_len
     assert _prepared_files(got) == _prepared_files(want)
 
 
+# tokens of 7, 8, 9, 16 and 17 bytes, tokens that share their first 8 or 16
+# bytes, and long tokens that lower from, or are cut by, non-ASCII characters
+_KEY_PIECES = ["abcdefg", "abcdefgh", "abcdefgz", "abcdefghi", "abcdefghz", "ABCDEFGHI",
+               "abcdefgh12345678", "abcdefgh12345679", "abcdefghijklmnopq",
+               "abcdefghijklmnopz", "\u212aabcdefgh", "abcdefgh\u00e9ijk", "x", "-", " "]
+_KEY_RECORDS = st.lists(
+    st.builds(RawRecord, st.sampled_from(["u1", "u2"]), st.sampled_from(["i1", "i2", "i3"]),
+              st.just(3.0), st.one_of(
+                  st.lists(st.sampled_from(_KEY_PIECES), max_size=8).map(" ".join),
+                  st.lists(st.sampled_from(_KEY_PIECES), max_size=4).map("".join))),
+    min_size=10, max_size=30)
+
+
+@given(records=_KEY_RECORDS, seed=st.integers(0, 2**64 - 1), min_count=st.integers(1, 2),
+       review_len=st.integers(1, 8), chunk=st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_prepare_numbers_tokens_of_every_length_across_chunk_seams(records, seed, min_count,
+                                                                    review_len, chunk):
+    """Tokens on both sides of the 8-byte key limit, numbered a few records
+    per chunk, against tests/prepare_oracle.py."""
+    with mock.patch.object(data, "_PREPARE_CHUNK", chunk):
+        got = prepare_dataset(records, seed, min_count, review_len)
+    want = prepare_oracle.prepare_dataset(records, seed, min_count, review_len)
+    assert got.vocab.id_to_token == want.vocab.id_to_token
+    assert _prepared_files(got) == _prepared_files(want)
+
+
 @given(records=_RECORDS, seed=st.integers(0, 2**64 - 1), review_len=st.integers(1, 8))
 @settings(max_examples=100, deadline=None)
 def test_prepare_save_load_gives_back_the_interactions(records, seed, review_len):
@@ -615,34 +660,37 @@ def test_prepare_save_load_gives_back_the_interactions(records, seed, review_len
 
 
 # bytes the two-pass prepare (tests/prepare_oracle.py's pipeline) left
-# allocated on the corpus below: per-review token arrays, interactions,
-# vocabulary, owner keys and split lists
+# allocated on the first corpus below: per-review token arrays, interactions,
+# vocabulary, owner keys and split lists; the second corpus's 12-byte words
+# add about 4 KB to its vocabulary
 TWO_PASS_RETAINED = 753_722
 
 
 def test_prepare_memory_retained_and_peak():
-    """2000 records of 200 tokens over 500 types, review_len 20. Retained:
-    no more than the two-pass prepare, give or take 1 KiB for the small
-    blocks numpy keeps cached. Transient: under 16 bytes per corpus token,
-    so no pass may hold a token string per token or an int64 array of the
-    whole corpus beside the stream."""
-    words = [f"w{k}" for k in range(500)]
+    """2000 records of 200 tokens over 500 types, review_len 20, once with
+    words of 2-4 bytes and once with words of 12 bytes that share their first
+    8. Retained: no more than the two-pass prepare, give or take 1 KiB for
+    the small blocks numpy keeps cached. Transient: under 16 bytes per corpus
+    token, so no pass may hold a token string per token or an int64 array of
+    the whole corpus's tokens."""
     draws = np.random.default_rng(0).integers(0, 500, (2000, 200))
-    records = [RawRecord(f"u{i % 300}", f"i{i % 120}", 1.0 + i % 5,
-                         " ".join(words[t] for t in row)) for i, row in enumerate(draws)]
-    prepare_dataset(records, 1, 1, 20)  # fills module and numpy caches untraced
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        ds = prepare_dataset(records, 1, 1, 20)
+    for words in ([f"w{k}" for k in range(500)], [f"longword{k:04d}" for k in range(500)]):
+        records = [RawRecord(f"u{i % 300}", f"i{i % 120}", 1.0 + i % 5,
+                             " ".join(words[t] for t in row)) for i, row in enumerate(draws)]
+        prepare_dataset(records, 1, 1, 20)  # fills module and numpy caches untraced
         gc.collect()
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(ds.interactions) == 2000
-    assert current - before <= TWO_PASS_RETAINED + 1024
-    assert peak - current < 16 * draws.size
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = prepare_dataset(records, 1, 1, 20)
+            gc.collect()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.interactions) == 2000
+        assert sorted(ds.vocab.id_to_token[2:]) == sorted(words)
+        assert current - before <= TWO_PASS_RETAINED + 1024
+        assert peak - current < 16 * draws.size
 
 
 def test_literal_unk_key_keeps_its_own_index():
